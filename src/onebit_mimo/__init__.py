@@ -53,6 +53,7 @@ from .quantization import (
     BussgangModel,
     PilotMatrix,
     QuantizedObservation,
+    ScaledPilotOperator,
     arcsin_covariance,
     build_bussgang_model,
     bussgang_operator,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SpatialCorrelation, spatial_correlation
+from .linalg import kron_apply, solve_lower, subtract_gram
 
 
 @dataclass(frozen=True)
@@ -46,21 +47,18 @@ class KalmanState:
 def ls_estimate(obs, pilots):
     """Least-squares estimate pinv(Phi_bar) r of the stacked channel.
 
-    Works on the quantized observation directly, so the scale is biased by
-    the quantizer; useful as a cheap statistics probe rather than a final
+    obs.r is one stacked observation (tau M,) or a block of them, one per
+    column (tau M, count); the estimates come back in the same layout. Works
+    on the quantized observation directly, so the scale is biased by the
+    quantizer; useful as a cheap statistics probe rather than a final
     estimate.
     """
-    tau, n_users = pilots.phi.shape
-    n_antennas = obs.r.size // tau
     sv = np.linalg.svd(pilots.phi, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:
         raise ValueError("pilot matrix is rank deficient")
     pinv_phi = np.linalg.pinv(pilots.phi, rcond=1e-10)
-    # pinv(Phi (x) sqrt(rho) I) = pinv(Phi) (x) I / sqrt(rho), applied via
-    # the matrix form of the stacked observation.
-    y_mat = obs.r.reshape(tau, n_antennas).T
-    h_mat = y_mat @ pinv_phi.T / np.sqrt(pilots.rho)
-    return h_mat.flatten(order="F")
+    # pinv(Phi (x) sqrt(rho) I) = pinv(Phi) (x) I / sqrt(rho).
+    return kron_apply(pinv_phi, obs.r) / np.sqrt(pilots.rho)
 
 
 def sample_correlation(samples, normalize_diagonal=True):
@@ -89,17 +87,18 @@ def sample_correlation(samples, normalize_diagonal=True):
 
 
 def blmmse_estimate(obs, corr):
-    """Bussgang LMMSE estimate R phi_tilde^H C_r^{-1} r for one slot."""
-    c_r = obs.model.C_r
-    if c_r is None:
-        raise ValueError("observation model is missing the quantized covariance")
-    try:
-        sol = np.linalg.solve(c_r, obs.r)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"quantized covariance singular at slot {obs.slot}"
-        ) from exc
-    return corr.matrix @ (obs.phi_tilde.conj().T @ sol)
+    """Bussgang LMMSE estimate R phi_tilde^H C_r^{-1} r for one slot.
+
+    C_r^{-1} r = L^{-H} (L^{-1} r) takes two triangular matrix-vector
+    products with the model's inverse Cholesky factor L^{-1}, and phi_tilde
+    is applied through its adjoint.
+    """
+    inv_chol = obs.model.C_r_inv_chol
+    if inv_chol is None:
+        raise ValueError("observation model is missing the quantized covariance factor")
+    # (z^* L^{-1})^* = L^{-H} z without a conjugated copy of L^{-1}.
+    sol = ((inv_chol @ obs.r).conj() @ inv_chol).conj()
+    return corr.matrix @ obs.phi_tilde.adjoint(sol)
 
 
 def kfb_init(corr, stats):
@@ -119,9 +118,14 @@ def kfb_step(state, obs, gain=ExactGain()):
 
     Predict through the Gauss-Markov model, then correct with the linearized
     observation r = phi_tilde h + n_eff, where n_eff carries the effective
-    noise covariance from the Bussgang model. With a TpeGain the expansion
-    replaces the exact inverse in both the gain and the covariance update,
-    keeping the recursion self-consistent.
+    noise covariance from the Bussgang model. phi_tilde is only applied from
+    the left, so it may be a dense matrix or the factored ScaledPilotOperator.
+
+    With the exact gain, S = C_n_eff + phi_tilde M_pred phi_tilde^H is
+    factored as L L^H and W = L^{-1} phi_tilde M_pred, so that
+    h = h_pred + W^H L^{-1} e and M = M_pred - W^H W; the gain matrix is
+    never formed. A TpeGain replaces S^{-1} by its expansion in both the gain
+    and the covariance update, keeping the recursion self-consistent.
     """
     if obs.slot != state.slot + 1:
         raise ValueError(f"observation slot {obs.slot} does not follow state slot {state.slot}")
@@ -136,24 +140,35 @@ def kfb_step(state, obs, gain=ExactGain()):
     m_pred += zeta[:, None] * state.corr.matrix * zeta[None, :]
 
     phi_tilde = obs.phi_tilde
-    cross = m_pred @ phi_tilde.conj().T
-    innov_cov = obs.model.C_n_eff + phi_tilde @ cross
-    innov_cov = 0.5 * (innov_cov + innov_cov.conj().T)
+    # M_pred is Hermitian, so cross_h^H = M_pred phi_tilde^H.
+    cross_h = phi_tilde @ m_pred
+    innov_cov = obs.model.C_n_eff + phi_tilde @ cross_h.conj().T
+    innovation = obs.r - phi_tilde @ h_pred
 
     if isinstance(gain, TpeGain):
-        gain_mat = cross @ tpe_inverse(innov_cov, gain.alpha, gain.order)
+        innov_cov = 0.5 * (innov_cov + innov_cov.conj().T)
+        gain_mat = cross_h.conj().T @ tpe_inverse(innov_cov, gain.alpha, gain.order)
+        h_new = h_pred + gain_mat @ innovation
+        m_new = m_pred - gain_mat @ cross_h
+        m_new = 0.5 * (m_new + m_new.conj().T)
     else:
         try:
-            gain_mat = np.linalg.solve(innov_cov, cross.conj().T).conj().T
+            chol = np.linalg.cholesky(innov_cov)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(
-                f"innovation covariance singular at slot {obs.slot}"
+                f"innovation covariance not positive definite at slot {obs.slot}"
             ) from exc
-
-    innovation = obs.r - phi_tilde @ h_pred
-    h_new = h_pred + gain_mat @ innovation
-    m_new = m_pred - gain_mat @ cross.conj().T
-    m_new = 0.5 * (m_new + m_new.conj().T)
+        # Each n x n temporary is 16 MiB at paper scale (n = 1024): drop
+        # them once used, to keep the peak memory down.
+        del innov_cov
+        # One solve for W and z = L^{-1} e, so the diagonal blocks of L are
+        # inverted once.
+        w_z = solve_lower(chol, np.column_stack((cross_h, innovation)))
+        del cross_h, chol
+        w = w_z[:, :-1]
+        # W^H z, computed as (z^* W)^* without a conjugated copy of W.
+        h_new = h_pred + (w_z[:, -1].conj() @ w).conj()
+        m_new = subtract_gram(m_pred, w)
     return KalmanState(slot=obs.slot, h_hat=h_new, M_filt=m_new, stats=stats, corr=state.corr)
 
 
@@ -176,8 +191,9 @@ def tpe_inverse(matrix, alpha, order):
         )
     eye = np.eye(matrix.shape[0])
     residual = eye - alpha * matrix
-    total = eye.astype(matrix.dtype)
-    for _ in range(order):
+    # Horner starts at I + residual, which saves the product with I.
+    total = eye + residual if order else eye
+    for _ in range(order - 1):
         total = eye + residual @ total
     return alpha * total
 

@@ -87,10 +87,8 @@ def _learned_correlation(cfg, pilots, corr_true, streams):
     g = complex_normal(streams.channel, (n_total, count))
     h_all = corr_true.sqrt_factor @ g
     noise = complex_normal(streams.pilot_noise, (cfg.M * cfg.tau, count))
-    quantized = one_bit_quantize(pilots.phi_bar(cfg.M) @ h_all + noise)
-    probes = np.empty((count, n_total), dtype=complex)
-    for s in range(count):
-        probes[s] = ls_estimate(QuantizedObservation(slot=0, r=quantized[:, s]), pilots)
+    quantized = one_bit_quantize(pilots.apply(h_all) + noise)
+    probes = ls_estimate(QuantizedObservation(slot=0, r=quantized), pilots).T
     users = [
         sample_correlation(probes[:, k * cfg.M : (k + 1) * cfg.M]) for k in range(cfg.K)
     ]
@@ -103,7 +101,8 @@ def _run_trials(cfg, snr_db, stats, record):
 
     Calls record(name, trial, slot_index, h_hat, h_true, state) for every
     estimate; state is the Kalman state for the tracking estimators and None
-    otherwise.
+    otherwise. A non-finite estimate raises FloatingPointError naming the
+    estimator, slot, trial and SNR point, so no diverged result is written.
     """
     rho = 10.0 ** (snr_db / 10.0)
     pilots = dft_pilots(cfg.tau, cfg.K).with_rho(rho)
@@ -137,6 +136,11 @@ def _run_trials(cfg, snr_db, stats, record):
                     state = kfb_step(state, obs, gain)
                     filters[name] = (state, gain)
                     h_hat = state.h_hat
+                if not np.isfinite(h_hat).all():
+                    raise FloatingPointError(
+                        f"{name} estimate is not finite at slot {i + 1}, trial {trial}, "
+                        f"snr {snr_db} dB"
+                    )
                 record(name, trial, i, h_hat, chan.h, state)
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .linalg import kron_apply, solve_lower
 from .rng import complex_normal
 
 
@@ -34,20 +35,62 @@ class PilotMatrix:
             raise ValueError("pilot power must be positive")
         return replace(self, rho=float(rho))
 
-    def phi_bar(self, n_antennas):
-        """Aggregate pilot operator mapping the stacked channel to vec(Y)."""
+    def _scaled_phi(self):
         if self.rho is None:
             raise ValueError("pilot power not set, call with_rho first")
-        return np.kron(self.phi, np.sqrt(self.rho) * np.eye(n_antennas))
+        return np.sqrt(self.rho) * self.phi
+
+    def phi_bar(self, n_antennas):
+        """Dense Phi_bar = phi kron sqrt(rho) I_M, mapping the stacked channel to vec(Y).
+
+        Reference form for tests; apply and adjoint give its products
+        without building it.
+        """
+        return np.kron(self._scaled_phi(), np.eye(n_antennas))
+
+    def apply(self, x):
+        """Phi_bar x for a stacked channel vector or a block of them (columns)."""
+        return kron_apply(self._scaled_phi(), x)
+
+    def adjoint(self, y):
+        """Phi_bar^H y for a stacked observation vector or a block of them."""
+        return kron_apply(self._scaled_phi().conj().T, y)
+
+
+@dataclass(frozen=True)
+class ScaledPilotOperator:
+    """The linearized pilot operator phi_tilde = diag(a) Phi_bar, kept factored.
+
+    Supports phi_tilde @ x and adjoint(y) = phi_tilde^H y, for vectors and
+    column blocks, at O(tau n) per column.
+    """
+
+    a_diag: np.ndarray
+    pilots: PilotMatrix
+
+    def __matmul__(self, x):
+        y = self.pilots.apply(x)
+        y *= _row_factor(self.a_diag, y.ndim)
+        return y
+
+    def adjoint(self, y):
+        return self.pilots.adjoint(_row_factor(self.a_diag, np.ndim(y)) * y)
+
+
+def _row_factor(a, ndim):
+    return a[:, None] if ndim == 2 else a
 
 
 @dataclass(frozen=True)
 class BussgangModel:
     """Second-order description of the quantized pilot observation.
 
-    a_diag holds the diagonal of the Bussgang gain A. C_y is the analog
-    covariance; C_r, C_q and C_n_eff are filled by the later construction
-    stages (arcsine law, distortion covariance, effective noise).
+    a_diag holds the diagonal of the Bussgang gain A and C_y is the analog
+    covariance, both from bussgang_operator. build_bussgang_model fills the
+    rest: the arcsine-law covariance C_r of the quantized output, the
+    distortion covariance C_q, the effective noise covariance C_n_eff, and
+    C_r_inv_chol = L^{-1} for the Cholesky factor L of C_r = L L^H, so that
+    C_r^{-1} = C_r_inv_chol^H C_r_inv_chol.
     """
 
     a_diag: np.ndarray
@@ -55,6 +98,7 @@ class BussgangModel:
     C_r: np.ndarray | None = None
     C_q: np.ndarray | None = None
     C_n_eff: np.ndarray | None = None
+    C_r_inv_chol: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -64,7 +108,7 @@ class QuantizedObservation:
     slot: int
     r: np.ndarray
     model: BussgangModel | None = None
-    phi_tilde: np.ndarray | None = None
+    phi_tilde: ScaledPilotOperator | np.ndarray | None = None
 
 
 def dft_pilots(tau, n_users):
@@ -98,7 +142,7 @@ def received_pilot_signal(state, pilots, rng):
     """Analog pilot observation y = Phi_bar h + n and the noise that made it."""
     n_antennas = state.h.size // pilots.K
     noise = complex_normal(rng, n_antennas * pilots.tau)
-    y = pilots.phi_bar(n_antennas) @ state.h + noise
+    y = pilots.apply(state.h) + noise
     return y, noise
 
 
@@ -108,9 +152,9 @@ def bussgang_operator(pilots, corr):
     C_y = Phi_bar R Phi_bar^H + I and A = sqrt(2/pi) diag(C_y)^(-1/2). The
     unit noise floor keeps the diagonal strictly positive.
     """
-    n_antennas = corr.matrix.shape[0] // pilots.K
-    phi_bar = pilots.phi_bar(n_antennas)
-    c_y = phi_bar @ corr.matrix @ phi_bar.conj().T + np.eye(phi_bar.shape[0])
+    # Phi_bar (Phi_bar R)^H = Phi_bar R Phi_bar^H since R is Hermitian.
+    c_y = pilots.apply(pilots.apply(corr.matrix).conj().T)
+    c_y[np.diag_indices_from(c_y)] += 1.0
     diag = np.real(np.diag(c_y))
     a_diag = np.sqrt(2.0 / np.pi) / np.sqrt(diag)
     return BussgangModel(a_diag=a_diag, C_y=c_y)
@@ -144,28 +188,40 @@ def quantization_noise_covariance(model):
     c_r = model.C_r if model.C_r is not None else arcsin_covariance(model.C_y)
     scaled = model.a_diag[:, None] * model.C_y * model.a_diag[None, :]
     c_q = c_r - scaled
-    c_n_eff = np.diag(model.a_diag**2) + c_q
+    c_n_eff = c_q.copy()
+    c_n_eff[np.diag_indices_from(c_n_eff)] += model.a_diag**2
     return c_q, c_n_eff
 
 
 def build_bussgang_model(pilots, corr):
-    """Fully populated model: gain, analog, arcsine, distortion, effective."""
+    """Fully populated model: gain, analog, arcsine, distortion, effective.
+
+    C_r is static within a trial, so the inverse of its Cholesky factor is
+    formed once here, and the single-shot estimator needs only matrix-vector
+    products per slot. Raises LinAlgError if C_r is not numerically positive
+    definite.
+    """
     model = bussgang_operator(pilots, corr)
     c_r = arcsin_covariance(model.C_y)
     model = replace(model, C_r=c_r)
     c_q, c_n_eff = quantization_noise_covariance(model)
-    return replace(model, C_q=c_q, C_n_eff=c_n_eff)
+    try:
+        chol = np.linalg.cholesky(c_r)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError("quantized covariance C_r is not positive definite") from exc
+    c_r_inv_chol = solve_lower(chol, np.eye(chol.shape[0]))
+    return replace(model, C_q=c_q, C_n_eff=c_n_eff, C_r_inv_chol=c_r_inv_chol)
 
 
 def quantize_pilot_slot(state, pilots, model, rng):
     """Receive one slot, quantize it, and package it for the estimators.
 
     The model is passed in prebuilt since pilots and correlation are static
-    across slots; phi_tilde = A Phi_bar is attached for the linearized
-    observation equation r = phi_tilde h + effective noise.
+    across slots. phi_tilde = A Phi_bar, the operator of the linearized
+    observation equation r = phi_tilde h + effective noise, is attached in
+    factored form (a ScaledPilotOperator); A Phi_bar is never formed.
     """
     y, _ = received_pilot_signal(state, pilots, rng)
     r = one_bit_quantize(y)
-    n_antennas = state.h.size // pilots.K
-    phi_tilde = model.a_diag[:, None] * pilots.phi_bar(n_antennas)
+    phi_tilde = ScaledPilotOperator(a_diag=model.a_diag, pilots=pilots)
     return QuantizedObservation(slot=state.slot, r=r, model=model, phi_tilde=phi_tilde)

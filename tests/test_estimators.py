@@ -49,6 +49,16 @@ class TestLeastSquares:
         clean = QuantizedObservation(slot=0, r=pilots.phi_bar(3) @ state.h)
         assert_allclose(ls_estimate(clean, pilots), state.h, atol=1e-10)
 
+    def test_block_matches_per_column(self):
+        pilots = dft_pilots(6, 4).with_rho(0.8)
+        rng = np.random.default_rng(11)
+        block = rng.standard_normal((18, 7)) + 1j * rng.standard_normal((18, 7))
+        batched = ls_estimate(QuantizedObservation(slot=0, r=block), pilots)
+        assert batched.shape == (12, 7)
+        for s in range(7):
+            single = ls_estimate(QuantizedObservation(slot=0, r=block[:, s]), pilots)
+            assert_allclose(batched[:, s], single, atol=1e-15)
+
     def test_rank_deficient_pilots_rejected(self):
         pilots = dft_pilots(2, 2).with_rho(1.0)
         broken = type(pilots)(phi=np.ones((2, 2)), rho=1.0)
@@ -106,7 +116,8 @@ class TestBlmmse:
         rng = np.random.default_rng(4)
         state = init_channel(corr, rng)
         obs = quantize_pilot_slot(state, pilots, model, rng)
-        direct = corr.matrix @ obs.phi_tilde.conj().T @ np.linalg.inv(model.C_r) @ obs.r
+        phi_tilde = model.a_diag[:, None] * pilots.phi_bar(3)
+        direct = corr.matrix @ phi_tilde.conj().T @ np.linalg.inv(model.C_r) @ obs.r
         assert_allclose(blmmse_estimate(obs, corr), direct, atol=1e-11)
 
 
@@ -167,6 +178,37 @@ class TestKalmanFilter:
             obs = quantize_pilot_slot(chan, pilots, model, rng)
             state = kfb_step(state, obs)
             assert_allclose(state.h_hat, blmmse_estimate(obs, corr), atol=1e-10)
+
+    def test_factored_operator_matches_dense_and_explicit_inverse(self):
+        """Longer pilots than users: factored, dense and textbook updates agree."""
+        n_antennas, n_users, tau = 3, 4, 6
+        corr = aggregate_correlation(
+            [exponential_correlation(n_antennas, 0.6, 0.7 * k) for k in range(n_users)]
+        )
+        pilots = dft_pilots(tau, n_users).with_rho(1.3)
+        model = build_bussgang_model(pilots, corr)
+        stats = TemporalStats(np.array([0.95, 0.9, 0.5, 0.0]))
+        phi_dense = model.a_diag[:, None] * pilots.phi_bar(n_antennas)
+        eta = np.repeat(stats.eta, n_antennas)
+        zeta = np.repeat(stats.zeta, n_antennas)
+        rng = np.random.default_rng(12)
+        factored = dense = kfb_init(corr, stats)
+        h_ref, m_ref = dense.h_hat, dense.M_filt
+        chan = init_channel(corr, rng)
+        for i in range(1, 6):
+            chan = replace(chan, slot=i)
+            obs = quantize_pilot_slot(chan, pilots, model, rng)
+            factored = kfb_step(factored, obs)
+            dense = kfb_step(dense, replace(obs, phi_tilde=phi_dense))
+            h_pred = eta * h_ref
+            m_pred = np.outer(eta, eta) * m_ref + np.outer(zeta, zeta) * corr.matrix
+            innov_cov = phi_dense @ m_pred @ phi_dense.conj().T + model.C_n_eff
+            gain_mat = m_pred @ phi_dense.conj().T @ np.linalg.inv(innov_cov)
+            h_ref = h_pred + gain_mat @ (obs.r - phi_dense @ h_pred)
+            m_ref = m_pred - gain_mat @ phi_dense @ m_pred
+            for state in (factored, dense):
+                assert_allclose(state.h_hat, h_ref, atol=1e-12)
+                assert_allclose(state.M_filt, m_ref, atol=1e-12)
 
     def test_tpe_error_trace_matches_scalar_recursion(self):
         """White channel: the matrix recursion collapses to the scalar one."""

@@ -208,6 +208,20 @@ class TestCli:
         assert main(["nmse", "--config", str(tmp_path / "absent.cfg")]) == 2
         assert '"error": "io"' in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_estimate_exits_with_error(self, tmp_path, capsys):
+        """TPE diverges on the fast profile (r = 0.8): exit 1, no CSV."""
+        cfg = tmp_path / "tpe.cfg"
+        cfg.write_text("estimators = [blmmse, kfb, tpe]\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        code = main(["nmse", "--config", str(cfg), "--trials", "2", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert '"error": "runtime"' in err
+        assert "tpe estimate is not finite at slot" in err
+        assert "trial 0" in err
+
     def test_command_is_required(self):
         with pytest.raises(SystemExit):
             main([])

@@ -62,7 +62,21 @@ class TestPilotOperator:
         with pytest.raises(ValueError):
             dft_pilots(2, 2).phi_bar(2)
         with pytest.raises(ValueError):
+            dft_pilots(2, 2).apply(np.ones(2))
+        with pytest.raises(ValueError):
             dft_pilots(2, 2).with_rho(0.0)
+
+    @pytest.mark.parametrize("tau,k,n_antennas", [(6, 4, 1), (6, 4, 3), (4, 4, 5)])
+    def test_apply_and_adjoint_match_dense_kron(self, tau, k, n_antennas):
+        pilots = dft_pilots(tau, k).with_rho(1.7)
+        dense = pilots.phi_bar(n_antennas)
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((k * n_antennas, 3)) + 1j * rng.standard_normal((k * n_antennas, 3))
+        y = rng.standard_normal((tau * n_antennas, 3)) + 1j * rng.standard_normal((tau * n_antennas, 3))
+        assert_allclose(pilots.apply(x), dense @ x, atol=1e-13)
+        assert_allclose(pilots.apply(x[:, 0]), dense @ x[:, 0], atol=1e-13)
+        assert_allclose(pilots.adjoint(y), dense.conj().T @ y, atol=1e-13)
+        assert_allclose(pilots.adjoint(y[:, 0]), dense.conj().T @ y[:, 0], atol=1e-13)
 
 
 class TestOneBitQuantize:
@@ -113,6 +127,13 @@ class TestBussgangOperator:
         model = bussgang_operator(dft_pilots(2, 2).with_rho(1.5), corr)
         assert_allclose(np.real(np.diag(model.C_y)), 2 * 1.5 + 1.0, atol=1e-10)
         assert np.all(model.a_diag > 0)
+
+    def test_analog_covariance_matches_dense_product(self):
+        corr = aggregate_correlation([exponential_correlation(3, 0.6, th) for th in (0.2, 1.1, 2.9)])
+        pilots = dft_pilots(5, 3).with_rho(2.0)
+        phi_bar = pilots.phi_bar(3)
+        dense = phi_bar @ corr.matrix @ phi_bar.conj().T + np.eye(15)
+        assert_allclose(bussgang_operator(pilots, corr).C_y, dense, atol=1e-13)
 
 
 class TestArcsinCovariance:
@@ -172,4 +193,13 @@ class TestQuantizeSlot:
         assert obs.slot == 0
         assert obs.model is model
         assert_allclose(np.abs(obs.r), 1.0, atol=1e-12)
-        assert_allclose(obs.phi_tilde, model.a_diag[:, None] * pilots.phi_bar(3), atol=1e-14)
+        phi_tilde = model.a_diag[:, None] * pilots.phi_bar(3)
+        assert_allclose(obs.phi_tilde @ np.eye(6), phi_tilde, atol=1e-14)
+        assert_allclose(obs.phi_tilde.adjoint(np.eye(6)), phi_tilde.conj().T, atol=1e-14)
+
+    def test_model_carries_covariance_factor(self):
+        corr = aggregate_correlation([exponential_correlation(3, 0.5, th) for th in (0.4, 1.9)])
+        model = build_bussgang_model(dft_pilots(4, 2).with_rho(1.0), corr)
+        inv_chol = model.C_r_inv_chol
+        assert_allclose(inv_chol, np.tril(inv_chol))
+        assert_allclose(inv_chol @ model.C_r @ inv_chol.conj().T, np.eye(12), atol=1e-13)
