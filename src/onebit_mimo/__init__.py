@@ -28,6 +28,7 @@ from .config import (
     parse_config,
 )
 from .estimators import (
+    EigenbasisKalman,
     ExactGain,
     KalmanState,
     TpeGain,

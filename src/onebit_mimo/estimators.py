@@ -3,7 +3,9 @@
 Single-shot estimators (least squares and Bussgang LMMSE) treat every slot
 independently. The Kalman variants track the Gauss-Markov evolution across
 slots, with either the exact innovation-covariance inverse or a truncated
-polynomial expansion of it in the gain.
+polynomial expansion of it in the gain. When all users share one temporal
+coefficient, the exact-gain tracker also runs as EigenbasisKalman, which does
+its O(n^3) work once per trial instead of once per slot.
 """
 
 import warnings
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SpatialCorrelation, spatial_correlation
-from .linalg import kron_apply, solve_lower, subtract_gram
+from .linalg import kron_apply, solve_lower, solve_lower_adjoint, subtract_gram
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,80 @@ def kfb_step(state, obs, gain=ExactGain()):
         h_new = h_pred + (w_z[:, -1].conj() @ w).conj()
         m_new = subtract_gram(m_pred, w)
     return KalmanState(slot=obs.slot, h_hat=h_new, M_filt=m_new, stats=stats, corr=state.corr)
+
+
+class EigenbasisKalman:
+    """Exact-gain Kalman tracker for users that share one temporal coefficient.
+
+    Gives the estimates and error traces of kfb_init/kfb_step with ExactGain
+    when every user has the same eta, with the O(n^3) work done once, here,
+    and two matrix-vector products per slot.
+
+    With R = S S^H (S = corr.sqrt_factor), B = phi_tilde S, C_n_eff = L L^H
+    and the whitened measurement information J = B^H C_n_eff^{-1} B =
+    U diag(lam) U^H, every predicted and filtered covariance equals
+    (S U) diag(p) (S U)^H. The recursion therefore runs on the vector p,
+    from p = 1 (M = R): predict p <- eta^2 p + 1 - eta^2, correct
+    p <- p / (1 + lam p). The estimate is h_hat = (S U) y, with
+    y <- eta y + p (G r - lam eta y) and G = U^H B^H C_n_eff^{-1}. S^{-1} is
+    never needed, so a singular (learned) correlation works too. phi_tilde
+    is applied from the left only, as in kfb_step.
+    """
+
+    def __init__(self, corr, model, phi_tilde, eta):
+        sqrt_factor = corr.sqrt_factor
+        try:
+            chol = np.linalg.cholesky(model.C_n_eff)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
+                "effective noise covariance C_n_eff is not positive definite"
+            ) from exc
+        # Each n x n temporary is 16 MiB at paper scale (n = 1024): drop them
+        # once used. L^{-H} F is taken before the eigendecomposition, so that
+        # L and F are gone when its workspace is allocated.
+        whitened = solve_lower(chol, phi_tilde @ sqrt_factor)
+        back = solve_lower_adjoint(chol, whitened)
+        del chol
+        info = whitened.conj().T @ whitened
+        del whitened
+        self._lam, basis = np.linalg.eigh(info)
+        del info
+        # G^H = L^{-H} F U. The product is a fresh contiguous array, which the
+        # per-slot matrix-vector product needs to run at BLAS speed.
+        self._gain_h = back @ basis
+        del back
+        self._basis = sqrt_factor @ basis
+        del basis
+        # Squared column norms of S U, without a temporary copy.
+        b = self._basis
+        self._col_norms = np.einsum("ij,ij->j", b.real, b.real) + np.einsum(
+            "ij,ij->j", b.imag, b.imag
+        )
+        self._eta = float(eta)
+        n = sqrt_factor.shape[1]
+        self._y = np.zeros(n, dtype=complex)
+        self._p = np.ones(n)
+        self.slot = 0
+
+    @property
+    def error_trace(self):
+        """trace of the filtered error covariance, sum_j p_j ||(S U) e_j||^2."""
+        return float(self._p @ self._col_norms)
+
+    def step(self, obs):
+        """Predict and correct with the slot's observation; returns h_hat."""
+        if obs.slot != self.slot + 1:
+            raise ValueError(
+                f"observation slot {obs.slot} does not follow tracker slot {self.slot}"
+            )
+        eta2 = self._eta**2
+        p = eta2 * self._p + (1.0 - eta2)
+        p /= 1.0 + self._lam * p
+        y = self._eta * self._y
+        # G r computed as (r^* G^H)^*, without a conjugated copy of G^H.
+        y += p * ((obs.r.conj() @ self._gain_h).conj() - self._lam * y)
+        self._p, self._y, self.slot = p, y, obs.slot
+        return self._basis @ y
 
 
 def tpe_inverse(matrix, alpha, order):

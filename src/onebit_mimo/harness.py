@@ -2,7 +2,10 @@
 
 Each trial owns independent random streams, so trial t is reproducible in
 isolation and the trial loop is an order-indexed reduction: results would be
-identical under any parallel schedule.
+identical under any parallel schedule. The nmse and rate experiments share one
+trial engine, _run_trials, and aggregate through a record callback that
+receives each estimate with the true channel and, for the trackers, the
+trace of the filter's error covariance.
 """
 
 import sys
@@ -20,6 +23,7 @@ from .channel import (
     jakes_coefficient,
 )
 from .estimators import (
+    EigenbasisKalman,
     ExactGain,
     TpeGain,
     blmmse_estimate,
@@ -30,6 +34,7 @@ from .estimators import (
 )
 from .quantization import (
     QuantizedObservation,
+    ScaledPilotOperator,
     build_bussgang_model,
     dft_pilots,
     one_bit_quantize,
@@ -99,10 +104,14 @@ def _learned_correlation(cfg, pilots, corr_true, streams):
 def _run_trials(cfg, snr_db, stats, record):
     """Shared Monte-Carlo engine.
 
-    Calls record(name, trial, slot_index, h_hat, h_true, state) for every
-    estimate; state is the Kalman state for the tracking estimators and None
-    otherwise. A non-finite estimate raises FloatingPointError naming the
-    estimator, slot, trial and SNR point, so no diverged result is written.
+    Calls record(name, trial, slot_index, h_hat, h_true, error_trace) for
+    every estimate; error_trace is the trace of the filtered error covariance
+    for the tracking estimators and None otherwise. When all users share one
+    temporal coefficient, the exact-gain tracker runs as EigenbasisKalman,
+    with its n^3 work once per trial; with distinct coefficients, and for
+    TPE, each slot is a kfb_step. A non-finite estimate raises
+    FloatingPointError naming the estimator, slot, trial and SNR point, so no
+    diverged result is written.
     """
     rho = 10.0 ** (snr_db / 10.0)
     pilots = dft_pilots(cfg.tau, cfg.K).with_rho(rho)
@@ -118,7 +127,11 @@ def _run_trials(cfg, snr_db, stats, record):
 
         filters = {}
         if "kfb" in cfg.estimators:
-            filters["kfb"] = (kfb_init(corr_est, stats), ExactGain())
+            if np.all(stats.eta == stats.eta[0]):
+                phi_tilde = ScaledPilotOperator(a_diag=model.a_diag, pilots=pilots)
+                filters["kfb"] = EigenbasisKalman(corr_est, model, phi_tilde, stats.eta[0])
+            else:
+                filters["kfb"] = (kfb_init(corr_est, stats), ExactGain())
         if "tpe" in cfg.estimators:
             filters["tpe"] = (kfb_init(corr_est, stats), TpeGain(cfg.tpe_order, cfg.tpe_alpha))
 
@@ -127,21 +140,25 @@ def _run_trials(cfg, snr_db, stats, record):
             chan = evolve_channel(chan, stats, corr, streams.channel)
             obs = quantize_pilot_slot(chan, pilots, model, streams.pilot_noise)
             for name in cfg.estimators:
+                trace = None
                 if name == "ls":
-                    h_hat, state = ls_estimate(obs, pilots), None
+                    h_hat = ls_estimate(obs, pilots)
                 elif name == "blmmse":
-                    h_hat, state = blmmse_estimate(obs, corr_est), None
+                    h_hat = blmmse_estimate(obs, corr_est)
+                elif isinstance(filters[name], EigenbasisKalman):
+                    h_hat = filters[name].step(obs)
+                    trace = filters[name].error_trace
                 else:
                     state, gain = filters[name]
                     state = kfb_step(state, obs, gain)
                     filters[name] = (state, gain)
-                    h_hat = state.h_hat
+                    h_hat, trace = state.h_hat, np.real(np.trace(state.M_filt))
                 if not np.isfinite(h_hat).all():
                     raise FloatingPointError(
                         f"{name} estimate is not finite at slot {i + 1}, trial {trial}, "
                         f"snr {snr_db} dB"
                     )
-                record(name, trial, i, h_hat, chan.h, state)
+                record(name, trial, i, h_hat, chan.h, trace)
 
 
 def _mean_stderr(per_trial):
@@ -170,10 +187,10 @@ def run_nmse_experiment(cfg):
     for snr_db in cfg.snr_db:
         errors = {name: np.zeros((cfg.trials, cfg.slots)) for name in names}
 
-        def record(name, trial, i, h_hat, h_true, state):
+        def record(name, trial, i, h_hat, h_true, error_trace):
             errors[name][trial, i] = np.linalg.norm(h_hat - h_true) ** 2 / denom
             if name == "kfb":
-                errors[KFB_THEORY][trial, i] = np.real(np.trace(state.M_filt)) / denom
+                errors[KFB_THEORY][trial, i] = error_trace / denom
 
         _run_trials(cfg, snr_db, stats, record)
         for name in names:
@@ -217,7 +234,7 @@ def run_rate_experiment(cfg):
         rho_d = 10.0 ** (snr_db / 10.0)
         sums = {name: np.zeros((cfg.trials, cfg.slots)) for name in cfg.estimators}
 
-        def record(name, trial, i, h_hat, h_true, state):
+        def record(name, trial, i, h_hat, h_true, error_trace):
             h_true_mat = h_true.reshape(cfg.K, cfg.M).T
             h_est_mat = h_hat.reshape(cfg.K, cfg.M).T
             sums[name][trial, i] = achievable_rates(h_true_mat, h_est_mat, rho_d).sum_rate

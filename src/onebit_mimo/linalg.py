@@ -40,6 +40,18 @@ def solve_lower(chol, b):
     return x
 
 
+def solve_lower_adjoint(chol, b):
+    """chol^{-H} b for a lower-triangular chol and a vector or column block b.
+
+    Reversing the order of rows and columns turns the upper-triangular
+    chol^H into a lower-triangular matrix, so this is solve_lower on the
+    flipped system, flipped back. The result is a view with negative row
+    strides.
+    """
+    flipped = chol[::-1, ::-1].conj().T
+    return solve_lower(flipped, b[::-1])[::-1]
+
+
 def subtract_gram(m, w):
     """m - w^H w for Hermitian m, overwriting m; the result is exactly Hermitian.
 

@@ -120,6 +120,4 @@ def alpha_upper_bound(beta, m_pred):
         raise ValueError("estimation gain must lie in (0, 1)")
     if not 0.0 <= m_pred <= 1.0:
         raise ValueError("predicted NMSE must lie in [0, 1]")
-    bound = 2.0 / (1.0 - beta * (1.0 - m_pred))
-    assert bound >= 2.0
-    return bound
+    return 2.0 / (1.0 - beta * (1.0 - m_pred))

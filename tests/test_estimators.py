@@ -5,8 +5,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from onebit_mimo import (
+    EigenbasisKalman,
     ExactGain,
     QuantizedObservation,
+    ScaledPilotOperator,
     TemporalStats,
     TheoryParams,
     TpeGain,
@@ -15,6 +17,7 @@ from onebit_mimo import (
     blmmse_nmse,
     build_bussgang_model,
     dft_pilots,
+    evolve_channel,
     exponential_correlation,
     init_channel,
     kfb_init,
@@ -147,6 +150,9 @@ class TestKalmanFilter:
         obs = quantize_pilot_slot(chan, pilots, model, rng)
         with pytest.raises(ValueError):
             kfb_step(state, obs)
+        tracker = EigenbasisKalman(corr, model, obs.phi_tilde, stats.eta[0])
+        with pytest.raises(ValueError):
+            tracker.step(obs)
 
     def test_first_slot_error_trace_closed_form(self):
         """White channel, square pilots: trace(M_1) = (1 - beta) M K."""
@@ -238,6 +244,74 @@ class TestKalmanFilter:
                                    phi_tilde=np.zeros((2, 2), dtype=complex))
         with pytest.raises(np.linalg.LinAlgError, match="slot 1"):
             kfb_step(kfb_init(corr, stats), obs)
+
+
+def learned_rank_deficient_correlation(n_antennas, n_users, samples, rng):
+    """Per-user sample correlations from fewer samples than antennas."""
+    users = []
+    for k in range(n_users):
+        shape = (samples, n_antennas)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        factor = exponential_correlation(n_antennas, 0.7, k).sqrt_factor
+        users.append(sample_correlation(g @ factor.T))
+    return aggregate_correlation(users)
+
+
+class TestEigenbasisKalman:
+    """The eigenbasis tracker reproduces a kfb_step loop slot by slot."""
+
+    CASES = {
+        "tau_above_users": dict(n_antennas=3, n_users=4, tau=6, eta=0.9),
+        "dense_operator": dict(n_antennas=4, n_users=3, tau=3, eta=0.95, dense=True),
+        "rank_deficient_factor": dict(n_antennas=6, n_users=2, tau=2, eta=0.9, samples=3),
+        "block_fading": dict(n_antennas=4, n_users=2, tau=3, eta=0.0),
+        "static_channel": dict(n_antennas=4, n_users=2, tau=2, eta=1.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_kalman_steps(self, case):
+        params = self.CASES[case]
+        n_antennas, n_users = params["n_antennas"], params["n_users"]
+        rng = np.random.default_rng(21)
+        corr = aggregate_correlation(
+            [exponential_correlation(n_antennas, 0.6, 0.7 * k) for k in range(n_users)]
+        )
+        corr_est = corr
+        if "samples" in params:
+            corr_est = learned_rank_deficient_correlation(
+                n_antennas, n_users, params["samples"], rng
+            )
+            assert np.linalg.matrix_rank(corr_est.sqrt_factor) < n_antennas * n_users
+        pilots = dft_pilots(params["tau"], n_users).with_rho(1.3)
+        model = build_bussgang_model(pilots, corr_est)
+        stats = TemporalStats(np.full(n_users, params["eta"]))
+        phi_dense = model.a_diag[:, None] * pilots.phi_bar(n_antennas)
+        phi_tilde = phi_dense if params.get("dense") else ScaledPilotOperator(model.a_diag, pilots)
+        tracker = EigenbasisKalman(corr_est, model, phi_tilde, params["eta"])
+        state = kfb_init(corr_est, stats)
+        assert tracker.error_trace == pytest.approx(np.real(np.trace(corr_est.matrix)), rel=1e-12)
+        chan = init_channel(corr, rng)
+        for _ in range(10):
+            chan = evolve_channel(chan, stats, corr, rng)
+            obs = quantize_pilot_slot(chan, pilots, model, rng)
+            if params.get("dense"):
+                obs = replace(obs, phi_tilde=phi_dense)
+            state = kfb_step(state, obs)
+            h_hat = tracker.step(obs)
+            assert tracker.slot == state.slot
+            gap = np.linalg.norm(h_hat - state.h_hat)
+            assert gap <= 1e-12 * np.linalg.norm(state.h_hat)
+            trace = np.real(np.trace(state.M_filt))
+            assert abs(tracker.error_trace - trace) <= 1e-12 * trace
+            if params["eta"] == 0.0:
+                single_shot = blmmse_estimate(obs, corr_est)
+                assert np.linalg.norm(h_hat - single_shot) <= 1e-12 * np.linalg.norm(single_shot)
+
+    def test_non_positive_definite_noise_rejected(self):
+        corr = white_correlation(1, 2)
+        degenerate = BussgangModel(a_diag=np.zeros(2), C_y=np.eye(2), C_n_eff=np.zeros((2, 2)))
+        with pytest.raises(np.linalg.LinAlgError, match="C_n_eff"):
+            EigenbasisKalman(corr, degenerate, np.zeros((2, 2)), 0.9)
 
 
 class TestTpeInverse:

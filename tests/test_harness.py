@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,9 +8,20 @@ from numpy.testing import assert_allclose
 from onebit_mimo import (
     CSV_HEADER,
     KFB_THEORY,
+    TemporalStats,
+    aggregate_correlation,
+    build_bussgang_model,
     default_config,
+    dft_pilots,
+    evolve_channel,
+    exponential_correlation,
+    init_channel,
+    jakes_coefficient,
+    kfb_init,
+    kfb_step,
     nmse_csv_rows,
     parse_config,
+    quantize_pilot_slot,
     run_nmse_experiment,
     run_rate_experiment,
     run_theory,
@@ -16,6 +30,8 @@ from onebit_mimo import (
     write_csv,
 )
 from onebit_mimo.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def tiny_config(**kwargs):
@@ -98,6 +114,40 @@ class TestNmseExperiment:
             if a.estimator not in ("ls", KFB_THEORY)
         ]
         assert any(a.nmse_linear != b.nmse_linear for a, b in pairs)
+
+    def test_distinct_speeds_run_kalman_steps(self):
+        """Users at different speeds: kfb rows equal a direct kfb_init/kfb_step loop."""
+        cfg = tiny_config(
+            M=3, K=2, tau=2, slots=4, trials=3, r_spatial=0.5, snr_db="[0]",
+            user_speeds_kmh="[3, 30]", estimators="[kfb]",
+        )
+        stats = TemporalStats(
+            np.array([jakes_coefficient(v, cfg.f_c, cfg.t_slot) for v in cfg.speeds()])
+        )
+        assert stats.eta[0] != stats.eta[1]
+        pilots = dft_pilots(cfg.tau, cfg.K).with_rho(1.0)
+        n = cfg.M * cfg.K
+        nmse = np.zeros((cfg.trials, cfg.slots))
+        ideal = np.zeros((cfg.trials, cfg.slots))
+        for trial in range(cfg.trials):
+            streams = trial_streams(cfg.seed, trial)
+            theta = streams.phases.uniform(0.0, 2.0 * np.pi, cfg.K)
+            corr = aggregate_correlation(
+                [exponential_correlation(cfg.M, cfg.r_spatial, th) for th in theta]
+            )
+            model = build_bussgang_model(pilots, corr)
+            state = kfb_init(corr, stats)
+            chan = init_channel(corr, streams.channel)
+            for i in range(cfg.slots):
+                chan = evolve_channel(chan, stats, corr, streams.channel)
+                obs = quantize_pilot_slot(chan, pilots, model, streams.pilot_noise)
+                state = kfb_step(state, obs)
+                nmse[trial, i] = np.linalg.norm(state.h_hat - chan.h) ** 2 / n
+                ideal[trial, i] = np.real(np.trace(state.M_filt)) / n
+        series = run_nmse_experiment(cfg)
+        for name, expected in (("kfb", nmse), (KFB_THEORY, ideal)):
+            rows = sorted((s.slot, s.nmse_linear) for s in series if s.estimator == name)
+            assert_allclose([v for _, v in rows], expected.mean(axis=0), rtol=1e-12)
 
 
 class TestCsvRows:
@@ -225,3 +275,33 @@ class TestCli:
     def test_command_is_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def load_benchmark_check():
+    path = REPO / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Two of the benchmark's workloads, cheap enough for every test run: the
+# known-correlation tracker at n = 256, and learned correlation with TPE.
+BENCHMARK_RUNS = {
+    "fast_nmse": ["nmse", "--profile", "fast", "--trials", "10"],
+    "small_sweep_rate": [
+        "rate", "--config", str(REPO / "perfbench" / "small_sweep_rate.cfg"), "--trials", "20",
+    ],
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_RUNS))
+def test_cli_output_matches_benchmark_reference(workload, tmp_path):
+    """The benchmark's output contract: within 1e-9 relative of the stored CSV."""
+    check = load_benchmark_check()
+    out = tmp_path / "out.csv"
+    code = main([*BENCHMARK_RUNS[workload], "--seed", "0", "--out", str(out)])
+    csv_text = out.read_text(encoding="utf-8") if out.exists() else None
+    reference_path = REPO / "perfbench" / "reference" / workload / "seed0.csv"
+    reference = reference_path.read_text(encoding="utf-8")
+    assert check.check_run(code, csv_text, reference) == []
