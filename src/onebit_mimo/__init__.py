@@ -18,6 +18,7 @@ from .channel import (
     jakes_coefficient,
     psd_sqrt,
     spatial_correlation,
+    stack_correlation,
 )
 from .config import (
     ConfigError,
@@ -28,9 +29,12 @@ from .config import (
     parse_config,
 )
 from .estimators import (
-    EigenbasisKalman,
     ExactGain,
     KalmanState,
+    PerUserBlmmse,
+    PerUserKalman,
+    PerUserLs,
+    PerUserTpe,
     TpeGain,
     blmmse_estimate,
     kfb_init,
@@ -52,11 +56,13 @@ from .harness import (
 )
 from .quantization import (
     BussgangModel,
+    PerUserModel,
     PilotMatrix,
     QuantizedObservation,
     ScaledPilotOperator,
     arcsin_covariance,
     build_bussgang_model,
+    build_per_user_model,
     bussgang_operator,
     dft_pilots,
     one_bit_quantize,

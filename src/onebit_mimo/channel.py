@@ -113,6 +113,21 @@ def aggregate_correlation(users):
     return SpatialCorrelation(matrix=matrix, sqrt_factor=factor)
 
 
+def stack_correlation(users):
+    """Per-user correlations stacked along a leading user axis, (K, M, M) each.
+
+    The per-user form of aggregate_correlation, for estimators that work on
+    each user's block separately.
+    """
+    users = list(users)
+    if not users:
+        raise ValueError("need at least one user")
+    return SpatialCorrelation(
+        matrix=np.stack([u.matrix for u in users]),
+        sqrt_factor=np.stack([u.sqrt_factor for u in users]),
+    )
+
+
 def jakes_coefficient(speed_kmh, carrier_hz, slot_seconds):
     """Temporal correlation of a Jakes Doppler spectrum between two slots.
 

@@ -3,9 +3,16 @@
 Single-shot estimators (least squares and Bussgang LMMSE) treat every slot
 independently. The Kalman variants track the Gauss-Markov evolution across
 slots, with either the exact innovation-covariance inverse or a truncated
-polynomial expansion of it in the gain. When all users share one temporal
-coefficient, the exact-gain tracker also runs as EigenbasisKalman, which does
-its O(n^3) work once per trial instead of once per slot.
+polynomial expansion of it in the gain.
+
+ls_estimate, blmmse_estimate and kfb_step work on the dense model over all
+n = tau M observed entries, for any pilots. With DFT pilots and a
+block-diagonal correlation the model decouples per user in the pilot-DFT
+domain (see quantization.PerUserModel), and the PerUser estimators run the
+same four estimators on the K user bins, as batched M x M problems, with any
+per-user temporal coefficients. They share one protocol: step(obs) returns
+the (K, M) estimate for the slot's user bins, and error_trace is the trace of
+the filtered error covariance, or None for the single-shot estimators.
 """
 
 import warnings
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SpatialCorrelation, spatial_correlation
-from .linalg import kron_apply, solve_lower, solve_lower_adjoint, subtract_gram
+from .linalg import kron_apply, solve_lower, subtract_gram
 
 
 @dataclass(frozen=True)
@@ -174,86 +181,164 @@ def kfb_step(state, obs, gain=ExactGain()):
     return KalmanState(slot=obs.slot, h_hat=h_new, M_filt=m_new, stats=stats, corr=state.corr)
 
 
-class EigenbasisKalman:
-    """Exact-gain Kalman tracker for users that share one temporal coefficient.
+def _adjoint(stack):
+    return np.swapaxes(stack, -1, -2).conj()
 
-    Gives the estimates and error traces of kfb_init/kfb_step with ExactGain
-    when every user has the same eta, with the O(n^3) work done once, here,
-    and two matrix-vector products per slot.
 
-    With R = S S^H (S = corr.sqrt_factor), B = phi_tilde S, C_n_eff = L L^H
-    and the whitened measurement information J = B^H C_n_eff^{-1} B =
-    U diag(lam) U^H, every predicted and filtered covariance equals
-    (S U) diag(p) (S U)^H. The recursion therefore runs on the vector p,
-    from p = 1 (M = R): predict p <- eta^2 p + 1 - eta^2, correct
-    p <- p / (1 + lam p). The estimate is h_hat = (S U) y, with
-    y <- eta y + p (G r - lam eta y) and G = U^H B^H C_n_eff^{-1}. S^{-1} is
-    never needed, so a singular (learned) correlation works too. phi_tilde
-    is applied from the left only, as in kfb_step.
+def _matvec(stack, vectors):
+    """Per-user products stack[k] @ vectors[k] for a (K, M, M) and a (K, M) stack."""
+    return (stack @ vectors[..., None])[..., 0]
+
+
+def _inverse_cholesky(stack, name):
+    """L^{-1} for the Cholesky factors L L^H of a (K, M, M) stack.
+
+    numpy has no triangular inverse; at M x M the general one costs little.
+    """
+    try:
+        chol = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"{name} is not positive definite") from exc
+    return np.linalg.inv(chol)
+
+
+def _check_slot(obs, slot):
+    if obs.slot != slot + 1:
+        raise ValueError(f"observation slot {obs.slot} does not follow tracker slot {slot}")
+
+
+class PerUserLs:
+    """Least squares on the user bins: r_k / sqrt(tau rho).
+
+    Equal to ls_estimate, since pinv(phi) = phi^H / tau for DFT pilots.
     """
 
-    def __init__(self, corr, model, phi_tilde, eta):
-        sqrt_factor = corr.sqrt_factor
-        try:
-            chol = np.linalg.cholesky(model.C_n_eff)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                "effective noise covariance C_n_eff is not positive definite"
-            ) from exc
-        # Each n x n temporary is 16 MiB at paper scale (n = 1024): drop them
-        # once used. L^{-H} F is taken before the eigendecomposition, so that
-        # L and F are gone when its workspace is allocated.
-        whitened = solve_lower(chol, phi_tilde @ sqrt_factor)
-        back = solve_lower_adjoint(chol, whitened)
-        del chol
-        info = whitened.conj().T @ whitened
-        del whitened
-        self._lam, basis = np.linalg.eigh(info)
-        del info
-        # G^H = L^{-H} F U. The product is a fresh contiguous array, which the
-        # per-slot matrix-vector product needs to run at BLAS speed.
-        self._gain_h = back @ basis
-        del back
-        self._basis = sqrt_factor @ basis
-        del basis
-        # Squared column norms of S U, without a temporary copy.
-        b = self._basis
-        self._col_norms = np.einsum("ij,ij->j", b.real, b.real) + np.einsum(
-            "ij,ij->j", b.imag, b.imag
-        )
-        self._eta = float(eta)
-        n = sqrt_factor.shape[1]
-        self._y = np.zeros(n, dtype=complex)
-        self._p = np.ones(n)
+    error_trace = None
+
+    def __init__(self, model):
+        self._scale = 1.0 / model.gain
+
+    def step(self, obs):
+        return self._scale * obs.r
+
+
+class PerUserBlmmse:
+    """Bussgang LMMSE on the user bins: R_k D C_r,k^{-1} r_k with D = gain diag(a).
+
+    Equal to blmmse_estimate. C_r,k^{-1} = L_k^{-H} L_k^{-1} comes from one
+    batched Cholesky factor, and the whole per-user filter is formed here,
+    so a slot costs one batched matrix-vector product.
+    """
+
+    error_trace = None
+
+    def __init__(self, prior, model):
+        inv_chol = _inverse_cholesky(model.C_r, "quantized covariance C_r")
+        self._filter = (prior.matrix * (model.gain * model.a)) @ _adjoint(inv_chol) @ inv_chol
+
+    def step(self, obs):
+        return _matvec(self._filter, obs.r)
+
+
+class PerUserKalman:
+    """Exact-gain Kalman tracker on the user bins, in an eigenbasis per user.
+
+    Gives the estimates and error traces of kfb_init/kfb_step with ExactGain,
+    for per-user coefficients eta (K,), with the O(M^3) work done once, here,
+    and two batched matrix-vector products per slot.
+
+    Per user, with R = S S^H (S = prior.sqrt_factor), B = D S for
+    D = gain diag(a), C_n_eff = L L^H and the whitened measurement
+    information J = (L^{-1} B)^H L^{-1} B = U diag(lam) U^H, every predicted
+    and filtered covariance equals (S U) diag(p) (S U)^H. The recursion
+    therefore runs on the vector p, from p = 1 (M = R): predict
+    p <- eta^2 p + 1 - eta^2, correct p <- p / (1 + lam p). The estimate is
+    h_hat = (S U) y, with y <- eta y + p (G r - lam eta y) and
+    G = U^H B^H C_n_eff^{-1}. S^{-1} is never needed, so a singular (learned)
+    correlation works too.
+    """
+
+    def __init__(self, prior, model, eta):
+        inv_chol = _inverse_cholesky(model.C_n_eff, "effective noise covariance C_n_eff")
+        whitened = inv_chol @ ((model.gain * model.a)[:, None] * prior.sqrt_factor)
+        self._lam, basis = np.linalg.eigh(_adjoint(whitened) @ whitened)
+        self._gain = _adjoint(whitened @ basis) @ inv_chol
+        self._basis = prior.sqrt_factor @ basis
+        self._col_norms = np.sum(np.abs(self._basis) ** 2, axis=-2)
+        self._eta = np.asarray(eta, dtype=float)[:, None]
+        self._y = np.zeros(self._lam.shape, dtype=complex)
+        self._p = np.ones(self._lam.shape)
         self.slot = 0
 
     @property
     def error_trace(self):
-        """trace of the filtered error covariance, sum_j p_j ||(S U) e_j||^2."""
-        return float(self._p @ self._col_norms)
+        """trace of the filtered error covariance, sum_k,j p_kj ||(S_k U_k) e_j||^2."""
+        return float(np.sum(self._p * self._col_norms))
 
     def step(self, obs):
-        """Predict and correct with the slot's observation; returns h_hat."""
-        if obs.slot != self.slot + 1:
-            raise ValueError(
-                f"observation slot {obs.slot} does not follow tracker slot {self.slot}"
-            )
+        """Predict and correct with the slot's user bins; returns h_hat (K, M)."""
+        _check_slot(obs, self.slot)
         eta2 = self._eta**2
         p = eta2 * self._p + (1.0 - eta2)
         p /= 1.0 + self._lam * p
         y = self._eta * self._y
-        # G r computed as (r^* G^H)^*, without a conjugated copy of G^H.
-        y += p * ((obs.r.conj() @ self._gain_h).conj() - self._lam * y)
+        y += p * (_matvec(self._gain, obs.r) - self._lam * y)
         self._p, self._y, self.slot = p, y, obs.slot
-        return self._basis @ y
+        return _matvec(self._basis, y)
+
+
+class PerUserTpe:
+    """Kalman tracker with a TpeGain on the user bins.
+
+    The kfb_step recursion with a truncated polynomial expansion of each
+    user's innovation covariance inverse, for per-user coefficients eta (K,).
+    Gives the estimates and error traces of kfb_step with the same gain:
+    the polynomial of the block-diagonal innovation covariance in the DFT
+    domain is the polynomial of each block.
+    """
+
+    def __init__(self, prior, model, eta, gain):
+        self._corr = prior.matrix
+        self._noise = model.C_n_eff
+        self._d = model.gain * model.a
+        eta = np.asarray(eta, dtype=float)[:, None]
+        self._eta = eta
+        self._eta2 = eta[..., None] ** 2
+        self._gain = gain
+        self._h = np.zeros(prior.matrix.shape[:-1], dtype=complex)
+        self._m = prior.matrix.copy()
+        self.slot = 0
+
+    @property
+    def error_trace(self):
+        """trace of the filtered error covariance, summed over the users."""
+        return float(np.real(np.trace(self._m, axis1=-2, axis2=-1)).sum())
+
+    def step(self, obs):
+        """Predict and correct with the slot's user bins; returns h_hat (K, M)."""
+        _check_slot(obs, self.slot)
+        d = self._d
+        h_pred = self._eta * self._h
+        m_pred = self._eta2 * self._m + (1.0 - self._eta2) * self._corr
+        cross = d[:, None] * m_pred
+        innov_cov = self._noise + cross * d
+        innov_cov = 0.5 * (innov_cov + _adjoint(innov_cov))
+        # M_pred is Hermitian, so cross^H = M_pred D.
+        gain_mat = (m_pred * d) @ tpe_inverse(innov_cov, self._gain.alpha, self._gain.order)
+        h_new = h_pred + _matvec(gain_mat, obs.r - d * h_pred)
+        m_new = m_pred - gain_mat @ cross
+        self._h, self._m, self.slot = h_new, 0.5 * (m_new + _adjoint(m_new)), obs.slot
+        return h_new
 
 
 def tpe_inverse(matrix, alpha, order):
     """Truncated polynomial approximation alpha * sum_l (I - alpha X)^l.
 
-    Evaluated in Horner form with order+1 terms. Convergence to the true
-    inverse needs 0 < alpha < 2 / lambda_max(X); a violation only warns,
-    since the filter remains runnable with a suboptimal scale.
+    X is one matrix or a stack of them (..., n, n), each expanded on its
+    own. Evaluated in Horner form with order+1 terms. Convergence to the
+    true inverse needs 0 < alpha < 2 / lambda_max(X), over every matrix of a
+    stack; a violation, or a non-finite entry, only warns, since the filter
+    remains runnable with a suboptimal scale.
     """
     if order < 0:
         raise ValueError("expansion order must be non-negative")
@@ -265,26 +350,33 @@ def tpe_inverse(matrix, alpha, order):
             RuntimeWarning,
             stacklevel=2,
         )
-    eye = np.eye(matrix.shape[0])
+    eye = np.eye(matrix.shape[-1])
     residual = eye - alpha * matrix
     # Horner starts at I + residual, which saves the product with I.
-    total = eye + residual if order else eye
+    total = eye + residual if order else np.broadcast_to(eye, matrix.shape)
     for _ in range(order - 1):
         total = eye + residual @ total
     return alpha * total
 
 
 def _largest_eigenvalue_estimate(matrix, iterations=12):
-    # Power iteration keeps the precondition check at O(n^2), in line with
-    # the expansion's own complexity budget.
-    n = matrix.shape[0]
-    v = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
+    """Power-iteration estimate of lambda_max of a matrix or of a stack of them.
+
+    A (..., n, n) stack is iterated as the block-diagonal matrix it stands
+    for, with one norm over all blocks, so the estimate is the largest over
+    the stack. O(n^2) per block and iteration, in line with the expansion's
+    own complexity budget. A non-finite entry, or an iteration that
+    overflows, gives inf, so that the caller's range check fails.
+    """
+    v = np.full(matrix.shape[:-1] + (1,), 1.0 / np.sqrt(np.prod(matrix.shape[:-1])), dtype=complex)
     estimate = 0.0
-    for _ in range(iterations):
-        w = matrix @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        estimate = norm
-        v = w / norm
-    return float(estimate)
+    # The start vector has no zero entry, so a non-finite entry of the
+    # matrix makes the first product, and so the estimate, non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(iterations):
+            w = matrix @ v
+            estimate = np.sqrt(np.vdot(w, w).real)
+            if not 0.0 < estimate < np.inf:
+                break
+            v = w / estimate
+    return float(estimate) if np.isfinite(estimate) else np.inf

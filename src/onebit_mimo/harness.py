@@ -6,6 +6,13 @@ identical under any parallel schedule. The nmse and rate experiments share one
 trial engine, _run_trials, and aggregate through a record callback that
 receives each estimate with the true channel and, for the trackers, the
 trace of the filter's error covariance.
+
+The pilots are always dft_pilots and the channel correlation is
+block-diagonal over the users, so every estimator runs on the exact per-user
+model of quantization.build_per_user_model: each slot's observation is taken
+once into its K user bins, and the estimators work on K batched M x M
+problems instead of one n x n problem, with any per-user temporal
+coefficients.
 """
 
 import sys
@@ -21,25 +28,29 @@ from .channel import (
     exponential_correlation,
     init_channel,
     jakes_coefficient,
+    stack_correlation,
 )
 from .estimators import (
-    EigenbasisKalman,
-    ExactGain,
+    PerUserBlmmse,
+    PerUserKalman,
+    PerUserLs,
+    PerUserTpe,
     TpeGain,
-    blmmse_estimate,
-    kfb_init,
-    kfb_step,
     ls_estimate,
     sample_correlation,
 )
 from .quantization import (
     QuantizedObservation,
-    ScaledPilotOperator,
-    build_bussgang_model,
+    build_per_user_model,
     dft_pilots,
     one_bit_quantize,
-    quantize_pilot_slot,
+    received_pilot_signal,
 )
+# The trial loop no longer calls these dense-model functions, but
+# perfbench/tracing.py wraps them by their names in this module, so they stay
+# bound here.
+from .estimators import blmmse_estimate, kfb_step  # noqa: F401
+from .quantization import build_bussgang_model, quantize_pilot_slot  # noqa: F401
 from .rate import achievable_rates
 from .rng import complex_normal, trial_streams
 from .theory import TheoryParams, alpha_upper_bound, fixed_point_gamma, nmse_recursion
@@ -81,7 +92,7 @@ def _temporal_stats(cfg):
 
 
 def _learned_correlation(cfg, pilots, corr_true, streams):
-    """Receiver-side correlation learned from one-bit LS probes.
+    """Receiver-side per-user correlations learned from one-bit LS probes.
 
     Draws stationary channels, runs them through the quantized front end,
     and builds per-user sample correlations from the LS estimates. The true
@@ -94,11 +105,17 @@ def _learned_correlation(cfg, pilots, corr_true, streams):
     noise = complex_normal(streams.pilot_noise, (cfg.M * cfg.tau, count))
     quantized = one_bit_quantize(pilots.apply(h_all) + noise)
     probes = ls_estimate(QuantizedObservation(slot=0, r=quantized), pilots).T
-    users = [
-        sample_correlation(probes[:, k * cfg.M : (k + 1) * cfg.M]) for k in range(cfg.K)
-    ]
-    corr_est = aggregate_correlation(users)
-    return corr_est, build_bussgang_model(pilots, corr_est)
+    return [sample_correlation(probes[:, k * cfg.M : (k + 1) * cfg.M]) for k in range(cfg.K)]
+
+
+def _estimator(name, cfg, stats, prior, model):
+    if name == "ls":
+        return PerUserLs(model)
+    if name == "blmmse":
+        return PerUserBlmmse(prior, model)
+    if name == "kfb":
+        return PerUserKalman(prior, model, stats.eta)
+    return PerUserTpe(prior, model, stats.eta, TpeGain(cfg.tpe_order, cfg.tpe_alpha))
 
 
 def _run_trials(cfg, snr_db, stats, record):
@@ -106,12 +123,11 @@ def _run_trials(cfg, snr_db, stats, record):
 
     Calls record(name, trial, slot_index, h_hat, h_true, error_trace) for
     every estimate; error_trace is the trace of the filtered error covariance
-    for the tracking estimators and None otherwise. When all users share one
-    temporal coefficient, the exact-gain tracker runs as EigenbasisKalman,
-    with its n^3 work once per trial; with distinct coefficients, and for
-    TPE, each slot is a kfb_step. A non-finite estimate raises
-    FloatingPointError naming the estimator, slot, trial and SNR point, so no
-    diverged result is written.
+    for the tracking estimators and None otherwise. Each trial builds the
+    per-user model and one estimator object per configured name; each slot
+    is quantized once and taken into its user bins for all of them. A
+    non-finite estimate raises FloatingPointError naming the estimator,
+    slot, trial and SNR point, so no diverged result is written.
     """
     rho = 10.0 ** (snr_db / 10.0)
     pilots = dft_pilots(cfg.tau, cfg.K).with_rho(rho)
@@ -121,44 +137,24 @@ def _run_trials(cfg, snr_db, stats, record):
         users = [exponential_correlation(cfg.M, cfg.r_spatial, th) for th in theta]
         corr = aggregate_correlation(users)
         if cfg.sample_count is not None:
-            corr_est, model = _learned_correlation(cfg, pilots, corr, streams)
-        else:
-            corr_est, model = corr, build_bussgang_model(pilots, corr)
-
-        filters = {}
-        if "kfb" in cfg.estimators:
-            if np.all(stats.eta == stats.eta[0]):
-                phi_tilde = ScaledPilotOperator(a_diag=model.a_diag, pilots=pilots)
-                filters["kfb"] = EigenbasisKalman(corr_est, model, phi_tilde, stats.eta[0])
-            else:
-                filters["kfb"] = (kfb_init(corr_est, stats), ExactGain())
-        if "tpe" in cfg.estimators:
-            filters["tpe"] = (kfb_init(corr_est, stats), TpeGain(cfg.tpe_order, cfg.tpe_alpha))
+            users = _learned_correlation(cfg, pilots, corr, streams)
+        prior = stack_correlation(users)
+        model = build_per_user_model(pilots, prior)
+        estimators = {name: _estimator(name, cfg, stats, prior, model) for name in cfg.estimators}
 
         chan = init_channel(corr, streams.channel)
         for i in range(cfg.slots):
             chan = evolve_channel(chan, stats, corr, streams.channel)
-            obs = quantize_pilot_slot(chan, pilots, model, streams.pilot_noise)
-            for name in cfg.estimators:
-                trace = None
-                if name == "ls":
-                    h_hat = ls_estimate(obs, pilots)
-                elif name == "blmmse":
-                    h_hat = blmmse_estimate(obs, corr_est)
-                elif isinstance(filters[name], EigenbasisKalman):
-                    h_hat = filters[name].step(obs)
-                    trace = filters[name].error_trace
-                else:
-                    state, gain = filters[name]
-                    state = kfb_step(state, obs, gain)
-                    filters[name] = (state, gain)
-                    h_hat, trace = state.h_hat, np.real(np.trace(state.M_filt))
+            r = one_bit_quantize(received_pilot_signal(chan, pilots, streams.pilot_noise))
+            obs = model.observe(chan.slot, r)
+            for name, estimator in estimators.items():
+                h_hat = estimator.step(obs).reshape(-1)
                 if not np.isfinite(h_hat).all():
                     raise FloatingPointError(
                         f"{name} estimate is not finite at slot {i + 1}, trial {trial}, "
                         f"snr {snr_db} dB"
                     )
-                record(name, trial, i, h_hat, chan.h, trace)
+                record(name, trial, i, h_hat, chan.h, estimator.error_trace)
 
 
 def _mean_stderr(per_trial):

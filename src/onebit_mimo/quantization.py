@@ -4,6 +4,15 @@ The quantized pilot observation r = Q(y) is rewritten as r = A y + q with A
 the Bussgang gain and q distortion uncorrelated with y. The second-order
 statistics of r follow the arcsine law, which is everything the linear
 estimators downstream need.
+
+build_bussgang_model forms that model densely, over all n = tau M observed
+entries. With DFT pilots and a block-diagonal channel correlation (one block
+per user) the model decouples: block (t, t') of C_y depends only on t - t'
+mod tau, the arcsine law keeps that block-circulant structure because
+diag(C_y) depends only on the antenna, and A = I_tau kron diag(a). One
+unitary DFT across the pilot slots therefore block-diagonalizes C_y, C_r,
+C_q and C_n_eff at once, and user k sees only DFT bin k. build_per_user_model
+forms this exact per-user model from M x M blocks alone.
 """
 
 from dataclasses import dataclass, replace
@@ -103,7 +112,11 @@ class BussgangModel:
 
 @dataclass(frozen=True)
 class QuantizedObservation:
-    """One slot of quantized pilots with the model it was received under."""
+    """One slot of quantized pilots with the model it was received under.
+
+    r is the stacked observation (tau M,) under a BussgangModel, or its
+    (K, M) user bins under a PerUserModel.
+    """
 
     slot: int
     r: np.ndarray
@@ -139,11 +152,9 @@ def one_bit_quantize(y):
 
 
 def received_pilot_signal(state, pilots, rng):
-    """Analog pilot observation y = Phi_bar h + n and the noise that made it."""
+    """Analog pilot observation y = Phi_bar h + n."""
     n_antennas = state.h.size // pilots.K
-    noise = complex_normal(rng, n_antennas * pilots.tau)
-    y = pilots.apply(state.h) + noise
-    return y, noise
+    return pilots.apply(state.h) + complex_normal(rng, n_antennas * pilots.tau)
 
 
 def bussgang_operator(pilots, corr):
@@ -169,13 +180,17 @@ def arcsin_covariance(c_y):
     analytic value: near 1 the arcsine slope is unbounded, so leaving the
     normalization roundoff in would cost sqrt(eps) there.
     """
-    d = np.sqrt(np.real(np.diag(c_y)))
+    out = _arcsine_law(c_y, np.sqrt(np.real(np.diag(c_y))))
+    np.fill_diagonal(out, 1.0)
+    return out
+
+
+def _arcsine_law(c_y, d):
+    """(2/pi)(arcsin X + j arcsin Y) for c_y or a stack of blocks normalized by outer(d, d)."""
     scale = np.outer(d, d)
     x = np.clip(np.real(c_y) / scale, -1.0, 1.0)
     y = np.clip(np.imag(c_y) / scale, -1.0, 1.0)
-    out = (2.0 / np.pi) * (np.arcsin(x) + 1j * np.arcsin(y))
-    np.fill_diagonal(out, 1.0)
-    return out
+    return (2.0 / np.pi) * (np.arcsin(x) + 1j * np.arcsin(y))
 
 
 def quantization_noise_covariance(model):
@@ -221,7 +236,70 @@ def quantize_pilot_slot(state, pilots, model, rng):
     observation equation r = phi_tilde h + effective noise, is attached in
     factored form (a ScaledPilotOperator); A Phi_bar is never formed.
     """
-    y, _ = received_pilot_signal(state, pilots, rng)
-    r = one_bit_quantize(y)
+    r = one_bit_quantize(received_pilot_signal(state, pilots, rng))
     phi_tilde = ScaledPilotOperator(a_diag=model.a_diag, pilots=pilots)
     return QuantizedObservation(slot=state.slot, r=r, model=model, phi_tilde=phi_tilde)
+
+
+@dataclass(frozen=True)
+class PerUserModel:
+    """The linearized pilot observation of each user in its own DFT bin.
+
+    bin_map holds the K rows of the unitary tau-point DFT, phi^H / sqrt(tau),
+    that take a stacked observation to its user bins. In bin k the model is
+    r_k = gain diag(a) h_k + n_k, with gain = sqrt(tau rho) and a the
+    per-antenna Bussgang gain; C_r and C_n_eff stack the K per-user
+    covariances of r_k and n_k, (K, M, M). The bins beyond K carry noise
+    alone, uncorrelated with the user bins, and are dropped.
+    """
+
+    bin_map: np.ndarray
+    a: np.ndarray
+    gain: float
+    C_r: np.ndarray
+    C_n_eff: np.ndarray
+
+    def observe(self, slot, r):
+        """A stacked one-bit observation (tau M,), as a (K, M) observation of the user bins."""
+        bins = kron_apply(self.bin_map, r).reshape(self.bin_map.shape[0], -1)
+        return QuantizedObservation(slot=slot, r=bins, model=self)
+
+
+def build_per_user_model(pilots, prior):
+    """Per-user model for DFT pilots and per-user correlations stacked (K, M, M).
+
+    prior is a SpatialCorrelation whose matrix stacks R_1 .. R_K. Only the
+    tau lag blocks of the analog covariance are formed, B_l = block (l, 0)
+    of C_y = rho sum_k phi[l, k] R_k + delta_l0 I, then their arcsine and
+    effective-noise blocks, and from each stack of lag blocks X_l the user
+    bins sum_l conj(phi[l, k]) X_l. No n x n matrix is built. Raises
+    ValueError for pilots other than dft_pilots, where the model does not
+    decouple.
+    """
+    tau, n_users = pilots.phi.shape
+    if not np.allclose(pilots.phi, dft_pilots(tau, n_users).phi, rtol=0.0, atol=1e-12):
+        raise ValueError("the per-user model needs DFT pilots")
+    scaled = pilots._scaled_phi()
+    n_antennas = prior.matrix.shape[-1]
+    first_column = (scaled[0].conj()[:, None, None] * prior.matrix).reshape(-1, n_antennas)
+    c_y = kron_apply(scaled, first_column).reshape(tau, n_antennas, n_antennas)
+    c_y[0][np.diag_indices(n_antennas)] += 1.0
+    d = np.sqrt(np.real(np.diag(c_y[0])))
+    a = np.sqrt(2.0 / np.pi) / d
+    c_r = _arcsine_law(c_y, d)
+    np.fill_diagonal(c_r[0], 1.0)
+    c_n_eff = c_r - np.outer(a, a) * c_y
+    c_n_eff[0][np.diag_indices(n_antennas)] += a**2
+
+    def user_bins(lags):
+        return kron_apply(pilots.phi.conj().T, lags.reshape(-1, n_antennas)).reshape(
+            n_users, n_antennas, n_antennas
+        )
+
+    return PerUserModel(
+        bin_map=pilots.phi.conj().T / np.sqrt(tau),
+        a=a,
+        gain=float(np.sqrt(tau * pilots.rho)),
+        C_r=user_bins(c_r),
+        C_n_eff=user_bins(c_n_eff),
+    )

@@ -5,10 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from onebit_mimo import (
-    EigenbasisKalman,
     ExactGain,
+    PerUserBlmmse,
+    PerUserKalman,
+    PerUserLs,
+    PerUserModel,
+    PerUserTpe,
     QuantizedObservation,
-    ScaledPilotOperator,
     TemporalStats,
     TheoryParams,
     TpeGain,
@@ -16,6 +19,7 @@ from onebit_mimo import (
     blmmse_estimate,
     blmmse_nmse,
     build_bussgang_model,
+    build_per_user_model,
     dft_pilots,
     evolve_channel,
     exponential_correlation,
@@ -26,6 +30,7 @@ from onebit_mimo import (
     nmse_recursion,
     quantize_pilot_slot,
     sample_correlation,
+    stack_correlation,
     tpe_inverse,
 )
 from onebit_mimo.quantization import BussgangModel
@@ -150,9 +155,14 @@ class TestKalmanFilter:
         obs = quantize_pilot_slot(chan, pilots, model, rng)
         with pytest.raises(ValueError):
             kfb_step(state, obs)
-        tracker = EigenbasisKalman(corr, model, obs.phi_tilde, stats.eta[0])
-        with pytest.raises(ValueError):
-            tracker.step(obs)
+        prior = stack_correlation([exponential_correlation(4, 0.0, 0.4 * k) for k in range(2)])
+        per_user = build_per_user_model(pilots, prior)
+        for tracker in (
+            PerUserKalman(prior, per_user, stats.eta),
+            PerUserTpe(prior, per_user, stats.eta, TpeGain()),
+        ):
+            with pytest.raises(ValueError):
+                tracker.step(per_user.observe(3, obs.r))
 
     def test_first_slot_error_trace_closed_form(self):
         """White channel, square pilots: trace(M_1) = (1 - beta) M K."""
@@ -246,7 +256,7 @@ class TestKalmanFilter:
             kfb_step(kfb_init(corr, stats), obs)
 
 
-def learned_rank_deficient_correlation(n_antennas, n_users, samples, rng):
+def learned_rank_deficient_users(n_antennas, n_users, samples, rng):
     """Per-user sample correlations from fewer samples than antennas."""
     users = []
     for k in range(n_users):
@@ -254,64 +264,155 @@ def learned_rank_deficient_correlation(n_antennas, n_users, samples, rng):
         g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         factor = exponential_correlation(n_antennas, 0.7, k).sqrt_factor
         users.append(sample_correlation(g @ factor.T))
-    return aggregate_correlation(users)
+    return users
+
+
+# (tau, K, M) scenes for the per-user estimators, with distinct per-user eta
+# except in the block-fading (eta = 0) and static (eta = 1) cases.
+PER_USER_CASES = {
+    "tau_above_users": dict(n_antennas=3, n_users=4, tau=6, eta=[0.95, 0.9, 0.5, 0.0]),
+    "dense_operator": dict(n_antennas=5, n_users=4, tau=4, eta=[0.99, 0.9, 0.7, 0.3], dense=True),
+    "rank_deficient_factor": dict(n_antennas=6, n_users=2, tau=5, eta=[0.9, 0.6], samples=3),
+    "block_fading": dict(n_antennas=4, n_users=2, tau=3, eta=[0.0, 0.0]),
+    "static_channel": dict(n_antennas=4, n_users=2, tau=2, eta=[1.0, 1.0]),
+}
+
+
+def per_user_scene(case):
+    """True and receiver-side correlations, pilots and both models for a case.
+
+    The pilot power keeps every innovation covariance's lambda_max below
+    2 / 0.5, so TpeGain(1, 0.5) converges in all cases.
+    """
+    params = PER_USER_CASES[case]
+    n_antennas, n_users = params["n_antennas"], params["n_users"]
+    rng = np.random.default_rng(21)
+    users = [exponential_correlation(n_antennas, 0.6, 0.7 * k) for k in range(n_users)]
+    users_est = users
+    if "samples" in params:
+        users_est = learned_rank_deficient_users(n_antennas, n_users, params["samples"], rng)
+        ranks = [np.linalg.matrix_rank(u.matrix, hermitian=True) for u in users_est]
+        assert ranks == [params["samples"]] * n_users and params["samples"] < n_antennas
+    corr_est = aggregate_correlation(users_est)
+    pilots = dft_pilots(params["tau"], n_users).with_rho(0.5)
+    prior = stack_correlation(users_est)
+    return dict(
+        rng=rng,
+        corr=aggregate_correlation(users),
+        corr_est=corr_est,
+        prior=prior,
+        pilots=pilots,
+        model=build_bussgang_model(pilots, corr_est),
+        per_user=build_per_user_model(pilots, prior),
+        stats=TemporalStats(np.array(params["eta"])),
+        dense=params.get("dense", False),
+    )
+
+
+def per_user_slots(scene, slots=10):
+    """Dense and per-user observations of the same quantized slots."""
+    rng, corr, stats = scene["rng"], scene["corr"], scene["stats"]
+    chan = init_channel(corr, rng)
+    for _ in range(slots):
+        chan = evolve_channel(chan, stats, corr, rng)
+        obs = quantize_pilot_slot(chan, scene["pilots"], scene["model"], rng)
+        yield obs, scene["per_user"].observe(obs.slot, obs.r)
+
+
+def kalman_reference_obs(scene, obs):
+    """The observation for the kfb_step reference, with a dense phi_tilde if the case asks."""
+    if not scene["dense"]:
+        return obs
+    phi_bar = scene["pilots"].phi_bar(scene["per_user"].a.size)
+    return replace(obs, phi_tilde=scene["model"].a_diag[:, None] * phi_bar)
+
+
+def assert_close_norm(estimate, reference):
+    """Within 1e-12 of the reference, norm-relative."""
+    gap = np.linalg.norm(np.ravel(estimate) - np.ravel(reference))
+    assert gap <= 1e-12 * np.linalg.norm(reference)
 
 
 class TestEigenbasisKalman:
-    """The eigenbasis tracker reproduces a kfb_step loop slot by slot."""
+    """The per-user eigenbasis tracker reproduces a kfb_step loop slot by slot."""
 
-    CASES = {
-        "tau_above_users": dict(n_antennas=3, n_users=4, tau=6, eta=0.9),
-        "dense_operator": dict(n_antennas=4, n_users=3, tau=3, eta=0.95, dense=True),
-        "rank_deficient_factor": dict(n_antennas=6, n_users=2, tau=2, eta=0.9, samples=3),
-        "block_fading": dict(n_antennas=4, n_users=2, tau=3, eta=0.0),
-        "static_channel": dict(n_antennas=4, n_users=2, tau=2, eta=1.0),
-    }
-
-    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("case", sorted(PER_USER_CASES))
     def test_matches_kalman_steps(self, case):
-        params = self.CASES[case]
-        n_antennas, n_users = params["n_antennas"], params["n_users"]
-        rng = np.random.default_rng(21)
-        corr = aggregate_correlation(
-            [exponential_correlation(n_antennas, 0.6, 0.7 * k) for k in range(n_users)]
-        )
-        corr_est = corr
-        if "samples" in params:
-            corr_est = learned_rank_deficient_correlation(
-                n_antennas, n_users, params["samples"], rng
-            )
-            assert np.linalg.matrix_rank(corr_est.sqrt_factor) < n_antennas * n_users
-        pilots = dft_pilots(params["tau"], n_users).with_rho(1.3)
-        model = build_bussgang_model(pilots, corr_est)
-        stats = TemporalStats(np.full(n_users, params["eta"]))
-        phi_dense = model.a_diag[:, None] * pilots.phi_bar(n_antennas)
-        phi_tilde = phi_dense if params.get("dense") else ScaledPilotOperator(model.a_diag, pilots)
-        tracker = EigenbasisKalman(corr_est, model, phi_tilde, params["eta"])
-        state = kfb_init(corr_est, stats)
+        scene = per_user_scene(case)
+        corr_est = scene["corr_est"]
+        tracker = PerUserKalman(scene["prior"], scene["per_user"], scene["stats"].eta)
+        state = kfb_init(corr_est, scene["stats"])
         assert tracker.error_trace == pytest.approx(np.real(np.trace(corr_est.matrix)), rel=1e-12)
-        chan = init_channel(corr, rng)
-        for _ in range(10):
-            chan = evolve_channel(chan, stats, corr, rng)
-            obs = quantize_pilot_slot(chan, pilots, model, rng)
-            if params.get("dense"):
-                obs = replace(obs, phi_tilde=phi_dense)
-            state = kfb_step(state, obs)
-            h_hat = tracker.step(obs)
+        for obs, user_obs in per_user_slots(scene):
+            state = kfb_step(state, kalman_reference_obs(scene, obs), ExactGain())
+            h_hat = tracker.step(user_obs)
+            assert h_hat.shape == scene["prior"].matrix.shape[:2]
             assert tracker.slot == state.slot
-            gap = np.linalg.norm(h_hat - state.h_hat)
-            assert gap <= 1e-12 * np.linalg.norm(state.h_hat)
-            trace = np.real(np.trace(state.M_filt))
-            assert abs(tracker.error_trace - trace) <= 1e-12 * trace
-            if params["eta"] == 0.0:
-                single_shot = blmmse_estimate(obs, corr_est)
-                assert np.linalg.norm(h_hat - single_shot) <= 1e-12 * np.linalg.norm(single_shot)
+            assert_close_norm(h_hat, state.h_hat)
+            assert_close_norm(tracker.error_trace, np.real(np.trace(state.M_filt)))
+            if np.all(scene["stats"].eta == 0.0):
+                assert_close_norm(h_hat, blmmse_estimate(obs, corr_est))
 
     def test_non_positive_definite_noise_rejected(self):
-        corr = white_correlation(1, 2)
-        degenerate = BussgangModel(a_diag=np.zeros(2), C_y=np.eye(2), C_n_eff=np.zeros((2, 2)))
+        prior = stack_correlation([exponential_correlation(2, 0.0, 0.0)])
+        degenerate = PerUserModel(
+            bin_map=np.ones((1, 1)), a=np.zeros(2), gain=1.0,
+            C_r=np.eye(2)[None], C_n_eff=np.zeros((1, 2, 2)),
+        )
         with pytest.raises(np.linalg.LinAlgError, match="C_n_eff"):
-            EigenbasisKalman(corr, degenerate, np.zeros((2, 2)), 0.9)
+            PerUserKalman(prior, degenerate, [0.9])
+
+
+class TestPerUserEstimators:
+    """The per-user model and estimators against the dense references."""
+
+    @pytest.mark.parametrize("case", sorted(PER_USER_CASES))
+    def test_model_is_the_user_bin_blocks_of_the_dense_model(self, case):
+        scene = per_user_scene(case)
+        pilots, model, per_user = scene["pilots"], scene["model"], scene["per_user"]
+        tau, n_users = pilots.phi.shape
+        n_antennas = per_user.a.size
+        # Unitary DFT across the pilot slots; its first K rows are the user bins.
+        dft = np.kron(dft_pilots(tau, tau).phi.conj().T / np.sqrt(tau), np.eye(n_antennas))
+        assert_allclose(np.tile(per_user.a, tau), model.a_diag, rtol=1e-14)
+        for dense, bins in ((model.C_r, per_user.C_r), (model.C_n_eff, per_user.C_n_eff)):
+            blocks = (dft @ dense @ dft.conj().T).reshape(tau, n_antennas, tau, n_antennas)
+            for k in range(tau):
+                for j in range(tau):
+                    if j != k:
+                        assert np.abs(blocks[k, :, j]).max() <= 1e-12
+                    elif k < n_users:
+                        assert_allclose(blocks[k, :, k], bins[k], atol=1e-12)
+
+    @pytest.mark.parametrize("case", sorted(PER_USER_CASES))
+    def test_single_shot_matches_dense(self, case):
+        scene = per_user_scene(case)
+        ls = PerUserLs(scene["per_user"])
+        blmmse = PerUserBlmmse(scene["prior"], scene["per_user"])
+        for obs, user_obs in per_user_slots(scene):
+            assert_close_norm(ls.step(user_obs), ls_estimate(obs, scene["pilots"]))
+            assert_close_norm(blmmse.step(user_obs), blmmse_estimate(obs, scene["corr_est"]))
+        assert ls.error_trace is None and blmmse.error_trace is None
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", sorted(PER_USER_CASES))
+    def test_tpe_matches_kalman_steps(self, case):
+        scene = per_user_scene(case)
+        gain = TpeGain(1, 0.5)
+        tracker = PerUserTpe(scene["prior"], scene["per_user"], scene["stats"].eta, gain)
+        state = kfb_init(scene["corr_est"], scene["stats"])
+        for obs, user_obs in per_user_slots(scene):
+            state = kfb_step(state, kalman_reference_obs(scene, obs), gain)
+            assert_close_norm(tracker.step(user_obs), state.h_hat)
+            assert tracker.slot == state.slot
+            assert_close_norm(tracker.error_trace, np.real(np.trace(state.M_filt)))
+
+    def test_non_dft_pilots_rejected(self):
+        pilots = dft_pilots(2, 2).with_rho(1.0)
+        swapped = type(pilots)(phi=pilots.phi[:, ::-1], rho=1.0)
+        prior = stack_correlation([exponential_correlation(3, 0.5, 0.0) for _ in range(2)])
+        with pytest.raises(ValueError, match="DFT pilots"):
+            build_per_user_model(swapped, prior)
 
 
 class TestTpeInverse:
@@ -343,6 +444,27 @@ class TestTpeInverse:
         assert np.all(np.isfinite(out))
         with pytest.warns(RuntimeWarning):
             tpe_inverse(np.eye(2), -0.1, 1)
+
+    def test_non_finite_entry_warns(self):
+        x = np.eye(3)
+        x[1, 2] = np.inf
+        with pytest.warns(RuntimeWarning, match="convergence range"):
+            tpe_inverse(x, 0.5, 1)
+
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(13)
+        g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        stack = g @ np.swapaxes(g, -1, -2).conj() / 16.0 + np.eye(4)
+        for order in (0, 1, 3):
+            batched = tpe_inverse(stack, 0.4, order)
+            assert batched.shape == stack.shape
+            for k in range(3):
+                assert_allclose(batched[k], tpe_inverse(stack[k], 0.4, order), atol=1e-14)
+
+    def test_stack_range_check_covers_every_matrix(self):
+        """alpha = 0.6 converges for lambda_max 1 but not for 4 (needs alpha < 0.5)."""
+        with pytest.warns(RuntimeWarning, match="convergence range"):
+            tpe_inverse(np.stack([np.eye(2), 4.0 * np.eye(2)]), 0.6, 1)
 
 
 def test_blmmse_single_shot_error_floor():

@@ -285,10 +285,12 @@ def load_benchmark_check():
     return module
 
 
-# Two of the benchmark's workloads, cheap enough for every test run: the
-# known-correlation tracker at n = 256, and learned correlation with TPE.
+# The benchmark's workloads, cheap enough for every test run: the
+# known-correlation tracker at n = 256 and at paper scale (n = 1024), and
+# learned correlation with TPE.
 BENCHMARK_RUNS = {
     "fast_nmse": ["nmse", "--profile", "fast", "--trials", "10"],
+    "paper_trial": ["nmse", "--profile", "paper", "--trials", "1"],
     "small_sweep_rate": [
         "rate", "--config", str(REPO / "perfbench" / "small_sweep_rate.cfg"), "--trials", "20",
     ],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from onebit_mimo.linalg import kron_apply, solve_lower, solve_lower_adjoint, subtract_gram
+from onebit_mimo.linalg import kron_apply, solve_lower, subtract_gram
 
 
 def random_complex(rng, shape):
@@ -27,11 +27,6 @@ def test_solve_lower_matches_dense_solve(n):
     b = random_complex(rng, (n, 7))
     assert_allclose(solve_lower(chol, b), np.linalg.solve(chol, b), atol=1e-12)
     assert_allclose(solve_lower(chol, b[:, 0]), np.linalg.solve(chol, b[:, 0]), atol=1e-12)
-    adjoint = chol.conj().T
-    assert_allclose(solve_lower_adjoint(chol, b), np.linalg.solve(adjoint, b), atol=1e-12)
-    assert_allclose(
-        solve_lower_adjoint(chol, b[:, 0]), np.linalg.solve(adjoint, b[:, 0]), atol=1e-12
-    )
 
 
 @pytest.mark.parametrize("n_obs,n", [(3, 5), (300, 200)])

@@ -10,6 +10,7 @@ from onebit_mimo import (
     dft_pilots,
     exponential_correlation,
     init_channel,
+    complex_normal,
     one_bit_quantize,
     quantization_noise_covariance,
     quantize_pilot_slot,
@@ -107,8 +108,12 @@ class TestReceivedSignal:
         pilots = dft_pilots(2, 2).with_rho(2.0)
         rng = np.random.default_rng(2)
         state = init_channel(corr, rng)
-        y, noise = received_pilot_signal(state, pilots, rng)
+        y = received_pilot_signal(state, pilots, rng)
         assert y.shape == (6,)
+        # Replay the same stream up to the pilot noise draw.
+        replay = np.random.default_rng(2)
+        init_channel(corr, replay)
+        noise = complex_normal(replay, 6)
         assert_allclose(y - noise, pilots.phi_bar(3) @ state.h, atol=1e-12)
 
 
