@@ -31,12 +31,13 @@ from .config import (
 from .estimators import (
     ExactGain,
     KalmanState,
-    PerUserBlmmse,
+    PerUserEigenbasis,
     PerUserKalman,
     PerUserLs,
     PerUserTpe,
     TpeGain,
     blmmse_estimate,
+    build_eigenbasis,
     kfb_init,
     kfb_step,
     ls_estimate,
@@ -63,10 +64,8 @@ from .quantization import (
     arcsin_covariance,
     build_bussgang_model,
     build_per_user_model,
-    bussgang_operator,
     dft_pilots,
     one_bit_quantize,
-    quantization_noise_covariance,
     quantize_pilot_slot,
     received_pilot_signal,
 )

@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .channel import jakes_coefficient
+
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*(\.[A-Za-z_][A-Za-z0-9_]*)*$")
 _SAMPLED_RE = re.compile(r"^sampled\((\d+)\)$")
 
@@ -315,6 +317,21 @@ def parse_config(text, base=None, overrides=None):
             issues.append(
                 (line_of("user_speeds_kmh"), "user_speeds_kmh", "theory mode needs a common speed")
             )
+    if "user_speeds_kmh" in canonical and "f_c" in canonical and "t_slot" in canonical:
+        # The Gauss-Markov model needs eta in [0, 1]; J0 is at most 1 but
+        # turns negative past its first zero.
+        for speed in dict.fromkeys(canonical["user_speeds_kmh"]):
+            eta = jakes_coefficient(speed, canonical["f_c"], canonical["t_slot"])
+            if eta < 0.0:
+                issues.append(
+                    (
+                        line_of("user_speeds_kmh"),
+                        "user_speeds_kmh",
+                        f"speed {speed:g} km/h gives temporal coefficient {eta:.3g} at "
+                        f"f_c = {canonical['f_c']:g} Hz, t_slot = {canonical['t_slot']:g} s; "
+                        "the channel model needs it in [0, 1]",
+                    )
+                )
 
     if issues:
         raise ConfigError(sorted(issues))

@@ -9,10 +9,15 @@ ls_estimate, blmmse_estimate and kfb_step work on the dense model over all
 n = tau M observed entries, for any pilots. With DFT pilots and a
 block-diagonal correlation the model decouples per user in the pilot-DFT
 domain (see quantization.PerUserModel), and the PerUser estimators run the
-same four estimators on the K user bins, as batched M x M problems, with any
+same estimators on the K user bins, as batched M x M problems, with any
 per-user temporal coefficients. They share one protocol: step(obs) returns
 the (K, M) estimate for the slot's user bins, and error_trace is the trace of
-the filtered error covariance, or None for the single-shot estimators.
+the filtered error covariance, or None for least squares.
+
+The exact-gain tracker for a memoryless channel (eta = 0) is the Bussgang
+LMMSE estimator, so both run as PerUserKalman on one PerUserEigenbasis, the
+per-trial factorization of the whitened measurement information, which does
+not depend on eta.
 """
 
 import warnings
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SpatialCorrelation, spatial_correlation
-from .linalg import kron_apply, solve_lower, subtract_gram
+from .linalg import kron_apply, solve_lower
 
 
 @dataclass(frozen=True)
@@ -98,16 +103,9 @@ def sample_correlation(samples, normalize_diagonal=True):
 def blmmse_estimate(obs, corr):
     """Bussgang LMMSE estimate R phi_tilde^H C_r^{-1} r for one slot.
 
-    C_r^{-1} r = L^{-H} (L^{-1} r) takes two triangular matrix-vector
-    products with the model's inverse Cholesky factor L^{-1}, and phi_tilde
-    is applied through its adjoint.
+    phi_tilde is applied through its adjoint.
     """
-    inv_chol = obs.model.C_r_inv_chol
-    if inv_chol is None:
-        raise ValueError("observation model is missing the quantized covariance factor")
-    # (z^* L^{-1})^* = L^{-H} z without a conjugated copy of L^{-1}.
-    sol = ((inv_chol @ obs.r).conj() @ inv_chol).conj()
-    return corr.matrix @ obs.phi_tilde.adjoint(sol)
+    return corr.matrix @ obs.phi_tilde.adjoint(np.linalg.solve(obs.model.C_r, obs.r))
 
 
 def kfb_init(corr, stats):
@@ -134,7 +132,9 @@ def kfb_step(state, obs, gain=ExactGain()):
     factored as L L^H and W = L^{-1} phi_tilde M_pred, so that
     h = h_pred + W^H L^{-1} e and M = M_pred - W^H W; the gain matrix is
     never formed. A TpeGain replaces S^{-1} by its expansion in both the gain
-    and the covariance update, keeping the recursion self-consistent.
+    and the covariance update, keeping the recursion self-consistent. Either
+    way the new covariance is symmetrized, 0.5 (M + M^H), which makes it
+    exactly Hermitian.
     """
     if obs.slot != state.slot + 1:
         raise ValueError(f"observation slot {obs.slot} does not follow state slot {state.slot}")
@@ -159,7 +159,6 @@ def kfb_step(state, obs, gain=ExactGain()):
         gain_mat = cross_h.conj().T @ tpe_inverse(innov_cov, gain.alpha, gain.order)
         h_new = h_pred + gain_mat @ innovation
         m_new = m_pred - gain_mat @ cross_h
-        m_new = 0.5 * (m_new + m_new.conj().T)
     else:
         try:
             chol = np.linalg.cholesky(innov_cov)
@@ -177,7 +176,8 @@ def kfb_step(state, obs, gain=ExactGain()):
         w = w_z[:, :-1]
         # W^H z, computed as (z^* W)^* without a conjugated copy of W.
         h_new = h_pred + (w_z[:, -1].conj() @ w).conj()
-        m_new = subtract_gram(m_pred, w)
+        m_new = m_pred - w.conj().T @ w
+    m_new = 0.5 * (m_new + m_new.conj().T)
     return KalmanState(slot=obs.slot, h_hat=h_new, M_filt=m_new, stats=stats, corr=state.corr)
 
 
@@ -188,18 +188,6 @@ def _adjoint(stack):
 def _matvec(stack, vectors):
     """Per-user products stack[k] @ vectors[k] for a (K, M, M) and a (K, M) stack."""
     return (stack @ vectors[..., None])[..., 0]
-
-
-def _inverse_cholesky(stack, name):
-    """L^{-1} for the Cholesky factors L L^H of a (K, M, M) stack.
-
-    numpy has no triangular inverse; at M x M the general one costs little.
-    """
-    try:
-        chol = np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"{name} is not positive definite") from exc
-    return np.linalg.inv(chol)
 
 
 def _check_slot(obs, slot):
@@ -222,69 +210,88 @@ class PerUserLs:
         return self._scale * obs.r
 
 
-class PerUserBlmmse:
-    """Bussgang LMMSE on the user bins: R_k D C_r,k^{-1} r_k with D = gain diag(a).
+@dataclass(frozen=True)
+class PerUserEigenbasis:
+    """Per-trial eigenbasis of each user's whitened measurement information.
 
-    Equal to blmmse_estimate. C_r,k^{-1} = L_k^{-H} L_k^{-1} comes from one
-    batched Cholesky factor, and the whole per-user filter is formed here,
-    so a slot costs one batched matrix-vector product.
+    Per user, with R = S S^H (S = prior.sqrt_factor), B = D S for
+    D = gain diag(a), C_n_eff = L L^H and the whitened information
+    J = (L^{-1} B)^H L^{-1} B = U diag(lam) U^H: lam (K, M), the measurement
+    map G = U^H B^H C_n_eff^{-1} (K, M, M), the basis S U (K, M, M) and its
+    squared column norms (K, M). None of it depends on eta, so one basis
+    serves every exact-gain tracker of a trial.
     """
 
-    error_trace = None
+    lam: np.ndarray
+    G: np.ndarray
+    SU: np.ndarray
+    col_norms: np.ndarray
 
-    def __init__(self, prior, model):
-        inv_chol = _inverse_cholesky(model.C_r, "quantized covariance C_r")
-        self._filter = (prior.matrix * (model.gain * model.a)) @ _adjoint(inv_chol) @ inv_chol
 
-    def step(self, obs):
-        return _matvec(self._filter, obs.r)
+def build_eigenbasis(prior, model):
+    """The PerUserEigenbasis of per-user correlations and a PerUserModel.
+
+    One batched Cholesky factor of C_n_eff and one batched eigh. numpy has no
+    triangular inverse; at M x M the general one costs little. Raises
+    LinAlgError if C_n_eff is not positive definite.
+    """
+    try:
+        chol = np.linalg.cholesky(model.C_n_eff)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            "effective noise covariance C_n_eff is not positive definite"
+        ) from exc
+    inv_chol = np.linalg.inv(chol)
+    whitened = inv_chol @ ((model.gain * model.a)[:, None] * prior.sqrt_factor)
+    lam, u = np.linalg.eigh(_adjoint(whitened) @ whitened)
+    su = prior.sqrt_factor @ u
+    return PerUserEigenbasis(
+        lam=lam,
+        G=_adjoint(whitened @ u) @ inv_chol,
+        SU=su,
+        col_norms=np.sum(np.abs(su) ** 2, axis=-2),
+    )
 
 
 class PerUserKalman:
-    """Exact-gain Kalman tracker on the user bins, in an eigenbasis per user.
+    """Exact-gain Kalman tracker on the user bins, on a PerUserEigenbasis.
 
     Gives the estimates and error traces of kfb_init/kfb_step with ExactGain,
-    for per-user coefficients eta (K,), with the O(M^3) work done once, here,
-    and two batched matrix-vector products per slot.
+    for per-user coefficients eta (K,), at two batched matrix-vector
+    products per slot. With eta = 0 it is the Bussgang LMMSE estimator
+    R_k D C_r,k^{-1} r_k of blmmse_estimate.
 
-    Per user, with R = S S^H (S = prior.sqrt_factor), B = D S for
-    D = gain diag(a), C_n_eff = L L^H and the whitened measurement
-    information J = (L^{-1} B)^H L^{-1} B = U diag(lam) U^H, every predicted
-    and filtered covariance equals (S U) diag(p) (S U)^H. The recursion
-    therefore runs on the vector p, from p = 1 (M = R): predict
-    p <- eta^2 p + 1 - eta^2, correct p <- p / (1 + lam p). The estimate is
-    h_hat = (S U) y, with y <- eta y + p (G r - lam eta y) and
-    G = U^H B^H C_n_eff^{-1}. S^{-1} is never needed, so a singular (learned)
-    correlation works too.
+    In the basis's terms every predicted and filtered covariance equals
+    (S U) diag(p) (S U)^H. The recursion therefore runs on the vector p, from
+    p = 1 (M = R): predict p <- eta^2 p + 1 - eta^2, correct
+    p <- p / (1 + lam p). The estimate is h_hat = (S U) y, with
+    y <- eta y + p (G r - lam eta y). S^{-1} is never needed, so a singular
+    (learned) correlation works too.
     """
 
-    def __init__(self, prior, model, eta):
-        inv_chol = _inverse_cholesky(model.C_n_eff, "effective noise covariance C_n_eff")
-        whitened = inv_chol @ ((model.gain * model.a)[:, None] * prior.sqrt_factor)
-        self._lam, basis = np.linalg.eigh(_adjoint(whitened) @ whitened)
-        self._gain = _adjoint(whitened @ basis) @ inv_chol
-        self._basis = prior.sqrt_factor @ basis
-        self._col_norms = np.sum(np.abs(self._basis) ** 2, axis=-2)
+    def __init__(self, basis, eta):
+        self._basis = basis
         self._eta = np.asarray(eta, dtype=float)[:, None]
-        self._y = np.zeros(self._lam.shape, dtype=complex)
-        self._p = np.ones(self._lam.shape)
+        self._y = np.zeros(basis.lam.shape, dtype=complex)
+        self._p = np.ones(basis.lam.shape)
         self.slot = 0
 
     @property
     def error_trace(self):
         """trace of the filtered error covariance, sum_k,j p_kj ||(S_k U_k) e_j||^2."""
-        return float(np.sum(self._p * self._col_norms))
+        return float(np.sum(self._p * self._basis.col_norms))
 
     def step(self, obs):
         """Predict and correct with the slot's user bins; returns h_hat (K, M)."""
         _check_slot(obs, self.slot)
+        lam = self._basis.lam
         eta2 = self._eta**2
         p = eta2 * self._p + (1.0 - eta2)
-        p /= 1.0 + self._lam * p
+        p /= 1.0 + lam * p
         y = self._eta * self._y
-        y += p * (_matvec(self._gain, obs.r) - self._lam * y)
+        y += p * (_matvec(self._basis.G, obs.r) - lam * y)
         self._p, self._y, self.slot = p, y, obs.slot
-        return _matvec(self._basis, y)
+        return _matvec(self._basis.SU, y)
 
 
 class PerUserTpe:

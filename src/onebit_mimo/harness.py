@@ -12,7 +12,8 @@ block-diagonal over the users, so every estimator runs on the exact per-user
 model of quantization.build_per_user_model: each slot's observation is taken
 once into its K user bins, and the estimators work on K batched M x M
 problems instead of one n x n problem, with any per-user temporal
-coefficients.
+coefficients. BLMMSE is the exact-gain tracker with eta = 0, so blmmse and
+kfb share one per-trial estimators.PerUserEigenbasis.
 """
 
 import sys
@@ -31,11 +32,11 @@ from .channel import (
     stack_correlation,
 )
 from .estimators import (
-    PerUserBlmmse,
     PerUserKalman,
     PerUserLs,
     PerUserTpe,
     TpeGain,
+    build_eigenbasis,
     ls_estimate,
     sample_correlation,
 )
@@ -108,13 +109,13 @@ def _learned_correlation(cfg, pilots, corr_true, streams):
     return [sample_correlation(probes[:, k * cfg.M : (k + 1) * cfg.M]) for k in range(cfg.K)]
 
 
-def _estimator(name, cfg, stats, prior, model):
+def _estimator(name, cfg, stats, prior, model, basis):
     if name == "ls":
         return PerUserLs(model)
     if name == "blmmse":
-        return PerUserBlmmse(prior, model)
+        return PerUserKalman(basis, np.zeros_like(stats.eta))
     if name == "kfb":
-        return PerUserKalman(prior, model, stats.eta)
+        return PerUserKalman(basis, stats.eta)
     return PerUserTpe(prior, model, stats.eta, TpeGain(cfg.tpe_order, cfg.tpe_alpha))
 
 
@@ -123,9 +124,10 @@ def _run_trials(cfg, snr_db, stats, record):
 
     Calls record(name, trial, slot_index, h_hat, h_true, error_trace) for
     every estimate; error_trace is the trace of the filtered error covariance
-    for the tracking estimators and None otherwise. Each trial builds the
-    per-user model and one estimator object per configured name; each slot
-    is quantized once and taken into its user bins for all of them. A
+    for the Kalman-form estimators (blmmse, kfb, tpe) and None for ls. Each
+    trial builds the per-user model, the eigenbasis when blmmse or kfb runs,
+    and one estimator object per configured name; each slot is quantized
+    once and taken into its user bins for all of them. A
     non-finite estimate raises FloatingPointError naming the estimator,
     slot, trial and SNR point, so no diverged result is written.
     """
@@ -140,7 +142,12 @@ def _run_trials(cfg, snr_db, stats, record):
             users = _learned_correlation(cfg, pilots, corr, streams)
         prior = stack_correlation(users)
         model = build_per_user_model(pilots, prior)
-        estimators = {name: _estimator(name, cfg, stats, prior, model) for name in cfg.estimators}
+        basis = None
+        if "blmmse" in cfg.estimators or "kfb" in cfg.estimators:
+            basis = build_eigenbasis(prior, model)
+        estimators = {
+            name: _estimator(name, cfg, stats, prior, model, basis) for name in cfg.estimators
+        }
 
         chan = init_channel(corr, streams.channel)
         for i in range(cfg.slots):

@@ -3,16 +3,15 @@
 scipy bundles a second BLAS with its own thread pool. Alternating calls
 between it and numpy's make the two pools compete for the cores: with the
 default thread count, a Kalman step at n = 128 ran 7x slower on two cores.
-So the triangular solve and the Hermitian downdate the Cholesky-form Kalman
-update needs, which numpy lacks, are blocked here onto numpy matrix products.
+So the triangular solve the Cholesky-form Kalman update needs, which numpy
+lacks, is blocked here onto numpy matrix products.
 """
 
 import numpy as np
 
-# Block sizes: large enough for efficient matrix products, small enough that
+# Block size: large enough for efficient matrix products, small enough that
 # the dense diagonal-block work of the solve stays minor.
 _SOLVE_BLOCK = 64
-_GRAM_BLOCK = 128
 
 
 def kron_apply(mat, x):
@@ -38,19 +37,3 @@ def solve_lower(chol, b):
         rows = slice(i, i + _SOLVE_BLOCK)
         x[rows] = np.linalg.inv(chol[rows, rows]) @ (b[rows] - chol[rows, :i] @ x[:i])
     return x
-
-
-def subtract_gram(m, w):
-    """m - w^H w for Hermitian m, overwriting m; the result is exactly Hermitian.
-
-    Only the lower block triangle of w^H w is formed, for about half the work
-    of the full product, and then mirrored.
-    """
-    n = m.shape[0]
-    w_h = w.conj().T
-    for i in range(0, n, _GRAM_BLOCK):
-        cols = slice(i, i + _GRAM_BLOCK)
-        m[i:, cols] -= w_h[i:] @ w[:, cols]
-    out = np.where(np.tri(n, dtype=bool), m, m.conj().T)
-    np.fill_diagonal(out, out.diagonal().real)
-    return out

@@ -5,21 +5,24 @@ the Bussgang gain and q distortion uncorrelated with y. The second-order
 statistics of r follow the arcsine law, which is everything the linear
 estimators downstream need.
 
-build_bussgang_model forms that model densely, over all n = tau M observed
-entries. With DFT pilots and a block-diagonal channel correlation (one block
-per user) the model decouples: block (t, t') of C_y depends only on t - t'
-mod tau, the arcsine law keeps that block-circulant structure because
+build_bussgang_model forms that model densely, as one record over all
+n = tau M observed entries, for the dense estimators that the tests use as
+references. With DFT pilots and a block-diagonal channel correlation (one
+block per user) the model decouples: block (t, t') of C_y depends only on
+t - t' mod tau, the arcsine law keeps that block-circulant structure because
 diag(C_y) depends only on the antenna, and A = I_tau kron diag(a). One
 unitary DFT across the pilot slots therefore block-diagonalizes C_y, C_r,
 C_q and C_n_eff at once, and user k sees only DFT bin k. build_per_user_model
-forms this exact per-user model from M x M blocks alone.
+forms this exact per-user model from M x M blocks alone: the gains and the
+user-bin blocks of C_n_eff, which is all the per-user estimators read (the
+bin of C_r is D R_k D + C_n_eff,k for D = sqrt(tau rho) diag(a)).
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import kron_apply, solve_lower
+from .linalg import kron_apply
 from .rng import complex_normal
 
 
@@ -94,28 +97,25 @@ def _row_factor(a, ndim):
 class BussgangModel:
     """Second-order description of the quantized pilot observation.
 
-    a_diag holds the diagonal of the Bussgang gain A and C_y is the analog
-    covariance, both from bussgang_operator. build_bussgang_model fills the
-    rest: the arcsine-law covariance C_r of the quantized output, the
-    distortion covariance C_q, the effective noise covariance C_n_eff, and
-    C_r_inv_chol = L^{-1} for the Cholesky factor L of C_r = L L^H, so that
-    C_r^{-1} = C_r_inv_chol^H C_r_inv_chol.
+    a_diag holds the diagonal of the Bussgang gain A, C_y the analog
+    covariance, C_r the arcsine-law covariance of the quantized output, C_q
+    the distortion covariance and C_n_eff the effective noise covariance.
     """
 
     a_diag: np.ndarray
     C_y: np.ndarray
-    C_r: np.ndarray | None = None
-    C_q: np.ndarray | None = None
-    C_n_eff: np.ndarray | None = None
-    C_r_inv_chol: np.ndarray | None = None
+    C_r: np.ndarray
+    C_q: np.ndarray
+    C_n_eff: np.ndarray
 
 
 @dataclass(frozen=True)
 class QuantizedObservation:
-    """One slot of quantized pilots with the model it was received under.
+    """One slot of quantized pilots.
 
-    r is the stacked observation (tau M,) under a BussgangModel, or its
-    (K, M) user bins under a PerUserModel.
+    The dense form carries the stacked observation r (tau M,) with the
+    BussgangModel and phi_tilde it was received under. The per-user form
+    (PerUserModel.observe) carries only the slot and the (K, M) user bins r.
     """
 
     slot: int
@@ -157,20 +157,6 @@ def received_pilot_signal(state, pilots, rng):
     return pilots.apply(state.h) + complex_normal(rng, n_antennas * pilots.tau)
 
 
-def bussgang_operator(pilots, corr):
-    """Bussgang gain and analog covariance for the pilot observation.
-
-    C_y = Phi_bar R Phi_bar^H + I and A = sqrt(2/pi) diag(C_y)^(-1/2). The
-    unit noise floor keeps the diagonal strictly positive.
-    """
-    # Phi_bar (Phi_bar R)^H = Phi_bar R Phi_bar^H since R is Hermitian.
-    c_y = pilots.apply(pilots.apply(corr.matrix).conj().T)
-    c_y[np.diag_indices_from(c_y)] += 1.0
-    diag = np.real(np.diag(c_y))
-    a_diag = np.sqrt(2.0 / np.pi) / np.sqrt(diag)
-    return BussgangModel(a_diag=a_diag, C_y=c_y)
-
-
 def arcsin_covariance(c_y):
     """Covariance of the one-bit output via the arcsine law.
 
@@ -193,39 +179,24 @@ def _arcsine_law(c_y, d):
     return (2.0 / np.pi) * (np.arcsin(x) + 1j * np.arcsin(y))
 
 
-def quantization_noise_covariance(model):
-    """Distortion covariance C_q and effective noise covariance C_n_eff.
-
-    C_q = C_r - A C_y A^H is the part of the quantizer output the linear
-    model cannot explain; the effective noise A n + q then has covariance
-    A A^H + C_q.
-    """
-    c_r = model.C_r if model.C_r is not None else arcsin_covariance(model.C_y)
-    scaled = model.a_diag[:, None] * model.C_y * model.a_diag[None, :]
-    c_q = c_r - scaled
-    c_n_eff = c_q.copy()
-    c_n_eff[np.diag_indices_from(c_n_eff)] += model.a_diag**2
-    return c_q, c_n_eff
-
-
 def build_bussgang_model(pilots, corr):
-    """Fully populated model: gain, analog, arcsine, distortion, effective.
+    """Bussgang gain, analog, arcsine, distortion and effective noise covariances.
 
-    C_r is static within a trial, so the inverse of its Cholesky factor is
-    formed once here, and the single-shot estimator needs only matrix-vector
-    products per slot. Raises LinAlgError if C_r is not numerically positive
-    definite.
+    C_y = Phi_bar R Phi_bar^H + I and A = sqrt(2/pi) diag(C_y)^(-1/2); the
+    unit noise floor keeps the diagonal strictly positive. C_r follows from
+    the arcsine law. C_q = C_r - A C_y A^H is the part of the quantizer
+    output the linear model cannot explain, and the effective noise A n + q
+    has covariance A A^H + C_q.
     """
-    model = bussgang_operator(pilots, corr)
-    c_r = arcsin_covariance(model.C_y)
-    model = replace(model, C_r=c_r)
-    c_q, c_n_eff = quantization_noise_covariance(model)
-    try:
-        chol = np.linalg.cholesky(c_r)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("quantized covariance C_r is not positive definite") from exc
-    c_r_inv_chol = solve_lower(chol, np.eye(chol.shape[0]))
-    return replace(model, C_q=c_q, C_n_eff=c_n_eff, C_r_inv_chol=c_r_inv_chol)
+    # Phi_bar (Phi_bar R)^H = Phi_bar R Phi_bar^H since R is Hermitian.
+    c_y = pilots.apply(pilots.apply(corr.matrix).conj().T)
+    c_y[np.diag_indices_from(c_y)] += 1.0
+    a_diag = np.sqrt(2.0 / np.pi) / np.sqrt(np.real(np.diag(c_y)))
+    c_r = arcsin_covariance(c_y)
+    c_q = c_r - a_diag[:, None] * c_y * a_diag[None, :]
+    c_n_eff = c_q.copy()
+    c_n_eff[np.diag_indices_from(c_n_eff)] += a_diag**2
+    return BussgangModel(a_diag=a_diag, C_y=c_y, C_r=c_r, C_q=c_q, C_n_eff=c_n_eff)
 
 
 def quantize_pilot_slot(state, pilots, model, rng):
@@ -248,21 +219,20 @@ class PerUserModel:
     bin_map holds the K rows of the unitary tau-point DFT, phi^H / sqrt(tau),
     that take a stacked observation to its user bins. In bin k the model is
     r_k = gain diag(a) h_k + n_k, with gain = sqrt(tau rho) and a the
-    per-antenna Bussgang gain; C_r and C_n_eff stack the K per-user
-    covariances of r_k and n_k, (K, M, M). The bins beyond K carry noise
-    alone, uncorrelated with the user bins, and are dropped.
+    per-antenna Bussgang gain; C_n_eff stacks the K per-user covariances of
+    n_k, (K, M, M). The bins beyond K carry noise alone, uncorrelated with
+    the user bins, and are dropped.
     """
 
     bin_map: np.ndarray
     a: np.ndarray
     gain: float
-    C_r: np.ndarray
     C_n_eff: np.ndarray
 
     def observe(self, slot, r):
         """A stacked one-bit observation (tau M,), as a (K, M) observation of the user bins."""
         bins = kron_apply(self.bin_map, r).reshape(self.bin_map.shape[0], -1)
-        return QuantizedObservation(slot=slot, r=bins, model=self)
+        return QuantizedObservation(slot=slot, r=bins)
 
 
 def build_per_user_model(pilots, prior):
@@ -271,8 +241,8 @@ def build_per_user_model(pilots, prior):
     prior is a SpatialCorrelation whose matrix stacks R_1 .. R_K. Only the
     tau lag blocks of the analog covariance are formed, B_l = block (l, 0)
     of C_y = rho sum_k phi[l, k] R_k + delta_l0 I, then their arcsine and
-    effective-noise blocks, and from each stack of lag blocks X_l the user
-    bins sum_l conj(phi[l, k]) X_l. No n x n matrix is built. Raises
+    effective-noise blocks, and from the effective-noise lag blocks X_l the
+    user bins sum_l conj(phi[l, k]) X_l. No n x n matrix is built. Raises
     ValueError for pilots other than dft_pilots, where the model does not
     decouple.
     """
@@ -290,16 +260,10 @@ def build_per_user_model(pilots, prior):
     np.fill_diagonal(c_r[0], 1.0)
     c_n_eff = c_r - np.outer(a, a) * c_y
     c_n_eff[0][np.diag_indices(n_antennas)] += a**2
-
-    def user_bins(lags):
-        return kron_apply(pilots.phi.conj().T, lags.reshape(-1, n_antennas)).reshape(
-            n_users, n_antennas, n_antennas
-        )
-
+    bins = kron_apply(pilots.phi.conj().T, c_n_eff.reshape(-1, n_antennas))
     return PerUserModel(
         bin_map=pilots.phi.conj().T / np.sqrt(tau),
         a=a,
         gain=float(np.sqrt(tau * pilots.rho)),
-        C_r=user_bins(c_r),
-        C_n_eff=user_bins(c_n_eff),
+        C_n_eff=bins.reshape(n_users, n_antennas, n_antennas),
     )

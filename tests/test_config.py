@@ -1,7 +1,10 @@
+import json
+
 import pytest
 from numpy.testing import assert_allclose
 
 from onebit_mimo import ConfigError, default_config, emit_config, load_config, parse_config
+from onebit_mimo.cli import main
 
 
 def issue_lines(excinfo, key):
@@ -95,6 +98,27 @@ class TestValidationErrors:
         with pytest.raises(ConfigError) as excinfo:
             parse_config(text, base=default_config())
         assert "common speed" in str(excinfo.value)
+
+    def test_negative_temporal_coefficient_names_speed_line(self):
+        """Past the first zero of J0 the Jakes coefficient is negative (40 km/h: -0.228)."""
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("mode = nmse\nuser_speeds_kmh = [3, 40]\nK = 2\ntau = 2\n",
+                         base=default_config())
+        assert issue_lines(excinfo, "user_speeds_kmh") == [2]
+        assert "speed 40 km/h" in str(excinfo.value) and "-0.228" in str(excinfo.value)
+
+    def test_negative_temporal_coefficient_from_carrier(self):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("f_c = 5e10\n", base=default_config())
+        assert issue_lines(excinfo, "user_speeds_kmh") == [0]
+        assert "speed 3 km/h" in str(excinfo.value)
+
+    def test_validate_config_rejects_negative_temporal_coefficient(self, tmp_path, capsys):
+        path = tmp_path / "fast.cfg"
+        path.write_text("user_speeds_kmh = 40\n", encoding="utf-8")
+        assert main(["validate-config", "--config", str(path)]) == 2
+        issues = json.loads(capsys.readouterr().err)["issues"]
+        assert [(i["line"], i["key"]) for i in issues] == [(1, "user_speeds_kmh")]
 
     def test_duplicate_key_reports_both_lines(self):
         with pytest.raises(ConfigError) as excinfo:

@@ -11,6 +11,7 @@ from onebit_mimo import (
     TemporalStats,
     aggregate_correlation,
     build_bussgang_model,
+    build_eigenbasis,
     default_config,
     dft_pilots,
     evolve_channel,
@@ -29,6 +30,7 @@ from onebit_mimo import (
     trial_streams,
     write_csv,
 )
+from onebit_mimo import harness
 from onebit_mimo.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -103,6 +105,19 @@ class TestNmseExperiment:
     def test_single_trial_has_no_spread(self):
         series = run_nmse_experiment(tiny_nmse_config(trials=1))
         assert all(s.stderr == 0.0 for s in series)
+
+    @pytest.mark.parametrize("estimators,builds", [("[blmmse, kfb]", 4), ("[ls, tpe]", 0)])
+    def test_one_eigenbasis_per_trial(self, monkeypatch, estimators, builds):
+        """blmmse and kfb share one eigenbasis per trial; ls and tpe need none."""
+        calls = []
+
+        def counting(prior, model):
+            calls.append(model)
+            return build_eigenbasis(prior, model)
+
+        monkeypatch.setattr(harness, "build_eigenbasis", counting)
+        run_nmse_experiment(tiny_nmse_config(estimators=estimators))
+        assert len(calls) == builds
 
     def test_learned_correlation_runs(self):
         known = run_nmse_experiment(tiny_nmse_config(trials=2))

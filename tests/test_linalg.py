@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from onebit_mimo.linalg import kron_apply, solve_lower, subtract_gram
+from onebit_mimo.linalg import kron_apply, solve_lower
 
 
 def random_complex(rng, shape):
@@ -28,15 +28,3 @@ def test_solve_lower_matches_dense_solve(n):
     assert_allclose(solve_lower(chol, b), np.linalg.solve(chol, b), atol=1e-12)
     assert_allclose(solve_lower(chol, b[:, 0]), np.linalg.solve(chol, b[:, 0]), atol=1e-12)
 
-
-@pytest.mark.parametrize("n_obs,n", [(3, 5), (300, 200)])
-def test_subtract_gram_is_exactly_hermitian(n_obs, n):
-    rng = np.random.default_rng(2)
-    g = random_complex(rng, (n, n))
-    m = g @ g.conj().T
-    m = 0.5 * (m + m.conj().T)
-    w = 0.1 * random_complex(rng, (n_obs, n))
-    expected = m - w.conj().T @ w
-    out = subtract_gram(m.copy(), w)
-    assert_allclose(out, expected, atol=1e-11)
-    assert np.array_equal(out, out.conj().T)

@@ -6,13 +6,11 @@ from onebit_mimo import (
     aggregate_correlation,
     arcsin_covariance,
     build_bussgang_model,
-    bussgang_operator,
     dft_pilots,
     exponential_correlation,
     init_channel,
     complex_normal,
     one_bit_quantize,
-    quantization_noise_covariance,
     quantize_pilot_slot,
     received_pilot_signal,
 )
@@ -121,7 +119,7 @@ class TestBussgangOperator:
     def test_scalar_gain(self):
         # C_y = rho + 1 = 4, so a = sqrt(2/pi)/2
         corr = white_correlation(1, 1)
-        model = bussgang_operator(dft_pilots(1, 1).with_rho(3.0), corr)
+        model = build_bussgang_model(dft_pilots(1, 1).with_rho(3.0), corr)
         assert_allclose(model.C_y, [[4.0]], atol=1e-14)
         assert_allclose(model.a_diag, [0.3989422804014327], rtol=1e-14)
 
@@ -129,7 +127,7 @@ class TestBussgangOperator:
         """Unit-modulus pilots see diag(C_y) = K rho + 1 whatever the spatial shape."""
         users = [exponential_correlation(4, 0.7, 0.5), exponential_correlation(4, 0.7, 2.0)]
         corr = aggregate_correlation(users)
-        model = bussgang_operator(dft_pilots(2, 2).with_rho(1.5), corr)
+        model = build_bussgang_model(dft_pilots(2, 2).with_rho(1.5), corr)
         assert_allclose(np.real(np.diag(model.C_y)), 2 * 1.5 + 1.0, atol=1e-10)
         assert np.all(model.a_diag > 0)
 
@@ -138,7 +136,7 @@ class TestBussgangOperator:
         pilots = dft_pilots(5, 3).with_rho(2.0)
         phi_bar = pilots.phi_bar(3)
         dense = phi_bar @ corr.matrix @ phi_bar.conj().T + np.eye(15)
-        assert_allclose(bussgang_operator(pilots, corr).C_y, dense, atol=1e-13)
+        assert_allclose(build_bussgang_model(pilots, corr).C_y, dense, atol=1e-13)
 
 
 class TestArcsinCovariance:
@@ -178,14 +176,6 @@ class TestNoiseCovariance:
         model = build_bussgang_model(dft_pilots(2, 2).with_rho(2.0), corr)
         assert np.linalg.eigvalsh(model.C_q).min() > -1e-8
 
-    def test_recomputes_missing_arcsine(self):
-        corr = white_correlation(2, 2)
-        base = bussgang_operator(dft_pilots(2, 2).with_rho(1.0), corr)
-        c_q, c_n_eff = quantization_noise_covariance(base)
-        full = build_bussgang_model(dft_pilots(2, 2).with_rho(1.0), corr)
-        assert_allclose(c_q, full.C_q, atol=1e-14)
-        assert_allclose(c_n_eff, full.C_n_eff, atol=1e-14)
-
 
 class TestQuantizeSlot:
     def test_observation_contents(self):
@@ -201,10 +191,3 @@ class TestQuantizeSlot:
         phi_tilde = model.a_diag[:, None] * pilots.phi_bar(3)
         assert_allclose(obs.phi_tilde @ np.eye(6), phi_tilde, atol=1e-14)
         assert_allclose(obs.phi_tilde.adjoint(np.eye(6)), phi_tilde.conj().T, atol=1e-14)
-
-    def test_model_carries_covariance_factor(self):
-        corr = aggregate_correlation([exponential_correlation(3, 0.5, th) for th in (0.4, 1.9)])
-        model = build_bussgang_model(dft_pilots(4, 2).with_rho(1.0), corr)
-        inv_chol = model.C_r_inv_chol
-        assert_allclose(inv_chol, np.tril(inv_chol))
-        assert_allclose(inv_chol @ model.C_r @ inv_chol.conj().T, np.eye(12), atol=1e-13)
