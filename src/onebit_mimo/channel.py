@@ -2,15 +2,21 @@
 
 Each user sees exponential spatial correlation across the base-station array
 and evolves across pilot slots as a first-order Gauss-Markov process whose
-stationary covariance equals the spatial correlation. Users are stacked into
-one aggregate vector with user k occupying entries [k*M, (k+1)*M).
+stationary covariance equals the spatial correlation. The users are
+independent, so the generator works on K M x M problems: a correlation is a
+stack of per-user blocks (stack_correlation) and the channel a (K, M) stack,
+user k in row k. A dense n x n correlation (aggregate_correlation, the
+block-diagonal form with user k in entries [k*M, (k+1)*M)) counts as a stack
+of one block and gives an (n,) channel from the same draws.
+
+Only numpy is needed: the exponential model has a closed-form Cholesky
+factor, and the Jakes coefficient J0 is summed directly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, toeplitz
-from scipy.special import j0
 
 from .rng import complex_normal
 
@@ -19,6 +25,11 @@ SPEED_OF_LIGHT = 3.0e8
 
 # Below this smallest eigenvalue the Cholesky route is considered unsafe.
 _CHOLESKY_FLOOR = 1e-10
+
+# J0 switches from the trapezoid rule to Hankel's asymptotic series above this
+# argument; the series' first 20 terms are accurate to roundoff there.
+_HANKEL_FROM = 25.0
+_HANKEL_TERMS = 20
 
 
 @dataclass(frozen=True)
@@ -54,7 +65,7 @@ class TemporalStats:
 
 @dataclass(frozen=True)
 class ChannelState:
-    """Aggregate channel vector at one pilot slot."""
+    """Channel at one pilot slot: (K, M) for a stacked correlation, (n,) for a dense one."""
 
     slot: int
     h: np.ndarray
@@ -84,40 +95,63 @@ def spatial_correlation(matrix):
 
 
 def exponential_correlation(n_antennas, magnitude, phase):
-    """Exponential correlation matrix for one user.
+    """Exponential correlation matrix for one user, with its Cholesky factor.
 
-    Entry (m, n) above the diagonal is (magnitude * e^{j*phase})^(n-m), the
-    conjugate below, ones on the diagonal. The result is Hermitian Toeplitz
-    and positive semidefinite for magnitude in [0, 1).
+    Entry (m, n) above the diagonal is c^(n-m) for c = magnitude * e^{j*phase},
+    the conjugate below, ones on the diagonal: Hermitian Toeplitz and positive
+    definite for magnitude in [0, 1). It is the covariance of the AR(1)
+    sequence x_0 = w_0, x_m = conj(c) x_{m-1} + sqrt(1 - |c|^2) w_m, so its
+    Cholesky factor is L[m, 0] = conj(c)^m and L[m, j] = conj(c)^(m-j)
+    sqrt(1 - |c|^2) for 1 <= j <= m. Both are indexed from the M powers of c.
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
     if not 0.0 <= magnitude < 1.0:
         raise ValueError("correlation magnitude must lie in [0, 1)")
-    coeff = magnitude * np.exp(1j * phase)
-    first_row = coeff ** np.arange(n_antennas)
-    return spatial_correlation(toeplitz(np.conj(first_row), first_row))
+    powers = (magnitude * np.exp(1j * phase)) ** np.arange(n_antennas)
+    # Lags -(M-1) .. M-1 at index lag + M - 1; entry (m, n) has lag n - m.
+    by_lag = np.concatenate((powers[:0:-1].conj(), powers))
+    antennas = np.arange(n_antennas)
+    matrix = by_lag[antennas + (n_antennas - 1) - antennas[:, None]]
+    factor = np.tril(matrix)
+    factor[:, 1:] *= np.sqrt(1.0 - magnitude**2)
+    return SpatialCorrelation(matrix=matrix, sqrt_factor=factor)
+
+
+def _block_diag(blocks):
+    """Dense block-diagonal matrix of square blocks, in order."""
+    size = sum(b.shape[0] for b in blocks)
+    out = np.zeros((size, size), dtype=np.result_type(*blocks))
+    start = 0
+    for b in blocks:
+        stop = start + b.shape[0]
+        out[start:stop, start:stop] = b
+        start = stop
+    return out
 
 
 def aggregate_correlation(users):
-    """Block-diagonal correlation over all users, in user order.
+    """Block-diagonal n x n correlation over all users, in user order.
 
-    The square-root factor is assembled block-wise, which is itself a valid
-    factor of the block-diagonal matrix.
+    The dense reference form; the channel generator and the per-user
+    estimators work on stack_correlation. The square-root factor is
+    assembled block-wise, which is itself a valid factor of the
+    block-diagonal matrix.
     """
     users = list(users)
     if not users:
         raise ValueError("need at least one user")
-    matrix = block_diag(*(u.matrix for u in users))
-    factor = block_diag(*(u.sqrt_factor for u in users))
-    return SpatialCorrelation(matrix=matrix, sqrt_factor=factor)
+    return SpatialCorrelation(
+        matrix=_block_diag([u.matrix for u in users]),
+        sqrt_factor=_block_diag([u.sqrt_factor for u in users]),
+    )
 
 
 def stack_correlation(users):
     """Per-user correlations stacked along a leading user axis, (K, M, M) each.
 
-    The per-user form of aggregate_correlation, for estimators that work on
-    each user's block separately.
+    The per-user form of aggregate_correlation, for the channel generator and
+    the estimators that work on each user's block separately.
     """
     users = list(users)
     if not users:
@@ -126,6 +160,33 @@ def stack_correlation(users):
         matrix=np.stack([u.matrix for u in users]),
         sqrt_factor=np.stack([u.sqrt_factor for u in users]),
     )
+
+
+def _bessel_j0(x):
+    """Bessel function J0 at x >= 0, to double precision.
+
+    Up to _HANKEL_FROM: the trapezoid rule on J0(x) = (1/2 pi) int cos(x sin t)
+    dt over one period, exponentially accurate for a periodic integrand
+    (Trefethen and Weideman, SIAM Review 2014), with 64 + 2 ceil(x) nodes.
+    Above: Hankel's asymptotic expansion (DLMF 10.17.3), with the phase
+    x - pi/4 rounded to double before the cosine as in scipy.special.j0, so
+    the two agree even where that rounding shows. Constant work and memory
+    at any x; nan at x = inf, like scipy.special.j0.
+    """
+    if x <= _HANKEL_FROM:
+        nodes = 64 + 2 * math.ceil(x)
+        t = np.arange(nodes) * (2.0 * np.pi / nodes)
+        return float(np.mean(np.cos(x * np.sin(t))))
+    if math.isinf(x):
+        return math.nan
+    # terms[j] = a_j(0) / x^j; P sums the even terms, Q the odd, alternating in pairs.
+    terms = [1.0]
+    for j in range(_HANKEL_TERMS):
+        terms.append(terms[-1] * -((2 * j + 1) ** 2) / (8.0 * (j + 1) * x))
+    p = sum(terms[0::4]) - sum(terms[2::4])
+    q = sum(terms[1::4]) - sum(terms[3::4])
+    chi = x - math.pi / 4
+    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
 
 
 def jakes_coefficient(speed_kmh, carrier_hz, slot_seconds):
@@ -139,30 +200,44 @@ def jakes_coefficient(speed_kmh, carrier_hz, slot_seconds):
     if carrier_hz <= 0 or slot_seconds <= 0:
         raise ValueError("carrier frequency and slot duration must be positive")
     doppler_hz = (speed_kmh / 3.6) * carrier_hz / SPEED_OF_LIGHT
-    return float(j0(2.0 * np.pi * doppler_hz * slot_seconds))
+    return _bessel_j0(2.0 * np.pi * doppler_hz * slot_seconds)
+
+
+def apply_sqrt_factor(corr, g):
+    """S g for draws g of the n = K M channel entries, (n,) or (n, p), block by block.
+
+    corr is a stack of K per-user blocks (stack_correlation) or a dense
+    n x n correlation, which counts as a stack of one block. The result is
+    (K, M) + g.shape[1:] for a stack and g.shape for a dense correlation.
+    Raises ValueError when K M differs from n.
+    """
+    factor = corr.sqrt_factor
+    blocks = factor.reshape((-1,) + factor.shape[-2:])
+    n_blocks, n_rows = blocks.shape[:2]
+    if n_blocks * n_rows != g.shape[0]:
+        raise ValueError("correlation size does not match the channel vector")
+    out = blocks @ g.reshape(n_blocks, n_rows, -1)
+    return out.reshape(factor.shape[:-1] + g.shape[1:])
 
 
 def init_channel(corr, rng):
     """Draw the slot-0 channel from the stationary distribution."""
-    g = complex_normal(rng, corr.matrix.shape[0])
-    return ChannelState(slot=0, h=corr.sqrt_factor @ g)
+    n = math.prod(corr.sqrt_factor.shape[:-1])
+    return ChannelState(slot=0, h=apply_sqrt_factor(corr, complex_normal(rng, n)))
 
 
 def evolve_channel(state, stats, corr, rng):
     """Advance the channel by one slot under the Gauss-Markov model.
 
-    h_i = eta h_{i-1} + zeta S g_i with per-user eta_k applied to user k's
-    antenna block. The marginal distribution of every slot stays CN(0, R).
+    h_i = eta h_{i-1} + zeta S g_i with user k's eta_k and zeta_k applied to
+    its antenna block. The marginal distribution of every slot stays
+    CN(0, R). The result has the shape init_channel gives for corr.
     """
     n = state.h.size
     n_users = stats.eta.size
     if n % n_users != 0:
         raise ValueError("channel length is not a multiple of the user count")
-    if corr.matrix.shape[0] != n:
-        raise ValueError("correlation size does not match the channel vector")
-    n_antennas = n // n_users
-    eta = np.repeat(stats.eta, n_antennas)
-    zeta = np.repeat(stats.zeta, n_antennas)
-    g = complex_normal(rng, n)
-    h = eta * state.h + zeta * (corr.sqrt_factor @ g)
-    return ChannelState(slot=state.slot + 1, h=h)
+    innovation = apply_sqrt_factor(corr, complex_normal(rng, n))
+    h = stats.eta[:, None] * state.h.reshape(n_users, -1)
+    h += stats.zeta[:, None] * innovation.reshape(n_users, -1)
+    return ChannelState(slot=state.slot + 1, h=h.reshape(innovation.shape))

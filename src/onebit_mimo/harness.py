@@ -8,12 +8,15 @@ receives each estimate with the true channel and, for the trackers, the
 trace of the filter's error covariance.
 
 The pilots are always dft_pilots and the channel correlation is
-block-diagonal over the users, so every estimator runs on the exact per-user
-model of quantization.build_per_user_model: each slot's observation is taken
-once into its K user bins, and the estimators work on K batched M x M
-problems instead of one n x n problem, with any per-user temporal
-coefficients. BLMMSE is the exact-gain tracker with eta = 0, so blmmse and
-kfb share one per-trial estimators.PerUserEigenbasis.
+block-diagonal over the users, so the whole trial works on per-user
+M x M blocks and builds no n x n array. The channel generator draws from the
+users' correlations stacked (K, M, M) and keeps the channel as a (K, M)
+stack. Every estimator runs on the exact per-user model of
+quantization.build_per_user_model: each slot's observation is taken once
+into its K user bins, and the estimators work on K batched M x M problems,
+with any per-user temporal coefficients. BLMMSE is the exact-gain tracker
+with eta = 0, so blmmse and kfb share one per-trial
+estimators.PerUserEigenbasis.
 """
 
 import sys
@@ -24,7 +27,7 @@ import numpy as np
 
 from .channel import (
     TemporalStats,
-    aggregate_correlation,
+    apply_sqrt_factor,
     evolve_channel,
     exponential_correlation,
     init_channel,
@@ -50,6 +53,7 @@ from .quantization import (
 # The trial loop no longer calls these dense-model functions, but
 # perfbench/tracing.py wraps them by their names in this module, so they stay
 # bound here.
+from .channel import aggregate_correlation  # noqa: F401
 from .estimators import blmmse_estimate, kfb_step  # noqa: F401
 from .quantization import build_bussgang_model, quantize_pilot_slot  # noqa: F401
 from .rate import achievable_rates
@@ -95,14 +99,14 @@ def _temporal_stats(cfg):
 def _learned_correlation(cfg, pilots, corr_true, streams):
     """Receiver-side per-user correlations learned from one-bit LS probes.
 
-    Draws stationary channels, runs them through the quantized front end,
-    and builds per-user sample correlations from the LS estimates. The true
-    correlation stays with the channel generator only.
+    Draws stationary channels from the true per-user stack corr_true, runs
+    them through the quantized front end, and builds per-user sample
+    correlations from the LS estimates. The true correlation stays with the
+    channel generator only.
     """
     count = cfg.sample_count
-    n_total = cfg.M * cfg.K
-    g = complex_normal(streams.channel, (n_total, count))
-    h_all = corr_true.sqrt_factor @ g
+    g = complex_normal(streams.channel, (cfg.M * cfg.K, count))
+    h_all = apply_sqrt_factor(corr_true, g).reshape(g.shape)
     noise = complex_normal(streams.pilot_noise, (cfg.M * cfg.tau, count))
     quantized = one_bit_quantize(pilots.apply(h_all) + noise)
     probes = ls_estimate(QuantizedObservation(slot=0, r=quantized), pilots).T
@@ -123,8 +127,9 @@ def _run_trials(cfg, snr_db, stats, record):
     """Shared Monte-Carlo engine.
 
     Calls record(name, trial, slot_index, h_hat, h_true, error_trace) for
-    every estimate; error_trace is the trace of the filtered error covariance
-    for the Kalman-form estimators (blmmse, kfb, tpe) and None for ls. Each
+    every estimate, h_hat and h_true as (K, M) stacks; error_trace is the
+    trace of the filtered error covariance for the Kalman-form estimators
+    (blmmse, kfb, tpe) and None for ls. Each
     trial builds the per-user model, the eigenbasis when blmmse or kfb runs,
     and one estimator object per configured name; each slot is quantized
     once and taken into its user bins for all of them. A
@@ -137,10 +142,10 @@ def _run_trials(cfg, snr_db, stats, record):
         streams = trial_streams(cfg.seed, trial)
         theta = streams.phases.uniform(0.0, 2.0 * np.pi, cfg.K)
         users = [exponential_correlation(cfg.M, cfg.r_spatial, th) for th in theta]
-        corr = aggregate_correlation(users)
+        corr = stack_correlation(users)
+        prior = corr
         if cfg.sample_count is not None:
-            users = _learned_correlation(cfg, pilots, corr, streams)
-        prior = stack_correlation(users)
+            prior = stack_correlation(_learned_correlation(cfg, pilots, corr, streams))
         model = build_per_user_model(pilots, prior)
         basis = None
         if "blmmse" in cfg.estimators or "kfb" in cfg.estimators:
@@ -155,7 +160,7 @@ def _run_trials(cfg, snr_db, stats, record):
             r = one_bit_quantize(received_pilot_signal(chan, pilots, streams.pilot_noise))
             obs = model.observe(chan.slot, r)
             for name, estimator in estimators.items():
-                h_hat = estimator.step(obs).reshape(-1)
+                h_hat = estimator.step(obs)
                 if not np.isfinite(h_hat).all():
                     raise FloatingPointError(
                         f"{name} estimate is not finite at slot {i + 1}, trial {trial}, "
@@ -238,9 +243,7 @@ def run_rate_experiment(cfg):
         sums = {name: np.zeros((cfg.trials, cfg.slots)) for name in cfg.estimators}
 
         def record(name, trial, i, h_hat, h_true, error_trace):
-            h_true_mat = h_true.reshape(cfg.K, cfg.M).T
-            h_est_mat = h_hat.reshape(cfg.K, cfg.M).T
-            sums[name][trial, i] = achievable_rates(h_true_mat, h_est_mat, rho_d).sum_rate
+            sums[name][trial, i] = achievable_rates(h_true.T, h_hat.T, rho_d).sum_rate
 
         _run_trials(cfg, snr_db, stats, record)
         for name in cfg.estimators:

@@ -152,9 +152,9 @@ def one_bit_quantize(y):
 
 
 def received_pilot_signal(state, pilots, rng):
-    """Analog pilot observation y = Phi_bar h + n."""
+    """Analog pilot observation y = Phi_bar h + n, for an (n,) or a (K, M) channel."""
     n_antennas = state.h.size // pilots.K
-    return pilots.apply(state.h) + complex_normal(rng, n_antennas * pilots.tau)
+    return pilots.apply(state.h.reshape(-1)) + complex_normal(rng, n_antennas * pilots.tau)
 
 
 def arcsin_covariance(c_y):

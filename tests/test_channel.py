@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,6 +13,7 @@ from onebit_mimo import (
     init_channel,
     jakes_coefficient,
     psd_sqrt,
+    stack_correlation,
 )
 
 
@@ -30,6 +34,19 @@ class TestExponentialCorrelation:
         assert_allclose(corr.matrix, corr.matrix.conj().T, atol=1e-14)
         assert_allclose(np.diag(corr.matrix), np.ones(m), atol=1e-14)
         assert np.linalg.eigvalsh(corr.matrix).min() > -1e-10
+
+    @pytest.mark.parametrize("m", [1, 8, 128])
+    @pytest.mark.parametrize("r", [0.0, 0.8, 0.99])
+    def test_closed_form_cholesky_factor(self, m, r):
+        """The AR(1) factor is the Cholesky factor of the documented entry rule."""
+        corr = exponential_correlation(m, r, 1.3)
+        c = r * np.exp(1.3j)
+        lag = np.arange(m)[None, :] - np.arange(m)[:, None]  # n - m at entry (m, n)
+        expected = np.where(lag >= 0, c ** np.abs(lag), np.conj(c) ** np.abs(lag))
+        assert_allclose(corr.matrix, expected, rtol=0.0, atol=1e-15)
+        assert np.all(np.triu(corr.sqrt_factor, 1) == 0.0)
+        chol = np.linalg.cholesky(corr.matrix)
+        assert np.linalg.norm(corr.sqrt_factor - chol) <= 1e-12 * np.linalg.norm(chol)
 
     def test_magnitude_one_rejected(self):
         with pytest.raises(ValueError):
@@ -111,6 +128,36 @@ class TestJakes:
         etas = [jakes_coefficient(v, 2.5e9, 0.005) for v in (0, 3, 5, 7, 10, 15)]
         assert np.all(np.diff(etas) < 0)
 
+    # frozen from scipy.special.j0 at f_c = 2.5 GHz, t = 5 ms: past the first
+    # zero (negative at 40 km/h, positive again at 96 and 110 km/h), both sides
+    # of the switch to the asymptotic series near x = 25 (343, 344 km/h), far
+    # out, and where speed * f_c overflows to inf (nan, as scipy gives)
+    SCIPY_J0 = {
+        40: -0.22763214622600791,
+        96: 0.2999392523743325,
+        110: 0.1717855263283023,
+        343: 0.08904797042178765,
+        344: 0.09830708021800949,
+        1e6: 0.0028085618434239993,
+        1e12: 2.8085666049253882e-06,
+        1e300: math.nan,
+    }
+
+    @pytest.mark.parametrize("speed", sorted(SCIPY_J0))
+    def test_matches_scipy_at_any_speed(self, speed):
+        tracemalloc.start()
+        try:
+            eta = jakes_coefficient(speed, 2.5e9, 0.005)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        expected = self.SCIPY_J0[speed]
+        if math.isnan(expected):
+            assert math.isnan(eta)
+        else:
+            assert abs(eta - expected) <= 1e-14
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             jakes_coefficient(-1.0, 2.5e9, 0.005)
@@ -181,6 +228,23 @@ class TestChannelEvolution:
             cross += np.outer(nxt.h, prev.h.conj())
         assert np.max(np.abs(cross / n_pairs)) < 0.02
 
+    def test_stack_matches_dense(self):
+        """Per-user stack and dense block-diagonal form draw the same channel."""
+        users = [exponential_correlation(4, 0.8, th) for th in (0.3, 1.7, 2.9)]
+        stats = TemporalStats(np.array([0.99, 0.7, 0.0]))
+        runs = []
+        for corr in (stack_correlation(users), aggregate_correlation(users)):
+            rng = np.random.default_rng(11)
+            state = init_channel(corr, rng)
+            slots = [state.h]
+            for _ in range(10):
+                state = evolve_channel(state, stats, corr, rng)
+                slots.append(state.h)
+            runs.append(np.array(slots))
+        stacked, dense = runs
+        assert stacked.shape == (11, 3, 4) and dense.shape == (11, 12)
+        assert_allclose(stacked.reshape(11, 12), dense, rtol=0.0, atol=1e-13)
+
     def test_shape_mismatch_rejected(self):
         corr = exponential_correlation(2, 0.5, 0.0)
         big = exponential_correlation(4, 0.5, 0.0)
@@ -191,3 +255,8 @@ class TestChannelEvolution:
             evolve_channel(state, stats, big, rng)
         with pytest.raises(ValueError):
             evolve_channel(state, TemporalStats(np.array([0.9, 0.9, 0.9])), corr, rng)
+        # a stack whose K M differs from the channel length
+        stacked = init_channel(stack_correlation([big] * 2), rng)
+        pair = TemporalStats(np.array([0.9, 0.9]))
+        with pytest.raises(ValueError):
+            evolve_channel(stacked, pair, stack_correlation([corr] * 2), rng)

@@ -1,4 +1,7 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +121,23 @@ class TestNmseExperiment:
         monkeypatch.setattr(harness, "build_eigenbasis", counting)
         run_nmse_experiment(tiny_nmse_config(estimators=estimators))
         assert len(calls) == builds
+
+    def test_trial_loop_builds_no_dense_correlation(self, monkeypatch):
+        """Known and learned correlation both run on per-user stacks alone."""
+
+        def dense(users):
+            raise AssertionError("the trial loop built an n x n correlation")
+
+        monkeypatch.setattr(harness, "aggregate_correlation", dense)
+        series = run_nmse_experiment(parse_config("trials = 1\n", base=default_config()))
+        assert all(np.isfinite(s.nmse_db) for s in series)
+        rows = run_rate_experiment(
+            tiny_config(
+                M=4, K=2, tau=2, slots=2, trials=1, r_spatial=0.3, mode="rate", snr_db="[0]",
+                estimators="[ls, blmmse, kfb, tpe]", correlation_knowledge="sampled(40)",
+            )
+        )
+        assert all(np.isfinite(r.value) for r in rows)
 
     def test_learned_correlation_runs(self):
         known = run_nmse_experiment(tiny_nmse_config(trials=2))
@@ -268,6 +288,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert '"error": "config"' in err
         assert '"line": 1' in err
+
+    @pytest.mark.parametrize("speed,code", [(40, 2), (96, 0), (1e6, 0), (1e12, 0), (1e300, 0)])
+    def test_validate_config_speed_verdict(self, tmp_path, capsys, speed, code):
+        """Past J0's first zero and far out: only a negative coefficient is rejected.
+
+        1e300 km/h overflows the Doppler product to inf; its coefficient is
+        nan, which the check lets through.
+        """
+        cfg = tmp_path / "speed.cfg"
+        cfg.write_text(f"M = 2\nK = 1\ntau = 1\nuser_speeds_kmh = {speed!r}\n", encoding="utf-8")
+        assert main(["validate-config", "--config", str(cfg)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert '"line": 4' in err and '"key": "user_speeds_kmh"' in err
+        else:
+            assert "config ok" in capsys.readouterr().out
+
+    def test_run_imports_no_scipy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import onebit_mimo\n"
+            "from onebit_mimo import cli\n"
+            "code = cli.main(['nmse', '--profile', 'fast', '--trials', '1',\n"
+            f"                 '--out', {str(tmp_path / 'out.csv')!r}])\n"
+            "assert code == 0\n"
+            "loaded = [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+            "assert not loaded, loaded\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")])
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["nmse", "--config", str(tmp_path / "absent.cfg")]) == 2
