@@ -54,7 +54,7 @@ class TemporalStats:
         eta = np.atleast_1d(np.asarray(self.eta, dtype=float))
         if eta.ndim != 1 or eta.size == 0:
             raise ValueError("eta must be a non-empty vector")
-        if np.any(eta < 0.0) or np.any(eta > 1.0):
+        if not np.all((eta >= 0.0) & (eta <= 1.0)):
             raise ValueError("temporal coefficients must lie in [0, 1]")
         object.__setattr__(self, "eta", eta)
 

@@ -10,11 +10,15 @@ import numpy as np
 from .config import ConfigError, default_config, parse_config
 from .harness import nmse_csv_rows, run_nmse_experiment, run_rate_experiment, run_theory, write_csv
 
+# command -> (help, the experiment's CSV rows from the config; None only validates it)
 _COMMANDS = {
-    "nmse": "Monte-Carlo channel estimation error",
-    "rate": "Monte-Carlo zero-forcing sum rate",
-    "theory": "closed-form NMSE recursion and fixed point",
-    "validate-config": "check a config file and exit",
+    "nmse": (
+        "Monte-Carlo channel estimation error",
+        lambda cfg: nmse_csv_rows(run_nmse_experiment(cfg), cfg),
+    ),
+    "rate": ("Monte-Carlo zero-forcing sum rate", run_rate_experiment),
+    "theory": ("closed-form NMSE recursion and fixed point", run_theory),
+    "validate-config": ("check a config file and exit", None),
 }
 
 
@@ -24,7 +28,7 @@ def _build_parser():
         description="Uplink channel estimation experiments for massive MIMO with one-bit ADCs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in _COMMANDS.items():
+    for name, (help_text, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="experiment config file")
         cmd.add_argument("--seed", type=int, help="override the root seed")
@@ -70,18 +74,13 @@ def main(argv=None):
         _error_line("io", message=str(err))
         return 2
 
-    if args.command == "validate-config":
+    _, rows_of = _COMMANDS[args.command]
+    if rows_of is None:
         print("config ok")
         return 0
 
     try:
-        if args.command == "nmse":
-            rows = nmse_csv_rows(run_nmse_experiment(cfg), cfg)
-        elif args.command == "rate":
-            rows = run_rate_experiment(cfg)
-        else:
-            rows = run_theory(cfg)
-        write_csv(rows, args.out)
+        write_csv(rows_of(cfg), args.out)
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as err:
         _error_line("runtime", message=str(err))
         return 1

@@ -318,11 +318,11 @@ def parse_config(text, base=None, overrides=None):
                 (line_of("user_speeds_kmh"), "user_speeds_kmh", "theory mode needs a common speed")
             )
     if "user_speeds_kmh" in canonical and "f_c" in canonical and "t_slot" in canonical:
-        # The Gauss-Markov model needs eta in [0, 1]; J0 is at most 1 but
-        # turns negative past its first zero.
+        # The Gauss-Markov model needs eta in [0, 1]; J0 is at most 1 but turns
+        # negative past its first zero, and nan where speed * f_c overflows.
         for speed in dict.fromkeys(canonical["user_speeds_kmh"]):
             eta = jakes_coefficient(speed, canonical["f_c"], canonical["t_slot"])
-            if eta < 0.0:
+            if not 0.0 <= eta <= 1.0:
                 issues.append(
                     (
                         line_of("user_speeds_kmh"),

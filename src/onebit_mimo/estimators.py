@@ -11,8 +11,8 @@ block-diagonal correlation the model decouples per user in the pilot-DFT
 domain (see quantization.PerUserModel), and the PerUser estimators run the
 same estimators on the K user bins, as batched M x M problems, with any
 per-user temporal coefficients. They share one protocol: step(obs) returns
-the (K, M) estimate for the slot's user bins, and error_trace is the trace of
-the filtered error covariance, or None for least squares.
+the (K, M) estimate for the slot's user bins. PerUserKalman's error_trace is
+the trace of its filtered error covariance.
 
 The exact-gain tracker for a memoryless channel (eta = 0) is the Bussgang
 LMMSE estimator, so both run as PerUserKalman on one PerUserEigenbasis, the
@@ -201,8 +201,6 @@ class PerUserLs:
     Equal to ls_estimate, since pinv(phi) = phi^H / tau for DFT pilots.
     """
 
-    error_trace = None
-
     def __init__(self, model):
         self._scale = 1.0 / model.gain
 
@@ -299,9 +297,9 @@ class PerUserTpe:
 
     The kfb_step recursion with a truncated polynomial expansion of each
     user's innovation covariance inverse, for per-user coefficients eta (K,).
-    Gives the estimates and error traces of kfb_step with the same gain:
-    the polynomial of the block-diagonal innovation covariance in the DFT
-    domain is the polynomial of each block.
+    Gives the estimates of kfb_step with the same gain: the polynomial of
+    the block-diagonal innovation covariance in the DFT domain is the
+    polynomial of each block.
     """
 
     def __init__(self, prior, model, eta, gain):
@@ -315,11 +313,6 @@ class PerUserTpe:
         self._h = np.zeros(prior.matrix.shape[:-1], dtype=complex)
         self._m = prior.matrix.copy()
         self.slot = 0
-
-    @property
-    def error_trace(self):
-        """trace of the filtered error covariance, summed over the users."""
-        return float(np.real(np.trace(self._m, axis1=-2, axis2=-1)).sum())
 
     def step(self, obs):
         """Predict and correct with the slot's user bins; returns h_hat (K, M)."""

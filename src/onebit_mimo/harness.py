@@ -3,20 +3,18 @@
 Each trial owns independent random streams, so trial t is reproducible in
 isolation and the trial loop is an order-indexed reduction: results would be
 identical under any parallel schedule. The nmse and rate experiments share one
-trial engine, _run_trials, and aggregate through a record callback that
-receives each estimate with the true channel and, for the trackers, the
-trace of the filter's error covariance.
+trial engine, _run_trials, which yields each trial's estimates as one
+(estimators, slots, K, M) array with the true channels and the Kalman
+tracker's error traces. NMSE and zero-forcing sum rates are array reductions
+over a trial, and one mean and standard error over the trials gives the
+rows of both.
 
 The pilots are always dft_pilots and the channel correlation is
-block-diagonal over the users, so the whole trial works on per-user
-M x M blocks and builds no n x n array. The channel generator draws from the
-users' correlations stacked (K, M, M) and keeps the channel as a (K, M)
-stack. Every estimator runs on the exact per-user model of
-quantization.build_per_user_model: each slot's observation is taken once
-into its K user bins, and the estimators work on K batched M x M problems,
-with any per-user temporal coefficients. BLMMSE is the exact-gain tracker
-with eta = 0, so blmmse and kfb share one per-trial
-estimators.PerUserEigenbasis.
+block-diagonal over the users, so the whole trial works on per-user M x M
+blocks and builds no n x n array: the channel is a (K, M) stack, and every
+estimator runs on the exact per-user model of
+quantization.build_per_user_model. BLMMSE is the exact-gain tracker with
+eta = 0, so blmmse and kfb share one per-trial estimators.PerUserEigenbasis.
 """
 
 import sys
@@ -56,7 +54,7 @@ from .quantization import (
 from .channel import aggregate_correlation  # noqa: F401
 from .estimators import blmmse_estimate, kfb_step  # noqa: F401
 from .quantization import build_bussgang_model, quantize_pilot_slot  # noqa: F401
-from .rate import achievable_rates
+from .rate import RankDeficientError, achievable_rates
 from .rng import complex_normal, trial_streams
 from .theory import TheoryParams, alpha_upper_bound, fixed_point_gamma, nmse_recursion
 
@@ -91,11 +89,6 @@ class CsvRow:
     seed: int
 
 
-def _temporal_stats(cfg):
-    eta = np.array([jakes_coefficient(v, cfg.f_c, cfg.t_slot) for v in cfg.speeds()])
-    return TemporalStats(eta)
-
-
 def _learned_correlation(cfg, pilots, corr_true, streams):
     """Receiver-side per-user correlations learned from one-bit LS probes.
 
@@ -123,21 +116,19 @@ def _estimator(name, cfg, stats, prior, model, basis):
     return PerUserTpe(prior, model, stats.eta, TpeGain(cfg.tpe_order, cfg.tpe_alpha))
 
 
-def _run_trials(cfg, snr_db, stats, record):
-    """Shared Monte-Carlo engine.
+def _run_trials(cfg, snr_db, stats):
+    """Shared Monte-Carlo engine: yields (h_hat, h_true, kfb_trace) per trial.
 
-    Calls record(name, trial, slot_index, h_hat, h_true, error_trace) for
-    every estimate, h_hat and h_true as (K, M) stacks; error_trace is the
-    trace of the filtered error covariance for the Kalman-form estimators
-    (blmmse, kfb, tpe) and None for ls. Each
-    trial builds the per-user model, the eigenbasis when blmmse or kfb runs,
-    and one estimator object per configured name; each slot is quantized
-    once and taken into its user bins for all of them. A
-    non-finite estimate raises FloatingPointError naming the estimator,
-    slot, trial and SNR point, so no diverged result is written.
+    h_hat (E, S, K, M) holds the estimates of the E configured estimators at
+    the S slots, h_true (S, K, M) the true channels, and kfb_trace (S,) the
+    trace of the Kalman tracker's filtered error covariance (zeros without
+    kfb). Each trial builds the per-user model, the eigenbasis when blmmse
+    or kfb runs, and one estimator per configured name; each slot is
+    quantized once and taken into its user bins for all of them. A
+    non-finite estimate raises FloatingPointError naming the estimator, slot,
+    trial and SNR point, so no diverged result is written.
     """
-    rho = 10.0 ** (snr_db / 10.0)
-    pilots = dft_pilots(cfg.tau, cfg.K).with_rho(rho)
+    pilots = dft_pilots(cfg.tau, cfg.K).with_rho(10.0 ** (snr_db / 10.0))
     for trial in range(cfg.trials):
         streams = trial_streams(cfg.seed, trial)
         theta = streams.phases.uniform(0.0, 2.0 * np.pi, cfg.K)
@@ -153,29 +144,67 @@ def _run_trials(cfg, snr_db, stats, record):
         estimators = {
             name: _estimator(name, cfg, stats, prior, model, basis) for name in cfg.estimators
         }
+        kfb = estimators.get("kfb")
 
+        h_hat = np.empty((len(estimators), cfg.slots, cfg.K, cfg.M), dtype=complex)
+        h_true = np.empty((cfg.slots, cfg.K, cfg.M), dtype=complex)
+        kfb_trace = np.zeros(cfg.slots)
         chan = init_channel(corr, streams.channel)
         for i in range(cfg.slots):
             chan = evolve_channel(chan, stats, corr, streams.channel)
             r = one_bit_quantize(received_pilot_signal(chan, pilots, streams.pilot_noise))
             obs = model.observe(chan.slot, r)
-            for name, estimator in estimators.items():
-                h_hat = estimator.step(obs)
-                if not np.isfinite(h_hat).all():
-                    raise FloatingPointError(
-                        f"{name} estimate is not finite at slot {i + 1}, trial {trial}, "
-                        f"snr {snr_db} dB"
-                    )
-                record(name, trial, i, h_hat, chan.h, estimator.error_trace)
+            h_true[i] = chan.h
+            for e, estimator in enumerate(estimators.values()):
+                h_hat[e, i] = estimator.step(obs)
+            if kfb is not None:
+                kfb_trace[i] = kfb.error_trace
+        nonfinite = ~np.isfinite(h_hat).all(axis=(-2, -1))
+        if nonfinite.any():
+            raise FloatingPointError(_estimate_error("not finite", nonfinite, cfg, trial, snr_db))
+        yield h_hat, h_true, kfb_trace
 
 
-def _mean_stderr(per_trial):
-    mean = per_trial.mean(axis=0)
-    if per_trial.shape[0] > 1:
-        stderr = per_trial.std(axis=0, ddof=1) / np.sqrt(per_trial.shape[0])
-    else:
-        stderr = np.zeros_like(mean)
-    return mean, stderr
+def _estimate_error(problem, bad, cfg, trial, snr_db):
+    """Message for the earliest slot where bad (E, S) holds, naming its first estimator."""
+    i, e = np.argwhere(bad.T)[0]
+    where = f"slot {i + 1}, trial {trial}, snr {snr_db} dB"
+    return f"{cfg.estimators[e]} estimate is {problem} at {where}"
+
+
+def _nmse(cfg, snr_db, trial, h_hat, h_true, kfb_trace):
+    """Per-trial NMSE (labels, S): each estimator's, and kfb_theory's after kfb."""
+    errors = np.sum(np.abs(h_hat - h_true) ** 2, axis=(-2, -1))
+    if "kfb" in cfg.estimators:
+        errors = np.insert(errors, cfg.estimators.index("kfb") + 1, kfb_trace, axis=0)
+    return errors / (cfg.M * cfg.K)
+
+
+def _sum_rates(cfg, snr_db, trial, h_hat, h_true, kfb_trace):
+    """Per-trial zero-forcing sum rates (E, S); the data phase has the pilots' SNR."""
+    h_est = np.swapaxes(h_hat, -1, -2)
+    h_true = np.broadcast_to(np.swapaxes(h_true, -1, -2), h_est.shape)
+    try:
+        return achievable_rates(h_true, h_est, 10.0 ** (snr_db / 10.0)).sum_rate
+    except RankDeficientError as err:
+        message = _estimate_error("rank deficient", err.deficient, cfg, trial, snr_db)
+        raise ValueError(message) from err
+
+
+def _trial_means(cfg, metric):
+    """Yields (snr_db, mean, stderr) over the trials of each SNR point.
+
+    metric(cfg, snr_db, trial, h_hat, h_true, kfb_trace) maps one trial of
+    _run_trials to a (labels, S) array; mean and stderr are (labels, S).
+    """
+    stats = TemporalStats([jakes_coefficient(v, cfg.f_c, cfg.t_slot) for v in cfg.speeds()])
+    for snr_db in cfg.snr_db:
+        trials = enumerate(_run_trials(cfg, snr_db, stats))
+        per_trial = np.array([metric(cfg, snr_db, trial, *out) for trial, out in trials])
+        stderr = np.zeros(per_trial.shape[1:])
+        if len(per_trial) > 1:
+            stderr = per_trial.std(axis=0, ddof=1) / np.sqrt(len(per_trial))
+        yield float(snr_db), per_trial.mean(axis=0), stderr
 
 
 def run_nmse_experiment(cfg):
@@ -184,50 +213,34 @@ def run_nmse_experiment(cfg):
     The Kalman tracker additionally emits its covariance-trace curve under
     the kfb_theory label.
     """
-    stats = _temporal_stats(cfg)
-    names = []
-    for name in cfg.estimators:
-        names.append(name)
-        if name == "kfb":
-            names.append(KFB_THEORY)
-    denom = cfg.M * cfg.K
-    series = []
-    for snr_db in cfg.snr_db:
-        errors = {name: np.zeros((cfg.trials, cfg.slots)) for name in names}
-
-        def record(name, trial, i, h_hat, h_true, error_trace):
-            errors[name][trial, i] = np.linalg.norm(h_hat - h_true) ** 2 / denom
-            if name == "kfb":
-                errors[KFB_THEORY][trial, i] = error_trace / denom
-
-        _run_trials(cfg, snr_db, stats, record)
-        for name in names:
-            mean, stderr = _mean_stderr(errors[name])
-            for i in range(cfg.slots):
-                series.append(
-                    NmseSeries(
-                        estimator=name,
-                        slot=i + 1,
-                        snr_db=float(snr_db),
-                        nmse_linear=float(mean[i]),
-                        nmse_db=float(10.0 * np.log10(mean[i])),
-                        stderr=float(stderr[i]),
-                    )
-                )
-    return series
+    labels = list(cfg.estimators)
+    if "kfb" in labels:
+        labels.insert(labels.index("kfb") + 1, KFB_THEORY)
+    return [
+        NmseSeries(
+            estimator=name,
+            slot=i + 1,
+            snr_db=snr_db,
+            nmse_linear=float(mean[e, i]),
+            nmse_db=float(10.0 * np.log10(mean[e, i])),
+            stderr=float(stderr[e, i]),
+        )
+        for snr_db, mean, stderr in _trial_means(cfg, _nmse)
+        for e, name in enumerate(labels)
+        for i in range(cfg.slots)
+    ]
 
 
 def nmse_csv_rows(series, cfg):
     """Long-format rows: a linear and a dB entry per series point."""
     rows = []
     for s in series:
-        rows.append(
-            CsvRow("nmse", s.estimator, s.slot, s.snr_db, "nmse", s.nmse_linear, s.stderr, cfg.seed)
-        )
         db_stderr = (10.0 / np.log(10.0)) * s.stderr / s.nmse_linear if s.nmse_linear > 0 else 0.0
-        rows.append(
-            CsvRow("nmse", s.estimator, s.slot, s.snr_db, "nmse_db", s.nmse_db, db_stderr, cfg.seed)
-        )
+        point = ("nmse", s.estimator, s.slot, s.snr_db)
+        rows += [
+            CsvRow(*point, "nmse", s.nmse_linear, s.stderr, cfg.seed),
+            CsvRow(*point, "nmse_db", s.nmse_db, db_stderr, cfg.seed),
+        ]
     return rows
 
 
@@ -236,26 +249,15 @@ def run_rate_experiment(cfg):
 
     Pilot and data phases share the configured SNR point.
     """
-    stats = _temporal_stats(cfg)
-    rows = []
-    for snr_db in cfg.snr_db:
-        rho_d = 10.0 ** (snr_db / 10.0)
-        sums = {name: np.zeros((cfg.trials, cfg.slots)) for name in cfg.estimators}
-
-        def record(name, trial, i, h_hat, h_true, error_trace):
-            sums[name][trial, i] = achievable_rates(h_true.T, h_hat.T, rho_d).sum_rate
-
-        _run_trials(cfg, snr_db, stats, record)
-        for name in cfg.estimators:
-            mean, stderr = _mean_stderr(sums[name])
-            for i in range(cfg.slots):
-                rows.append(
-                    CsvRow(
-                        "rate", name, i + 1, float(snr_db), "sum_rate",
-                        float(mean[i]), float(stderr[i]), cfg.seed,
-                    )
-                )
-    return rows
+    return [
+        CsvRow(
+            "rate", name, i + 1, snr_db, "sum_rate",
+            float(mean[e, i]), float(stderr[e, i]), cfg.seed,
+        )
+        for snr_db, mean, stderr in _trial_means(cfg, _sum_rates)
+        for e, name in enumerate(cfg.estimators)
+        for i in range(cfg.slots)
+    ]
 
 
 def run_theory(cfg):
@@ -263,25 +265,17 @@ def run_theory(cfg):
     eta = jakes_coefficient(cfg.speeds()[0], cfg.f_c, cfg.t_slot)
     rows = []
     for snr_db in cfg.snr_db:
-        rho = 10.0 ** (snr_db / 10.0)
-        params = TheoryParams(K=cfg.K, rho=rho, eta=eta, alpha=cfg.tpe_alpha)
+        params = TheoryParams(K=cfg.K, rho=10.0 ** (snr_db / 10.0), eta=eta, alpha=cfg.tpe_alpha)
         m_pred, m_filt = nmse_recursion(params, cfg.slots)
-        gamma = fixed_point_gamma(params)
-        rows.append(CsvRow("theory", "tpe", 0, float(snr_db), "gamma", float(gamma), 0.0, cfg.seed))
+        points = [(0, "gamma", fixed_point_gamma(params))]
         for i in range(cfg.slots):
-            slot = i + 1
-            rows.append(
-                CsvRow("theory", "tpe", slot, float(snr_db), "m_pred", float(m_pred[i]), 0.0, cfg.seed)
-            )
-            rows.append(
-                CsvRow("theory", "tpe", slot, float(snr_db), "m_filt", float(m_filt[i]), 0.0, cfg.seed)
-            )
-            rows.append(
-                CsvRow(
-                    "theory", "tpe", slot, float(snr_db), "alpha_bound",
-                    float(alpha_upper_bound(params.beta, m_pred[i])), 0.0, cfg.seed,
-                )
-            )
+            points.append((i + 1, "m_pred", m_pred[i]))
+            points.append((i + 1, "m_filt", m_filt[i]))
+            points.append((i + 1, "alpha_bound", alpha_upper_bound(params.beta, m_pred[i])))
+        rows += [
+            CsvRow("theory", "tpe", slot, float(snr_db), metric, float(value), 0.0, cfg.seed)
+            for slot, metric, value in points
+        ]
     return rows
 
 

@@ -106,6 +106,8 @@ class TestTemporalStats:
             TemporalStats(np.array([1.1]))
         with pytest.raises(ValueError):
             TemporalStats(np.array([-0.2]))
+        with pytest.raises(ValueError):
+            TemporalStats(np.array([0.5, np.nan]))
 
 
 class TestJakes:

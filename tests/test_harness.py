@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from numpy.testing import assert_allclose
 from onebit_mimo import (
     CSV_HEADER,
     KFB_THEORY,
+    PerUserLs,
     TemporalStats,
     aggregate_correlation,
     build_bussgang_model,
@@ -289,12 +291,12 @@ class TestCli:
         assert '"error": "config"' in err
         assert '"line": 1' in err
 
-    @pytest.mark.parametrize("speed,code", [(40, 2), (96, 0), (1e6, 0), (1e12, 0), (1e300, 0)])
+    @pytest.mark.parametrize("speed,code", [(40, 2), (96, 0), (1e6, 0), (1e12, 0), (1e300, 2)])
     def test_validate_config_speed_verdict(self, tmp_path, capsys, speed, code):
-        """Past J0's first zero and far out: only a negative coefficient is rejected.
+        """Past J0's first zero and far out: a coefficient outside [0, 1] is rejected.
 
         1e300 km/h overflows the Doppler product to inf; its coefficient is
-        nan, which the check lets through.
+        nan, which is rejected too.
         """
         cfg = tmp_path / "speed.cfg"
         cfg.write_text(f"M = 2\nK = 1\ntau = 1\nuser_speeds_kmh = {speed!r}\n", encoding="utf-8")
@@ -341,14 +343,36 @@ class TestCli:
         assert "tpe estimate is not finite at slot" in err
         assert "trial 0" in err
 
+    def test_rank_deficient_estimate_exits_with_error(self, tmp_path, capsys, monkeypatch):
+        """A rate run whose ls estimate collapses at slot 2: exit 1, no CSV, and where."""
+        step = PerUserLs.step
+
+        def collapsed_at_slot_2(self, obs):
+            h_hat = step(self, obs)
+            return np.ones_like(h_hat) if obs.slot == 2 else h_hat
+
+        monkeypatch.setattr(PerUserLs, "step", collapsed_at_slot_2)
+        cfg = tmp_path / "rate.cfg"
+        cfg.write_text(
+            "M = 8\nK = 2\ntau = 2\nslots = 3\nestimators = [blmmse, ls]\nsnr_db = [0, 10]\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.csv"
+        code = main(["rate", "--config", str(cfg), "--trials", "2", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert '"error": "runtime"' in err
+        assert "ls estimate is rank deficient at slot 2, trial 0, snr 0.0 dB" in err
+
     def test_command_is_required(self):
         with pytest.raises(SystemExit):
             main([])
 
 
-def load_benchmark_check():
-    path = REPO / "perfbench" / "check.py"
-    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+def load_benchmark_module(name):
+    path = REPO / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -369,10 +393,35 @@ BENCHMARK_RUNS = {
 @pytest.mark.parametrize("workload", sorted(BENCHMARK_RUNS))
 def test_cli_output_matches_benchmark_reference(workload, tmp_path):
     """The benchmark's output contract: within 1e-9 relative of the stored CSV."""
-    check = load_benchmark_check()
+    check = load_benchmark_module("check")
     out = tmp_path / "out.csv"
     code = main([*BENCHMARK_RUNS[workload], "--seed", "0", "--out", str(out)])
     csv_text = out.read_text(encoding="utf-8") if out.exists() else None
     reference_path = REPO / "perfbench" / "reference" / workload / "seed0.csv"
     reference = reference_path.read_text(encoding="utf-8")
     assert check.check_run(code, csv_text, reference) == []
+
+
+def test_benchmark_trace_mode_runs(tmp_path):
+    """The benchmark's traced child finds every harness name it wraps, in trial order."""
+    cfg = tmp_path / "rate.cfg"
+    cfg.write_text(
+        "M = 8\nK = 2\ntau = 2\nslots = 2\nsnr_db = [0, 10]\n"
+        "estimators = [ls, blmmse, kfb, tpe]\ncorrelation_knowledge = sampled(40)\n",
+        encoding="utf-8",
+    )
+    report = tmp_path / "report.json"
+    command = [
+        sys.executable, "perfbench/child.py", str(report), "trace", "--",
+        "rate", "--config", str(cfg), "--trials", "3", "--out", str(tmp_path / "out.csv"),
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), env.get("PYTHONPATH", "")])
+    done = subprocess.run(command, cwd=REPO, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(report.read_text(encoding="utf-8"))
+    assert {"rate.achievable_rates", "channel.init_channel"} <= {s[0] for s in traced["spans"]}
+    # layer_metrics pairs each trial's trial_streams span with its init_channel span.
+    metrics = load_benchmark_module("tracing").layer_metrics([traced])
+    assert metrics["rate.achievable_rates.calls"][0] == 3 * 2
+    assert metrics["channel.init_channel.calls"][0] == 3 * 2

@@ -2,12 +2,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from onebit_mimo import RateBreakdown, achievable_rates, data_bussgang_gain, zf_combiner
+from onebit_mimo import (
+    RateBreakdown,
+    achievable_rates,
+    data_bussgang_gain,
+    default_config,
+    parse_config,
+    run_rate_experiment,
+    zf_combiner,
+)
+from onebit_mimo import harness
+from onebit_mimo.rate import RankDeficientError
 
 
-def random_channel(rng, n_antennas, n_users):
-    return (rng.standard_normal((n_antennas, n_users))
-            + 1j * rng.standard_normal((n_antennas, n_users))) / np.sqrt(2.0)
+def random_channel(rng, n_antennas, n_users, stack=()):
+    shape = (*stack, n_antennas, n_users)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
 class TestDataGain:
@@ -95,3 +105,46 @@ class TestAchievableRates:
         h = np.ones((4, 1), dtype=complex) + 1j
         with pytest.raises(ValueError):
             achievable_rates(h, h, -1.0)
+
+    def test_stack_matches_per_matrix_calls(self):
+        """An (E, S, M, K) stack gives each member's per-matrix breakdown."""
+        rng = np.random.default_rng(5)
+        h_true = random_channel(rng, 16, 4, stack=(3, 5))
+        h_est = h_true + 0.3 * random_channel(rng, 16, 4, stack=(3, 5))
+        out = achievable_rates(h_true, h_est, 2.0)
+        assert out.sum_rate.shape == (3, 5) and out.per_user.shape == (3, 5, 4)
+        for index in np.ndindex(3, 5):
+            single = achievable_rates(h_true[index], h_est[index], 2.0)
+            for field in ("signal", "interference", "noise", "per_user", "sum_rate"):
+                assert_allclose(
+                    getattr(out, field)[index], getattr(single, field), rtol=1e-14, atol=1e-14
+                )
+
+    def test_stack_with_one_rank_deficient_member_rejected(self):
+        rng = np.random.default_rng(6)
+        h = random_channel(rng, 8, 2, stack=(2, 3))
+        h[1, 2] = 1.0
+        with pytest.raises(RankDeficientError) as caught:
+            zf_combiner(h)
+        expected = np.zeros((2, 3), dtype=bool)
+        expected[1, 2] = True
+        assert np.array_equal(caught.value.deficient, expected)
+        with pytest.raises(ValueError):
+            achievable_rates(h, h, 1.0)
+
+    def test_rate_run_calls_once_per_trial_and_snr_point(self, monkeypatch):
+        """Each trial's (estimators, slots) stack goes through one call per SNR point."""
+        shapes = []
+
+        def counting(h_true, h_est, rho_d):
+            shapes.append(h_est.shape)
+            return achievable_rates(h_true, h_est, rho_d)
+
+        monkeypatch.setattr(harness, "achievable_rates", counting)
+        cfg = parse_config(
+            "M = 8\nK = 2\ntau = 2\nslots = 3\ntrials = 5\nmode = rate\n"
+            "snr_db = [0, 10]\nestimators = [blmmse, kfb]\n",
+            base=default_config(),
+        )
+        run_rate_experiment(cfg)
+        assert shapes == [(2, 3, 8, 2)] * (5 * 2)
