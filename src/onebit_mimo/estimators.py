@@ -38,9 +38,13 @@ class ExactGain:
 class TpeGain:
     """Kalman gain using a truncated polynomial expansion of the inverse.
 
-    order is the highest retained power; alpha scales the expansion and must
-    stay below 2 / lambda_max of the innovation covariance for the series to
-    converge.
+    order is the highest retained power L and alpha scales the expansion.
+    At an eigenvalue s of the innovation covariance the expansion is
+    (1 - (1 - alpha s)^(L + 1)) / s. It lies in [0, 1/s], so that the update
+    neither raises the error covariance nor takes it below the exact
+    posterior, exactly when alpha s <= 2 for odd L and alpha s <= 1 for
+    even L. PerUserTpe holds alpha to that limit once per trial; kfb_step
+    takes it as given.
     """
 
     order: int = 1
@@ -300,18 +304,39 @@ class PerUserTpe:
     Gives the estimates of kfb_step with the same gain: the polynomial of
     the block-diagonal innovation covariance in the DFT domain is the
     polynomial of each block.
+
+    The scale is bounded once per trial. While 0 <= M <= R, user k's
+    innovation covariance C_n_eff,k + D M_pred D is at most
+    C_r,k = C_n_eff,k + D R_k D, so lambda_max, the largest eigenvalue of
+    the C_r,k over the users, bounds every slot. If alpha lambda_max is
+    within TpeGain's limit for the order (2 for odd, 1 for even), the
+    expansion stays in [0, S^{-1}] and the filtered covariance between 0 and
+    R at every slot. Above it the trial runs with
+    alpha = 0.75 limit / lambda_max and raises a RuntimeWarning whose text
+    does not depend on the trial, so that the default filter shows it once.
+    M_filt (K, M, M) is the filtered error covariance.
     """
 
     def __init__(self, prior, model, eta, gain):
         self._corr = prior.matrix
         self._noise = model.C_n_eff
-        self._d = model.gain * model.a
+        self._d = d = model.gain * model.a
+        lam_max = np.linalg.eigvalsh(self._noise + d[:, None] * prior.matrix * d).max()
+        limit = 2.0 if gain.order % 2 else 1.0
+        self._alpha, self._order = gain.alpha, gain.order
+        if gain.alpha * lam_max > limit:
+            self._alpha = 0.75 * limit / lam_max
+            warnings.warn(
+                f"tpe.alpha = {gain.alpha} is above {limit:g} / lambda_max(C_r) for order"
+                f" {gain.order}; such trials use alpha = {0.75 * limit:g} / lambda_max(C_r)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         eta = np.asarray(eta, dtype=float)[:, None]
         self._eta = eta
         self._eta2 = eta[..., None] ** 2
-        self._gain = gain
         self._h = np.zeros(prior.matrix.shape[:-1], dtype=complex)
-        self._m = prior.matrix.copy()
+        self.M_filt = prior.matrix.copy()
         self.slot = 0
 
     def step(self, obs):
@@ -319,15 +344,15 @@ class PerUserTpe:
         _check_slot(obs, self.slot)
         d = self._d
         h_pred = self._eta * self._h
-        m_pred = self._eta2 * self._m + (1.0 - self._eta2) * self._corr
+        m_pred = self._eta2 * self.M_filt + (1.0 - self._eta2) * self._corr
         cross = d[:, None] * m_pred
         innov_cov = self._noise + cross * d
         innov_cov = 0.5 * (innov_cov + _adjoint(innov_cov))
         # M_pred is Hermitian, so cross^H = M_pred D.
-        gain_mat = (m_pred * d) @ tpe_inverse(innov_cov, self._gain.alpha, self._gain.order)
+        gain_mat = (m_pred * d) @ tpe_inverse(innov_cov, self._alpha, self._order)
         h_new = h_pred + _matvec(gain_mat, obs.r - d * h_pred)
         m_new = m_pred - gain_mat @ cross
-        self._h, self._m, self.slot = h_new, 0.5 * (m_new + _adjoint(m_new)), obs.slot
+        self._h, self.M_filt, self.slot = h_new, 0.5 * (m_new + _adjoint(m_new)), obs.slot
         return h_new
 
 
@@ -335,21 +360,14 @@ def tpe_inverse(matrix, alpha, order):
     """Truncated polynomial approximation alpha * sum_l (I - alpha X)^l.
 
     X is one matrix or a stack of them (..., n, n), each expanded on its
-    own. Evaluated in Horner form with order+1 terms. Convergence to the
-    true inverse needs 0 < alpha < 2 / lambda_max(X), over every matrix of a
-    stack; a violation, or a non-finite entry, only warns, since the filter
-    remains runnable with a suboptimal scale.
+    own. Evaluated in Horner form with order+1 terms. At an eigenvalue s of
+    X the result is (1 - (1 - alpha s)^(order+1)) / s, which tends to 1/s
+    for 0 < alpha s < 2; TpeGain gives the limits that keep it in [0, 1/s].
+    alpha is taken as given: PerUserTpe bounds it once per trial.
     """
     if order < 0:
         raise ValueError("expansion order must be non-negative")
     matrix = np.asarray(matrix)
-    lam = _largest_eigenvalue_estimate(matrix)
-    if lam > 0 and not 0.0 < alpha < 2.0 / lam:
-        warnings.warn(
-            f"expansion scale {alpha} outside the convergence range (0, {2.0 / lam:.4g})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     eye = np.eye(matrix.shape[-1])
     residual = eye - alpha * matrix
     # Horner starts at I + residual, which saves the product with I.
@@ -357,26 +375,3 @@ def tpe_inverse(matrix, alpha, order):
     for _ in range(order - 1):
         total = eye + residual @ total
     return alpha * total
-
-
-def _largest_eigenvalue_estimate(matrix, iterations=12):
-    """Power-iteration estimate of lambda_max of a matrix or of a stack of them.
-
-    A (..., n, n) stack is iterated as the block-diagonal matrix it stands
-    for, with one norm over all blocks, so the estimate is the largest over
-    the stack. O(n^2) per block and iteration, in line with the expansion's
-    own complexity budget. A non-finite entry, or an iteration that
-    overflows, gives inf, so that the caller's range check fails.
-    """
-    v = np.full(matrix.shape[:-1] + (1,), 1.0 / np.sqrt(np.prod(matrix.shape[:-1])), dtype=complex)
-    estimate = 0.0
-    # The start vector has no zero entry, so a non-finite entry of the
-    # matrix makes the first product, and so the estimate, non-finite.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(iterations):
-            w = matrix @ v
-            estimate = np.sqrt(np.vdot(w, w).real)
-            if not 0.0 < estimate < np.inf:
-                break
-            v = w / estimate
-    return float(estimate) if np.isfinite(estimate) else np.inf

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,15 +21,21 @@ from onebit_mimo import (
     build_bussgang_model,
     build_eigenbasis,
     build_per_user_model,
+    default_config,
     dft_pilots,
     evolve_channel,
     exponential_correlation,
     init_channel,
+    jakes_coefficient,
     kfb_init,
     kfb_step,
     ls_estimate,
     nmse_recursion,
+    one_bit_quantize,
+    parse_config,
     quantize_pilot_slot,
+    received_pilot_signal,
+    run_nmse_experiment,
     sample_correlation,
     stack_correlation,
     tpe_inverse,
@@ -430,19 +437,6 @@ class TestTpeInverse:
         with pytest.raises(ValueError):
             tpe_inverse(np.eye(2), 0.5, -1)
 
-    def test_out_of_range_scale_warns_but_runs(self):
-        with pytest.warns(RuntimeWarning):
-            out = tpe_inverse(np.eye(2), 2.5, 1)
-        assert np.all(np.isfinite(out))
-        with pytest.warns(RuntimeWarning):
-            tpe_inverse(np.eye(2), -0.1, 1)
-
-    def test_non_finite_entry_warns(self):
-        x = np.eye(3)
-        x[1, 2] = np.inf
-        with pytest.warns(RuntimeWarning, match="convergence range"):
-            tpe_inverse(x, 0.5, 1)
-
     def test_stack_matches_each_matrix(self):
         rng = np.random.default_rng(13)
         g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
@@ -453,10 +447,72 @@ class TestTpeInverse:
             for k in range(3):
                 assert_allclose(batched[k], tpe_inverse(stack[k], 0.4, order), atol=1e-14)
 
-    def test_stack_range_check_covers_every_matrix(self):
-        """alpha = 0.6 converges for lambda_max 1 but not for 4 (needs alpha < 0.5)."""
-        with pytest.warns(RuntimeWarning, match="convergence range"):
-            tpe_inverse(np.stack([np.eye(2), 4.0 * np.eye(2)]), 0.6, 1)
+
+def c_r_lambda_max(scene):
+    """Largest eigenvalue over the users of C_r,k = D R_k D + C_n_eff,k."""
+    per_user = scene["per_user"]
+    d = np.diag(per_user.gain * per_user.a)
+    blocks = zip(scene["prior"].matrix, per_user.C_n_eff)
+    return max(np.linalg.eigvalsh(d @ r @ d + c).max() for r, c in blocks)
+
+
+class TestTpeScaleBound:
+    """PerUserTpe holds alpha within TpeGain's limit, once per trial."""
+
+    @pytest.mark.parametrize("excess", [0.99, 1.01])
+    @pytest.mark.parametrize("order,limit", [(1, 2.0), (2, 1.0)])
+    def test_alpha_clamped_only_above_limit(self, order, limit, excess):
+        """Above the limit the tracker runs kfb_step's recursion with 0.75 limit / lambda_max."""
+        scene = per_user_scene("tau_above_users")
+        lam_max = c_r_lambda_max(scene)
+        alpha = excess * limit / lam_max
+        clamped = excess > 1.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tracker = PerUserTpe(
+                scene["prior"], scene["per_user"], scene["stats"].eta, TpeGain(order, alpha)
+            )
+        assert [w.category for w in caught] == [RuntimeWarning] * clamped
+        assert all(f"tpe.alpha = {alpha} " in str(w.message) for w in caught)
+        reference = TpeGain(order, 0.75 * limit / lam_max if clamped else alpha)
+        state = kfb_init(scene["corr_est"], scene["stats"])
+        for obs, user_obs in per_user_slots(scene):
+            state = kfb_step(state, obs, reference)
+            assert_close_norm(tracker.step(user_obs), state.h_hat)
+
+    def test_clamp_warns_once_per_run(self):
+        """Every trial clamps, with one warning text, so the default filter shows it once."""
+        cfg = parse_config(
+            "M = 4\nK = 2\ntau = 2\nslots = 2\ntrials = 6\nsnr_db = [10]\n"
+            "estimators = [tpe]\ntpe.alpha = 1.9\n",
+            base=default_config(),
+        )
+        for action, count in (("always", cfg.trials), ("default", 1)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter(action)
+                run_nmse_experiment(cfg)
+            assert [w.category for w in caught] == [RuntimeWarning] * count
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_filtered_covariance_stays_between_zero_and_prior(self, order):
+        """Fast-profile scene (M = 32, K = 8, r = 0.8, -5 dB, alpha = 0.5): 0 <= M <= R."""
+        cfg = default_config()
+        rng = np.random.default_rng(order)
+        theta = rng.uniform(0.0, 2.0 * np.pi, cfg.K)
+        prior = stack_correlation([exponential_correlation(cfg.M, cfg.r_spatial, t) for t in theta])
+        pilots = dft_pilots(cfg.tau, cfg.K).with_rho(10.0 ** (cfg.snr_db[0] / 10.0))
+        model = build_per_user_model(pilots, prior)
+        eta = jakes_coefficient(cfg.user_speeds_kmh[0], cfg.f_c, cfg.t_slot)
+        stats = TemporalStats(np.full(cfg.K, eta))
+        with pytest.warns(RuntimeWarning, match="tpe.alpha"):
+            tracker = PerUserTpe(prior, model, stats.eta, TpeGain(order, cfg.tpe_alpha))
+        chan = init_channel(prior, rng)
+        for _ in range(cfg.slots):
+            chan = evolve_channel(chan, stats, prior, rng)
+            r = one_bit_quantize(received_pilot_signal(chan, pilots, rng))
+            tracker.step(model.observe(chan.slot, r))
+            assert np.linalg.eigvalsh(tracker.M_filt).min() >= -1e-10
+            assert np.linalg.eigvalsh(prior.matrix - tracker.M_filt).min() >= -1e-10
 
 
 def test_blmmse_single_shot_error_floor():

@@ -1,8 +1,10 @@
+import csv
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from onebit_mimo import (
     CSV_HEADER,
     KFB_THEORY,
     PerUserLs,
+    PerUserTpe,
     TemporalStats,
     aggregate_correlation,
     build_bussgang_model,
@@ -329,19 +332,45 @@ class TestCli:
         assert main(["nmse", "--config", str(tmp_path / "absent.cfg")]) == 2
         assert '"error": "io"' in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_diverged_estimate_exits_with_error(self, tmp_path, capsys):
-        """TPE diverges on the fast profile (r = 0.8): exit 1, no CSV."""
+    def test_diverged_estimate_exits_with_error(self, tmp_path, capsys, monkeypatch):
+        """A run whose tpe estimate turns nan from slot 3: exit 1, no CSV, and where."""
+        step = PerUserTpe.step
+
+        def diverged_from_slot_3(self, obs):
+            h_hat = step(self, obs)
+            return np.full_like(h_hat, np.nan) if obs.slot >= 3 else h_hat
+
+        monkeypatch.setattr(PerUserTpe, "step", diverged_from_slot_3)
         cfg = tmp_path / "tpe.cfg"
-        cfg.write_text("estimators = [blmmse, kfb, tpe]\n", encoding="utf-8")
+        # alpha = 0.4 is within the fast profile's bound, so no clamp warning.
+        cfg.write_text("estimators = [blmmse, kfb, tpe]\ntpe.alpha = 0.4\n", encoding="utf-8")
         out = tmp_path / "out.csv"
         code = main(["nmse", "--config", str(cfg), "--trials", "2", "--out", str(out)])
         assert code == 1
         assert not out.exists()
         err = capsys.readouterr().err
         assert '"error": "runtime"' in err
-        assert "tpe estimate is not finite at slot" in err
+        assert "tpe estimate is not finite at slot 3" in err
         assert "trial 0" in err
+
+    def test_tpe_tracks_kfb_on_fast_profile(self, tmp_path):
+        """The fast profile's tpe.alpha = 0.5 is clamped per trial: one warning, TPE near kfb."""
+        cfg = tmp_path / "tpe.cfg"
+        cfg.write_text("estimators = [kfb, tpe]\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            code = main(["nmse", "--config", str(cfg), "--trials", "100", "--out", str(out)])
+        assert code == 0
+        assert [w.category for w in caught] == [RuntimeWarning]
+        with out.open(encoding="utf-8") as handle:
+            last = {
+                row["estimator"]: row
+                for row in csv.DictReader(handle)
+                if row["metric"] == "nmse_db" and row["slot"] == "10"
+            }
+        assert all(float(last[name]["stderr"]) < 0.1 for name in ("kfb", "tpe"))
+        assert abs(float(last["tpe"]["value"]) - float(last["kfb"]["value"])) < 0.5
 
     def test_rank_deficient_estimate_exits_with_error(self, tmp_path, capsys, monkeypatch):
         """A rate run whose ls estimate collapses at slot 2: exit 1, no CSV, and where."""
