@@ -72,30 +72,37 @@ class ChannelState:
 
 
 def psd_sqrt(matrix):
-    """Factor S with S @ S^H = matrix for a Hermitian PSD matrix.
+    """Factor S with S @ S^H = matrix for a Hermitian PSD matrix or a stack (..., M, M).
 
-    Uses Cholesky when the matrix is comfortably positive definite and falls
+    Uses Cholesky where a matrix is comfortably positive definite and falls
     back to an eigendecomposition with negative eigenvalues clamped to zero,
-    which tolerates the rank-deficient limit.
+    which tolerates the rank-deficient limit. Each matrix of a stack takes
+    its own route, so its factor does not depend on the others.
     """
     matrix = np.asarray(matrix)
-    w = np.linalg.eigvalsh(matrix)
-    if w[0] > _CHOLESKY_FLOOR:
+    definite = np.linalg.eigvalsh(matrix)[..., 0] > _CHOLESKY_FLOOR
+    if definite.all():
         return np.linalg.cholesky(matrix)
     w, u = np.linalg.eigh(matrix)
-    return u * np.sqrt(np.clip(w, 0.0, None))
+    factor = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    if definite.any():
+        factor[definite] = np.linalg.cholesky(matrix[definite])
+    return factor
 
 
 def spatial_correlation(matrix):
-    """Wrap a correlation matrix together with its square-root factor."""
+    """Wrap a correlation matrix, or a stack (..., M, M), together with its square-root factor."""
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError("correlation matrix must be square")
     return SpatialCorrelation(matrix=matrix, sqrt_factor=psd_sqrt(matrix))
 
 
 def exponential_correlation(n_antennas, magnitude, phase):
     """Exponential correlation matrix for one user, with its Cholesky factor.
+
+    An array of phases, one per user, gives the users' matrices and factors
+    stacked along its axes, (*phase.shape, M, M).
 
     Entry (m, n) above the diagonal is c^(n-m) for c = magnitude * e^{j*phase},
     the conjugate below, ones on the diagonal: Hermitian Toeplitz and positive
@@ -108,13 +115,15 @@ def exponential_correlation(n_antennas, magnitude, phase):
         raise ValueError("need at least one antenna")
     if not 0.0 <= magnitude < 1.0:
         raise ValueError("correlation magnitude must lie in [0, 1)")
-    powers = (magnitude * np.exp(1j * phase)) ** np.arange(n_antennas)
+    c = magnitude * np.exp(1j * np.asarray(phase))
+    powers = c[..., None] ** np.arange(n_antennas)
     # Lags -(M-1) .. M-1 at index lag + M - 1; entry (m, n) has lag n - m.
-    by_lag = np.concatenate((powers[:0:-1].conj(), powers))
+    by_lag = np.concatenate((powers[..., :0:-1].conj(), powers), axis=-1)
     antennas = np.arange(n_antennas)
-    matrix = by_lag[antennas + (n_antennas - 1) - antennas[:, None]]
+    # np.take keeps a stack C-ordered, so each block's products match a single matrix's.
+    matrix = np.take(by_lag, antennas + (n_antennas - 1) - antennas[:, None], axis=-1)
     factor = np.tril(matrix)
-    factor[:, 1:] *= np.sqrt(1.0 - magnitude**2)
+    factor[..., 1:] *= np.sqrt(1.0 - magnitude**2)
     return SpatialCorrelation(matrix=matrix, sqrt_factor=factor)
 
 
@@ -204,12 +213,13 @@ def jakes_coefficient(speed_kmh, carrier_hz, slot_seconds):
 
 
 def apply_sqrt_factor(corr, g):
-    """S g for draws g of the n = K M channel entries, (n,) or (n, p), block by block.
+    """S g for draws g of the n channel entries, (n,) or (n, p), block by block.
 
-    corr is a stack of K per-user blocks (stack_correlation) or a dense
-    n x n correlation, which counts as a stack of one block. The result is
-    (K, M) + g.shape[1:] for a stack and g.shape for a dense correlation.
-    Raises ValueError when K M differs from n.
+    corr is a stack of per-user blocks, (K, M, M) (stack_correlation) or
+    (T, K, M, M) over T trials with n = T K M, or a dense n x n correlation,
+    which counts as a stack of one block. The result is factor.shape[:-1] +
+    g.shape[1:]: (K, M) + g.shape[1:] for a stack of users and g.shape for a
+    dense correlation. Raises ValueError when the blocks' rows differ from n.
     """
     factor = corr.sqrt_factor
     blocks = factor.reshape((-1,) + factor.shape[-2:])
@@ -227,17 +237,27 @@ def init_channel(corr, rng):
 
 
 def evolve_channel(state, stats, corr, rng):
-    """Advance the channel by one slot under the Gauss-Markov model.
+    """Advance the channel by one slot, drawing its unit normals from rng.
+
+    The result has the shape init_channel gives for corr; see advance_channel.
+    """
+    return advance_channel(state, stats, corr, complex_normal(rng, state.h.size))
+
+
+def advance_channel(state, stats, corr, g):
+    """Advance the channel by one slot under the Gauss-Markov model, with normals g.
 
     h_i = eta h_{i-1} + zeta S g_i with user k's eta_k and zeta_k applied to
-    its antenna block. The marginal distribution of every slot stays
-    CN(0, R). The result has the shape init_channel gives for corr.
+    its antenna block, for g of h.size unit normals. The marginal
+    distribution of every slot stays CN(0, R). The channel and the
+    correlation stack may carry a leading trial axis, (T, K, M) with
+    (T, K, M, M).
     """
-    n = state.h.size
     n_users = stats.eta.size
-    if n % n_users != 0:
+    if state.h.size % n_users != 0:
         raise ValueError("channel length is not a multiple of the user count")
-    innovation = apply_sqrt_factor(corr, complex_normal(rng, n))
-    h = stats.eta[:, None] * state.h.reshape(n_users, -1)
-    h += stats.zeta[:, None] * innovation.reshape(n_users, -1)
-    return ChannelState(slot=state.slot + 1, h=h.reshape(innovation.shape))
+    h = state.h if state.h.ndim > 1 else state.h.reshape(n_users, -1)
+    innovation = apply_sqrt_factor(corr, np.reshape(g, -1)).reshape(h.shape)
+    h = stats.eta[:, None] * h
+    h += stats.zeta[:, None] * innovation
+    return ChannelState(slot=state.slot + 1, h=h.reshape(state.h.shape))

@@ -18,6 +18,11 @@ The exact-gain tracker for a memoryless channel (eta = 0) is the Bussgang
 LMMSE estimator, so both run as PerUserKalman on one PerUserEigenbasis, the
 per-trial factorization of the whitened measurement information, which does
 not depend on eta.
+
+Every PerUser estimator also runs T independent trials at once: given a
+model of T trials (quantization.build_per_user_model on (T, K, M, M)
+correlations), its step takes and returns (T, K, M) stacks, and each
+trial's numbers are those of its own estimator.
 """
 
 import warnings
@@ -71,12 +76,8 @@ def ls_estimate(obs, pilots):
     quantizer; useful as a cheap statistics probe rather than a final
     estimate.
     """
-    sv = np.linalg.svd(pilots.phi, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
-        raise ValueError("pilot matrix is rank deficient")
-    pinv_phi = np.linalg.pinv(pilots.phi, rcond=1e-10)
     # pinv(Phi (x) sqrt(rho) I) = pinv(Phi) (x) I / sqrt(rho).
-    return kron_apply(pinv_phi, obs.r) / np.sqrt(pilots.rho)
+    return kron_apply(pilots.pinv, obs.r) / np.sqrt(pilots.rho)
 
 
 def sample_correlation(samples, normalize_diagonal=True):
@@ -85,22 +86,24 @@ def sample_correlation(samples, normalize_diagonal=True):
     Averages h h^H over the rows of samples, symmetrizes, clamps negative
     eigenvalues to zero, and by default rescales the diagonal back to one
     (one-bit front ends shrink the apparent power, so the raw scale is off).
-    Diagonal entries at numerical zero are left untouched.
+    Diagonal entries at numerical zero are left untouched. samples is
+    (count, M), or a stack (..., count, M) that gives a stack of
+    correlations, each from its own samples alone.
     """
     samples = np.asarray(samples, dtype=complex)
-    if samples.ndim != 2 or samples.shape[0] == 0:
-        raise ValueError("need a non-empty 2-D array of samples")
-    n = samples.shape[0]
-    est = samples.T @ samples.conj() / n
-    est = 0.5 * (est + est.conj().T)
+    if samples.ndim < 2 or samples.shape[-2] == 0:
+        raise ValueError("need a non-empty array of samples, (..., count, M)")
+    est = np.swapaxes(samples, -1, -2) @ samples.conj() / samples.shape[-2]
+    est = 0.5 * (est + _adjoint(est))
     w, u = np.linalg.eigh(est)
-    if w[0] < 0.0:
-        est = (u * np.clip(w, 0.0, None)) @ u.conj().T
-        est = 0.5 * (est + est.conj().T)
+    clamp = w[..., 0] < 0.0
+    if clamp.any():
+        clamped = (u * np.clip(w, 0.0, None)[..., None, :]) @ _adjoint(u)
+        est = np.where(clamp[..., None, None], 0.5 * (clamped + _adjoint(clamped)), est)
     if normalize_diagonal:
-        d = np.real(np.diag(est))
+        d = np.real(np.diagonal(est, axis1=-2, axis2=-1))
         scale = np.where(d > 1e-12, 1.0 / np.sqrt(np.where(d > 1e-12, d, 1.0)), 1.0)
-        est = scale[:, None] * est * scale[None, :]
+        est = scale[..., :, None] * est * scale[..., None, :]
     return spatial_correlation(est)
 
 
@@ -194,6 +197,11 @@ def _matvec(stack, vectors):
     return (stack @ vectors[..., None])[..., 0]
 
 
+def _gain_row(model):
+    """The diagonal of D = gain diag(a), shaped (..., 1, M) to broadcast over (..., K, M)."""
+    return (model.gain * model.a)[..., None, :]
+
+
 def _check_slot(obs, slot):
     if obs.slot != slot + 1:
         raise ValueError(f"observation slot {obs.slot} does not follow tracker slot {slot}")
@@ -221,7 +229,8 @@ class PerUserEigenbasis:
     J = (L^{-1} B)^H L^{-1} B = U diag(lam) U^H: lam (K, M), the measurement
     map G = U^H B^H C_n_eff^{-1} (K, M, M), the basis S U (K, M, M) and its
     squared column norms (K, M). None of it depends on eta, so one basis
-    serves every exact-gain tracker of a trial.
+    serves every exact-gain tracker of a trial. A basis of T trials at once
+    has a leading trial axis on each.
     """
 
     lam: np.ndarray
@@ -244,7 +253,7 @@ def build_eigenbasis(prior, model):
             "effective noise covariance C_n_eff is not positive definite"
         ) from exc
     inv_chol = np.linalg.inv(chol)
-    whitened = inv_chol @ ((model.gain * model.a)[:, None] * prior.sqrt_factor)
+    whitened = inv_chol @ (_gain_row(model)[..., None] * prior.sqrt_factor)
     lam, u = np.linalg.eigh(_adjoint(whitened) @ whitened)
     su = prior.sqrt_factor @ u
     return PerUserEigenbasis(
@@ -280,8 +289,8 @@ class PerUserKalman:
 
     @property
     def error_trace(self):
-        """trace of the filtered error covariance, sum_k,j p_kj ||(S_k U_k) e_j||^2."""
-        return float(np.sum(self._p * self._basis.col_norms))
+        """trace of the filtered error covariance, sum_k,j p_kj ||(S_k U_k) e_j||^2, per trial."""
+        return np.sum(self._p * self._basis.col_norms, axis=(-2, -1))
 
     def step(self, obs):
         """Predict and correct with the slot's user bins; returns h_hat (K, M)."""
@@ -314,18 +323,22 @@ class PerUserTpe:
     R at every slot. Above it the trial runs with
     alpha = 0.75 limit / lambda_max and raises a RuntimeWarning whose text
     does not depend on the trial, so that the default filter shows it once.
-    M_filt (K, M, M) is the filtered error covariance.
+    Over T trials at once each trial has its own lambda_max and alpha, and
+    each clamped trial raises the warning. M_filt (..., K, M, M) is the
+    filtered error covariance.
     """
 
     def __init__(self, prior, model, eta, gain):
         self._corr = prior.matrix
         self._noise = model.C_n_eff
-        self._d = d = model.gain * model.a
-        lam_max = np.linalg.eigvalsh(self._noise + d[:, None] * prior.matrix * d).max()
+        self._d = _gain_row(model)
+        d_col, d_row = self._d[..., None], self._d[..., None, :]
+        lam_max = np.linalg.eigvalsh(self._noise + d_col * prior.matrix * d_row).max(axis=(-2, -1))
         limit = 2.0 if gain.order % 2 else 1.0
-        self._alpha, self._order = gain.alpha, gain.order
-        if gain.alpha * lam_max > limit:
-            self._alpha = 0.75 * limit / lam_max
+        clamped = gain.alpha * lam_max > limit
+        alpha = np.where(clamped, 0.75 * limit / lam_max, gain.alpha)
+        self._alpha, self._order = alpha[..., None, None, None], gain.order
+        for _ in range(np.count_nonzero(clamped)):
             warnings.warn(
                 f"tpe.alpha = {gain.alpha} is above {limit:g} / lambda_max(C_r) for order"
                 f" {gain.order}; such trials use alpha = {0.75 * limit:g} / lambda_max(C_r)",
@@ -343,13 +356,14 @@ class PerUserTpe:
         """Predict and correct with the slot's user bins; returns h_hat (K, M)."""
         _check_slot(obs, self.slot)
         d = self._d
+        d_col, d_row = d[..., None], d[..., None, :]
         h_pred = self._eta * self._h
         m_pred = self._eta2 * self.M_filt + (1.0 - self._eta2) * self._corr
-        cross = d[:, None] * m_pred
-        innov_cov = self._noise + cross * d
+        cross = d_col * m_pred
+        innov_cov = self._noise + cross * d_row
         innov_cov = 0.5 * (innov_cov + _adjoint(innov_cov))
         # M_pred is Hermitian, so cross^H = M_pred D.
-        gain_mat = (m_pred * d) @ tpe_inverse(innov_cov, self._alpha, self._order)
+        gain_mat = (m_pred * d_row) @ tpe_inverse(innov_cov, self._alpha, self._order)
         h_new = h_pred + _matvec(gain_mat, obs.r - d * h_pred)
         m_new = m_pred - gain_mat @ cross
         self._h, self.M_filt, self.slot = h_new, 0.5 * (m_new + _adjoint(m_new)), obs.slot
@@ -360,7 +374,8 @@ def tpe_inverse(matrix, alpha, order):
     """Truncated polynomial approximation alpha * sum_l (I - alpha X)^l.
 
     X is one matrix or a stack of them (..., n, n), each expanded on its
-    own. Evaluated in Horner form with order+1 terms. At an eigenvalue s of
+    own; alpha is a scalar or broadcasts against the stack. Evaluated in
+    Horner form with order+1 terms. At an eigenvalue s of
     X the result is (1 - (1 - alpha s)^(order+1)) / s, which tends to 1/s
     for 0 < alpha s < 2; TpeGain gives the limits that keep it in [0, 1/s].
     alpha is taken as given: PerUserTpe bounds it once per trial.

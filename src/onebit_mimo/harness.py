@@ -15,6 +15,16 @@ blocks and builds no n x n array: the channel is a (K, M) stack, and every
 estimator runs on the exact per-user model of
 quantization.build_per_user_model. BLMMSE is the exact-gain tracker with
 eta = 0, so blmmse and kfb share one per-trial estimators.PerUserEigenbasis.
+
+The engine runs the trials in chunks of T, sized so that a (T, K, M, M)
+complex stack stays within _CHUNK_BYTES. Every per-trial array gains a
+leading trial axis: per chunk, one call each builds the learned
+correlations, the per-user models, the eigenbasis and the estimators, and
+each slot is simulated, quantized and estimated once for all T trials. Each
+trial still draws from its own streams, every slot up front, in the order
+the one-trial loop drew them. Each trial's numbers come from per-matrix
+LAPACK calls and per-block products of the same shapes at any T, so the
+CSV does not depend on the chunk size, byte for byte.
 """
 
 import sys
@@ -24,13 +34,14 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (
+    ChannelState,
+    SpatialCorrelation,
     TemporalStats,
+    advance_channel,
     apply_sqrt_factor,
-    evolve_channel,
     exponential_correlation,
     init_channel,
     jakes_coefficient,
-    stack_correlation,
 )
 from .estimators import (
     PerUserKalman,
@@ -46,16 +57,15 @@ from .quantization import (
     build_per_user_model,
     dft_pilots,
     one_bit_quantize,
-    received_pilot_signal,
+    pilot_signal,
 )
-# The trial loop no longer calls these dense-model functions, but
-# perfbench/tracing.py wraps them by their names in this module, so they stay
-# bound here.
-from .channel import aggregate_correlation  # noqa: F401
+# The trial loop no longer calls these functions, but perfbench/tracing.py
+# wraps them by their names in this module, so they stay bound here.
+from .channel import aggregate_correlation, evolve_channel  # noqa: F401
 from .estimators import blmmse_estimate, kfb_step  # noqa: F401
 from .quantization import build_bussgang_model, quantize_pilot_slot  # noqa: F401
 from .rate import RankDeficientError, achievable_rates
-from .rng import complex_normal, trial_streams
+from .rng import complex_normal, complex_normal_sequence, trial_streams
 from .theory import TheoryParams, alpha_upper_bound, fixed_point_gamma, nmse_recursion
 
 CSV_HEADER = "experiment,estimator,slot,snr_db,metric,value,stderr,seed"
@@ -89,21 +99,36 @@ class CsvRow:
     seed: int
 
 
-def _learned_correlation(cfg, pilots, corr_true, streams):
-    """Receiver-side per-user correlations learned from one-bit LS probes.
+# Working-set budget of a chunk's (T, K, M, M) complex stacks: 4 trials at
+# M = 16, K = 4, and one trial from M = 32, K = 8 up. The bytes of a run do
+# not depend on it; it trades per-call overhead against peak memory.
+_CHUNK_BYTES = 64 * 1024
 
-    Draws stationary channels from the true per-user stack corr_true, runs
-    them through the quantized front end, and builds per-user sample
-    correlations from the LS estimates. The true correlation stays with the
-    channel generator only.
+
+def _chunk_size(cfg):
+    return max(1, _CHUNK_BYTES // (16 * cfg.K * cfg.M**2))
+
+
+def _stack(arrays, axis=0):
+    """np.stack, without a copy for a single array."""
+    return np.expand_dims(arrays[0], axis) if len(arrays) == 1 else np.stack(arrays, axis)
+
+
+def _correlation_probes(cfg, pilots, corr_true, streams):
+    """One trial's one-bit LS probes of stationary channels, (K, M, count).
+
+    Draws the channels from the true per-user stack corr_true and runs them
+    through the quantized front end. The learned correlations are the
+    per-user sample correlations of these probes; the true correlation
+    stays with the channel generator only.
     """
     count = cfg.sample_count
     g = complex_normal(streams.channel, (cfg.M * cfg.K, count))
     h_all = apply_sqrt_factor(corr_true, g).reshape(g.shape)
     noise = complex_normal(streams.pilot_noise, (cfg.M * cfg.tau, count))
     quantized = one_bit_quantize(pilots.apply(h_all) + noise)
-    probes = ls_estimate(QuantizedObservation(slot=0, r=quantized), pilots).T
-    return [sample_correlation(probes[:, k * cfg.M : (k + 1) * cfg.M]) for k in range(cfg.K)]
+    probes = ls_estimate(QuantizedObservation(slot=0, r=quantized), pilots)
+    return probes.reshape(cfg.K, cfg.M, count)
 
 
 def _estimator(name, cfg, stats, prior, model, basis):
@@ -117,52 +142,84 @@ def _estimator(name, cfg, stats, prior, model, basis):
 
 
 def _run_trials(cfg, snr_db, stats):
-    """Shared Monte-Carlo engine: yields (h_hat, h_true, kfb_trace) per trial.
+    """Shared Monte-Carlo engine: yields (h_hat, h_true, kfb_trace) per trial, in order.
 
     h_hat (E, S, K, M) holds the estimates of the E configured estimators at
     the S slots, h_true (S, K, M) the true channels, and kfb_trace (S,) the
     trace of the Kalman tracker's filtered error covariance (zeros without
-    kfb). Each trial builds the per-user model, the eigenbasis when blmmse
-    or kfb runs, and one estimator per configured name; each slot is
-    quantized once and taken into its user bins for all of them. A
-    non-finite estimate raises FloatingPointError naming the estimator, slot,
-    trial and SNR point, so no diverged result is written.
+    kfb). The trials run in chunks (_run_chunk). A non-finite estimate
+    raises FloatingPointError naming the estimator, slot, trial and SNR
+    point, so no diverged result is written; the trials before it are
+    yielded first, as a one-trial loop would.
     """
     pilots = dft_pilots(cfg.tau, cfg.K).with_rho(10.0 ** (snr_db / 10.0))
-    for trial in range(cfg.trials):
+    size = _chunk_size(cfg)
+    for first in range(0, cfg.trials, size):
+        trials = range(first, min(first + size, cfg.trials))
+        h_hat, h_true, kfb_trace = _run_chunk(cfg, pilots, stats, trials)
+        for t, trial in enumerate(trials):
+            nonfinite = ~np.isfinite(h_hat[t]).all(axis=(-2, -1))
+            if nonfinite.any():
+                raise FloatingPointError(
+                    _estimate_error("not finite", nonfinite, cfg, trial, snr_db)
+                )
+            yield h_hat[t], h_true[t], kfb_trace[t]
+
+
+def _run_chunk(cfg, pilots, stats, trials):
+    """Runs the T trials of a chunk together: h_hat (T, E, S, K, M), h_true, kfb_trace.
+
+    Each trial first takes its streams, its correlation, its learned-
+    correlation probes and its slot-0 channel, then draws the normals of all
+    its slots; trial_streams and init_channel run once per trial, in trial
+    order. The chunk then builds the per-user model, the eigenbasis when
+    blmmse or kfb runs, and one estimator per configured name over the
+    (T, K, M, M) stacks; each slot is simulated, quantized and taken into its
+    user bins once for all of them.
+    """
+    probes = None
+    if cfg.sample_count is not None:
+        probes = np.empty((len(trials), cfg.K, cfg.M, cfg.sample_count), dtype=complex)
+    users, h0, g, noise = [], [], [], []
+    for t, trial in enumerate(trials):
         streams = trial_streams(cfg.seed, trial)
         theta = streams.phases.uniform(0.0, 2.0 * np.pi, cfg.K)
-        users = [exponential_correlation(cfg.M, cfg.r_spatial, th) for th in theta]
-        corr = stack_correlation(users)
-        prior = corr
-        if cfg.sample_count is not None:
-            prior = stack_correlation(_learned_correlation(cfg, pilots, corr, streams))
-        model = build_per_user_model(pilots, prior)
-        basis = None
-        if "blmmse" in cfg.estimators or "kfb" in cfg.estimators:
-            basis = build_eigenbasis(prior, model)
-        estimators = {
-            name: _estimator(name, cfg, stats, prior, model, basis) for name in cfg.estimators
-        }
-        kfb = estimators.get("kfb")
+        users.append(exponential_correlation(cfg.M, cfg.r_spatial, theta))
+        if probes is not None:
+            probes[t] = _correlation_probes(cfg, pilots, users[-1], streams)
+        h0.append(init_channel(users[-1], streams.channel).h)
+        g.append(complex_normal_sequence(streams.channel, cfg.slots, cfg.M * cfg.K))
+        noise.append(complex_normal_sequence(streams.pilot_noise, cfg.slots, cfg.M * cfg.tau))
+    corr = SpatialCorrelation(
+        matrix=_stack([u.matrix for u in users]),
+        sqrt_factor=_stack([u.sqrt_factor for u in users]),
+    )
+    # (T, K, count, M): each user's samples in rows, as sample_correlation takes them.
+    prior = corr if probes is None else sample_correlation(np.swapaxes(probes, -1, -2))
+    model = build_per_user_model(pilots, prior)
+    basis = None
+    if "blmmse" in cfg.estimators or "kfb" in cfg.estimators:
+        basis = build_eigenbasis(prior, model)
+    estimators = [_estimator(name, cfg, stats, prior, model, basis) for name in cfg.estimators]
+    kfb = estimators[cfg.estimators.index("kfb")] if "kfb" in cfg.estimators else None
 
-        h_hat = np.empty((len(estimators), cfg.slots, cfg.K, cfg.M), dtype=complex)
-        h_true = np.empty((cfg.slots, cfg.K, cfg.M), dtype=complex)
-        kfb_trace = np.zeros(cfg.slots)
-        chan = init_channel(corr, streams.channel)
-        for i in range(cfg.slots):
-            chan = evolve_channel(chan, stats, corr, streams.channel)
-            r = one_bit_quantize(received_pilot_signal(chan, pilots, streams.pilot_noise))
-            obs = model.observe(chan.slot, r)
-            h_true[i] = chan.h
-            for e, estimator in enumerate(estimators.values()):
-                h_hat[e, i] = estimator.step(obs)
-            if kfb is not None:
-                kfb_trace[i] = kfb.error_trace
-        nonfinite = ~np.isfinite(h_hat).all(axis=(-2, -1))
-        if nonfinite.any():
-            raise FloatingPointError(_estimate_error("not finite", nonfinite, cfg, trial, snr_db))
-        yield h_hat, h_true, kfb_trace
+    # Slot-major draws, so that slot i's are one contiguous (T, n) block.
+    g, noise = _stack(g, axis=1), _stack(noise, axis=1)
+    shape = (len(trials), cfg.slots, cfg.K, cfg.M)
+    h_hat = np.empty((shape[0], len(estimators)) + shape[1:], dtype=complex)
+    h_true = np.empty(shape, dtype=complex)
+    kfb_trace = np.zeros(shape[:2])
+    chan = ChannelState(slot=0, h=_stack(h0))
+    for i in range(cfg.slots):
+        chan = advance_channel(chan, stats, corr, g[i])
+        r = one_bit_quantize(pilot_signal(chan.h, pilots, noise[i]))
+        obs = model.observe(chan.slot, r)
+        h_true[:, i] = chan.h
+        for e, estimator in enumerate(estimators):
+            h_hat[:, e, i] = estimator.step(obs)
+        if kfb is not None:
+            kfb_trace[:, i] = kfb.error_trace
+    return h_hat, h_true, kfb_trace
 
 
 def _estimate_error(problem, bad, cfg, trial, snr_db):

@@ -19,6 +19,7 @@ bin of C_r is D R_k D + C_n_eff,k for D = sqrt(tau rho) diag(a)).
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,14 @@ class PilotMatrix:
         if self.rho is None:
             raise ValueError("pilot power not set, call with_rho first")
         return np.sqrt(self.rho) * self.phi
+
+    @cached_property
+    def pinv(self):
+        """pinv(phi), computed once per pilot block; ValueError if phi is rank deficient."""
+        sv = np.linalg.svd(self.phi, compute_uv=False)
+        if sv[-1] <= 1e-10 * sv[0]:
+            raise ValueError("pilot matrix is rank deficient")
+        return np.linalg.pinv(self.phi, rcond=1e-10)
 
     def phi_bar(self, n_antennas):
         """Dense Phi_bar = phi kron sqrt(rho) I_M, mapping the stacked channel to vec(Y).
@@ -154,7 +163,16 @@ def one_bit_quantize(y):
 def received_pilot_signal(state, pilots, rng):
     """Analog pilot observation y = Phi_bar h + n, for an (n,) or a (K, M) channel."""
     n_antennas = state.h.size // pilots.K
-    return pilots.apply(state.h.reshape(-1)) + complex_normal(rng, n_antennas * pilots.tau)
+    return pilot_signal(state.h, pilots, complex_normal(rng, n_antennas * pilots.tau))
+
+
+def pilot_signal(h, pilots, noise):
+    """Phi_bar h + noise for an (n,) or (K, M) channel and noise (tau M,).
+
+    T trials at once take a (T, K, M) channel and (T, tau M) noise.
+    """
+    h = np.reshape(h, noise.shape[:-1] + (pilots.K, -1))
+    return (pilots._scaled_phi() @ h).reshape(noise.shape) + noise
 
 
 def arcsin_covariance(c_y):
@@ -171,9 +189,14 @@ def arcsin_covariance(c_y):
     return out
 
 
+def _outer(d):
+    """outer(d, d) for a vector d, or for each row of a stack of them."""
+    return d[..., :, None] * d[..., None, :]
+
+
 def _arcsine_law(c_y, d):
     """(2/pi)(arcsin X + j arcsin Y) for c_y or a stack of blocks normalized by outer(d, d)."""
-    scale = np.outer(d, d)
+    scale = _outer(d)
     x = np.clip(np.real(c_y) / scale, -1.0, 1.0)
     y = np.clip(np.imag(c_y) / scale, -1.0, 1.0)
     return (2.0 / np.pi) * (np.arcsin(x) + 1j * np.arcsin(y))
@@ -221,7 +244,8 @@ class PerUserModel:
     r_k = gain diag(a) h_k + n_k, with gain = sqrt(tau rho) and a the
     per-antenna Bussgang gain; C_n_eff stacks the K per-user covariances of
     n_k, (K, M, M). The bins beyond K carry noise alone, uncorrelated with
-    the user bins, and are dropped.
+    the user bins, and are dropped. A model of T trials at once has a
+    (T, M) and C_n_eff (T, K, M, M), and observes (T, K, M) bins.
     """
 
     bin_map: np.ndarray
@@ -230,17 +254,18 @@ class PerUserModel:
     C_n_eff: np.ndarray
 
     def observe(self, slot, r):
-        """A stacked one-bit observation (tau M,), as a (K, M) observation of the user bins."""
-        bins = kron_apply(self.bin_map, r).reshape(self.bin_map.shape[0], -1)
+        """A stacked one-bit observation (..., tau M), as a (..., K, M) observation of the user bins."""
+        bins = self.bin_map @ r.reshape(r.shape[:-1] + (self.bin_map.shape[1], -1))
         return QuantizedObservation(slot=slot, r=bins)
 
 
 def build_per_user_model(pilots, prior):
     """Per-user model for DFT pilots and per-user correlations stacked (K, M, M).
 
-    prior is a SpatialCorrelation whose matrix stacks R_1 .. R_K. Only the
-    tau lag blocks of the analog covariance are formed, B_l = block (l, 0)
-    of C_y = rho sum_k phi[l, k] R_k + delta_l0 I, then their arcsine and
+    prior is a SpatialCorrelation whose matrix stacks R_1 .. R_K, or the
+    stacks of T trials, (T, K, M, M), for a model of each. Only the tau lag
+    blocks of the analog covariance are formed, B_l = block (l, 0) of
+    C_y = rho sum_k phi[l, k] R_k + delta_l0 I, then their arcsine and
     effective-noise blocks, and from the effective-noise lag blocks X_l the
     user bins sum_l conj(phi[l, k]) X_l. No n x n matrix is built. Raises
     ValueError for pilots other than dft_pilots, where the model does not
@@ -250,20 +275,23 @@ def build_per_user_model(pilots, prior):
     if not np.allclose(pilots.phi, dft_pilots(tau, n_users).phi, rtol=0.0, atol=1e-12):
         raise ValueError("the per-user model needs DFT pilots")
     scaled = pilots._scaled_phi()
+    lead = prior.matrix.shape[:-3]
     n_antennas = prior.matrix.shape[-1]
-    first_column = (scaled[0].conj()[:, None, None] * prior.matrix).reshape(-1, n_antennas)
-    c_y = kron_apply(scaled, first_column).reshape(tau, n_antennas, n_antennas)
-    c_y[0][np.diag_indices(n_antennas)] += 1.0
-    d = np.sqrt(np.real(np.diag(c_y[0])))
+    blocks = (tau, n_antennas, n_antennas)
+    diagonal = (..., 0, *np.diag_indices(n_antennas))
+    first_column = scaled[0].conj()[:, None, None] * prior.matrix
+    c_y = (scaled @ first_column.reshape(lead + (n_users, -1))).reshape(lead + blocks)
+    c_y[diagonal] += 1.0
+    d = np.sqrt(np.real(c_y[diagonal]))
     a = np.sqrt(2.0 / np.pi) / d
-    c_r = _arcsine_law(c_y, d)
-    np.fill_diagonal(c_r[0], 1.0)
-    c_n_eff = c_r - np.outer(a, a) * c_y
-    c_n_eff[0][np.diag_indices(n_antennas)] += a**2
-    bins = kron_apply(pilots.phi.conj().T, c_n_eff.reshape(-1, n_antennas))
+    c_r = _arcsine_law(c_y, d[..., None, :])
+    c_r[diagonal] = 1.0
+    c_n_eff = c_r - _outer(a)[..., None, :, :] * c_y
+    c_n_eff[diagonal] += a**2
+    bins = pilots.phi.conj().T @ c_n_eff.reshape(lead + (tau, -1))
     return PerUserModel(
         bin_map=pilots.phi.conj().T / np.sqrt(tau),
         a=a,
         gain=float(np.sqrt(tau * pilots.rho)),
-        C_n_eff=bins.reshape(n_users, n_antennas, n_antennas),
+        C_n_eff=bins.reshape(lead + (n_users, n_antennas, n_antennas)),
     )

@@ -43,4 +43,15 @@ def complex_normal(rng, size):
 
     Real and imaginary parts each carry variance 1/2 so E|x|^2 = 1.
     """
-    return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2.0)
+    return complex_normal_sequence(rng, 1, size)[0]
+
+
+def complex_normal_sequence(rng, count, size):
+    """count successive complex_normal(rng, size) draws in one call, (count, *size).
+
+    The generator fills the real parts of a draw, then its imaginary parts,
+    in order, so one standard_normal call over (count, 2, *size) gives the
+    same bits as count calls of complex_normal.
+    """
+    parts = rng.standard_normal((count, 2, *np.atleast_1d(size)))
+    return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)

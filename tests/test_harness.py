@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -116,16 +117,21 @@ class TestNmseExperiment:
 
     @pytest.mark.parametrize("estimators,builds", [("[blmmse, kfb]", 4), ("[ls, tpe]", 0)])
     def test_one_eigenbasis_per_trial(self, monkeypatch, estimators, builds):
-        """blmmse and kfb share one eigenbasis per trial; ls and tpe need none."""
-        calls = []
+        """blmmse and kfb share one eigenbasis per trial; ls and tpe need none.
+
+        A build covers the trials of a chunk, its leading axis, so the count
+        is of trials covered: it would double if blmmse and kfb each built
+        their own basis.
+        """
+        covered = []
 
         def counting(prior, model):
-            calls.append(model)
+            covered.append(prior.matrix.shape[0])
             return build_eigenbasis(prior, model)
 
         monkeypatch.setattr(harness, "build_eigenbasis", counting)
         run_nmse_experiment(tiny_nmse_config(estimators=estimators))
-        assert len(calls) == builds
+        assert sum(covered) == builds
 
     def test_trial_loop_builds_no_dense_correlation(self, monkeypatch):
         """Known and learned correlation both run on per-user stacks alone."""
@@ -188,6 +194,114 @@ class TestNmseExperiment:
         for name, expected in (("kfb", nmse), (KFB_THEORY, ideal)):
             rows = sorted((s.slot, s.nmse_linear) for s in series if s.estimator == name)
             assert_allclose([v for _, v in rows], expected.mean(axis=0), rtol=1e-12)
+
+
+def chunk_trials(monkeypatch, cfg, size):
+    """Make the engine run size trials per chunk for cfg."""
+    monkeypatch.setattr(harness, "_CHUNK_BYTES", size * 16 * cfg.K * cfg.M**2)
+
+
+class TestChunkedEngine:
+    """The trial-batched engine: bytes independent of the chunk size, errors by trial."""
+
+    NMSE = dict(
+        M=4, K=2, tau=2, slots=3, trials=16, snr_db="[0]", user_speeds_kmh="[3, 30]",
+        estimators="[ls, blmmse, kfb, tpe]", correlation_knowledge="sampled(40)",
+        **{"tpe.alpha": 1.38},
+    )
+    RATE = dict(NMSE, M=8, mode="rate", snr_db="[0, 10]", **{"tpe.alpha": 1.09})
+
+    def csv_text(self, cfg, path):
+        if cfg.mode == "rate":
+            return write_csv(run_rate_experiment(cfg), path)
+        return write_csv(nmse_csv_rows(run_nmse_experiment(cfg), cfg), path)
+
+    @pytest.mark.parametrize("mode", ["nmse", "rate"])
+    def test_csv_bytes_do_not_depend_on_chunk_size(self, monkeypatch, tmp_path, mode):
+        """Chunks of 1, 7 and all trials write the same CSV text."""
+        cfg = tiny_config(**(self.NMSE if mode == "nmse" else self.RATE))
+        texts = []
+        for size in (1, 7, cfg.trials):
+            chunk_trials(monkeypatch, cfg, size)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                texts.append(self.csv_text(cfg, tmp_path / f"{size}.csv"))
+            # tpe.alpha clamps some trials but not all.
+            assert 0 < len(caught) < cfg.trials * len(cfg.snr_db)
+        assert texts[1] == texts[0] and texts[2] == texts[0]
+
+    def inject(self, monkeypatch, cls, value, first_slot):
+        """cls's estimates at trial t of the chunk become value from slot first_slot[t]."""
+        step = cls.step
+
+        def injected(self, obs):
+            h_hat = step(self, obs).copy()
+            for trial, slot in first_slot.items():
+                if obs.slot >= slot:
+                    h_hat[trial] = value
+            return h_hat
+
+        monkeypatch.setattr(cls, "step", injected)
+
+    @pytest.mark.parametrize(
+        "first_slot,where", [({5: 2}, "slot 2, trial 5"), ({5: 3, 6: 1}, "slot 3, trial 5")]
+    )
+    def test_non_finite_estimate_names_its_trial(self, monkeypatch, first_slot, where):
+        """Trial 5 of a 7-trial chunk; with two, the lower trial, as a one-trial loop."""
+        cfg = tiny_config(M=4, K=2, tau=2, slots=3, trials=7, estimators="[blmmse, kfb, tpe]")
+        chunk_trials(monkeypatch, cfg, 7)
+        self.inject(monkeypatch, PerUserTpe, np.nan, first_slot)
+        with pytest.raises(FloatingPointError, match=f"tpe estimate is not finite at {where},"):
+            run_nmse_experiment(cfg)
+
+    @pytest.mark.parametrize(
+        "first_slot,where", [({5: 2}, "slot 2, trial 5"), ({5: 3, 6: 1}, "slot 3, trial 5")]
+    )
+    def test_rank_deficient_estimate_names_its_trial(self, monkeypatch, first_slot, where):
+        cfg = tiny_config(
+            M=16, K=2, tau=2, slots=3, trials=7, mode="rate", snr_db="[0, 10]",
+            estimators="[blmmse, ls]",
+        )
+        chunk_trials(monkeypatch, cfg, 7)
+        self.inject(monkeypatch, PerUserLs, 1.0, first_slot)
+        with pytest.raises(ValueError, match=f"ls estimate is rank deficient at {where}, snr 0.0"):
+            run_rate_experiment(cfg)
+
+    def test_learned_correlation_probe_inverts_pilots_once_per_snr_point(self, monkeypatch):
+        calls = []
+        pinv = np.linalg.pinv
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return pinv(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", counting)
+        cfg = tiny_config(**{**self.NMSE, "snr_db": "[0, 10]", "estimators": "[ls]"})
+        run_nmse_experiment(cfg)
+        assert len(calls) == 2
+
+    def test_default_chunk_adds_little_peak_memory(self, monkeypatch):
+        """small_sweep_rate's shape: default chunks of 4 trials against one at a time.
+
+        peak_rss_mb is a gated benchmark metric; a budget that raises the
+        traced peak by 1.5 MB or more fails here first.
+        """
+        cfg = parse_config(
+            (REPO / "perfbench" / "small_sweep_rate.cfg").read_text(encoding="utf-8"),
+            base=default_config(mode="rate"),
+            overrides={"trials": 8, "snr_db": [5]},
+        )
+        assert harness._chunk_size(cfg) == 4
+        peaks = []
+        for budget in (harness._CHUNK_BYTES, 0):
+            monkeypatch.setattr(harness, "_CHUNK_BYTES", budget)
+            tracemalloc.start()
+            try:
+                run_rate_experiment(cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] - peaks[1] < 1.5e6
 
 
 class TestCsvRows:
