@@ -17,7 +17,6 @@ from .channel import (
     init_channel,
     jakes_coefficient,
     psd_sqrt,
-    spatial_correlation,
     stack_correlation,
 )
 from .config import (

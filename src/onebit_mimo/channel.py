@@ -77,7 +77,8 @@ def psd_sqrt(matrix):
     Uses Cholesky where a matrix is comfortably positive definite and falls
     back to an eigendecomposition with negative eigenvalues clamped to zero,
     which tolerates the rank-deficient limit. Each matrix of a stack takes
-    its own route, so its factor does not depend on the others.
+    its own route, so its factor does not depend on the others. Tests only:
+    exponential_correlation and sample_correlation give a run's factors.
     """
     matrix = np.asarray(matrix)
     definite = np.linalg.eigvalsh(matrix)[..., 0] > _CHOLESKY_FLOOR
@@ -88,14 +89,6 @@ def psd_sqrt(matrix):
     if definite.any():
         factor[definite] = np.linalg.cholesky(matrix[definite])
     return factor
-
-
-def spatial_correlation(matrix):
-    """Wrap a correlation matrix, or a stack (..., M, M), together with its square-root factor."""
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
-        raise ValueError("correlation matrix must be square")
-    return SpatialCorrelation(matrix=matrix, sqrt_factor=psd_sqrt(matrix))
 
 
 def exponential_correlation(n_antennas, magnitude, phase):

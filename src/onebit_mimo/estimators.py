@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SpatialCorrelation, spatial_correlation
+from .channel import SpatialCorrelation
 from .linalg import kron_apply, solve_lower
 
 
@@ -73,21 +73,26 @@ def ls_estimate(obs, pilots):
     obs.r is one stacked observation (tau M,) or a block of them, one per
     column (tau M, count); the estimates come back in the same layout. Works
     on the quantized observation directly, so the scale is biased by the
-    quantizer; useful as a cheap statistics probe rather than a final
-    estimate.
+    quantizer. A dense reference: the harness's learned-correlation probe
+    takes the same LS on the user bins.
     """
+    sv = np.linalg.svd(pilots.phi, compute_uv=False)
+    if sv[-1] <= 1e-10 * sv[0]:
+        raise ValueError("pilot matrix is rank deficient")
+    pinv_phi = np.linalg.pinv(pilots.phi, rcond=1e-10)
     # pinv(Phi (x) sqrt(rho) I) = pinv(Phi) (x) I / sqrt(rho).
-    return kron_apply(pilots.pinv, obs.r) / np.sqrt(pilots.rho)
+    return kron_apply(pinv_phi, obs.r) / np.sqrt(pilots.rho)
 
 
-def sample_correlation(samples, normalize_diagonal=True):
+def sample_correlation(samples):
     """Spatial correlation estimated from per-user channel samples.
 
     Averages h h^H over the rows of samples, symmetrizes, clamps negative
-    eigenvalues to zero, and by default rescales the diagonal back to one
-    (one-bit front ends shrink the apparent power, so the raw scale is off).
-    Diagonal entries at numerical zero are left untouched. samples is
-    (count, M), or a stack (..., count, M) that gives a stack of
+    eigenvalues to zero, and rescales the diagonal back to one (one-bit
+    front ends shrink the apparent power, so the raw scale is off).
+    Diagonal entries at numerical zero are left untouched. The factor is
+    S = diag(scale) U diag(sqrt(max(w, 0))) from the same eigh, U diag(w) U^H.
+    samples is (count, M), or a stack (..., count, M) that gives a stack of
     correlations, each from its own samples alone.
     """
     samples = np.asarray(samples, dtype=complex)
@@ -97,14 +102,14 @@ def sample_correlation(samples, normalize_diagonal=True):
     est = 0.5 * (est + _adjoint(est))
     w, u = np.linalg.eigh(est)
     clamp = w[..., 0] < 0.0
+    root = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     if clamp.any():
-        clamped = (u * np.clip(w, 0.0, None)[..., None, :]) @ _adjoint(u)
+        clamped = root @ _adjoint(root)
         est = np.where(clamp[..., None, None], 0.5 * (clamped + _adjoint(clamped)), est)
-    if normalize_diagonal:
-        d = np.real(np.diagonal(est, axis1=-2, axis2=-1))
-        scale = np.where(d > 1e-12, 1.0 / np.sqrt(np.where(d > 1e-12, d, 1.0)), 1.0)
-        est = scale[..., :, None] * est * scale[..., None, :]
-    return spatial_correlation(est)
+    d = np.real(np.diagonal(est, axis1=-2, axis2=-1))
+    scale = np.where(d > 1e-12, 1.0 / np.sqrt(np.where(d > 1e-12, d, 1.0)), 1.0)[..., :, None]
+    matrix = scale * est * np.swapaxes(scale, -1, -2)
+    return SpatialCorrelation(matrix=matrix, sqrt_factor=scale * root)
 
 
 def blmmse_estimate(obs, corr):

@@ -49,11 +49,10 @@ from .estimators import (
     PerUserTpe,
     TpeGain,
     build_eigenbasis,
-    ls_estimate,
     sample_correlation,
 )
+from .linalg import kron_apply
 from .quantization import (
-    QuantizedObservation,
     build_per_user_model,
     dft_pilots,
     one_bit_quantize,
@@ -62,7 +61,7 @@ from .quantization import (
 # The trial loop no longer calls these functions, but perfbench/tracing.py
 # wraps them by their names in this module, so they stay bound here.
 from .channel import aggregate_correlation, evolve_channel  # noqa: F401
-from .estimators import blmmse_estimate, kfb_step  # noqa: F401
+from .estimators import blmmse_estimate, kfb_step, ls_estimate  # noqa: F401
 from .quantization import build_bussgang_model, quantize_pilot_slot  # noqa: F401
 from .rate import RankDeficientError, achievable_rates
 from .rng import complex_normal, complex_normal_sequence, trial_streams
@@ -118,17 +117,18 @@ def _correlation_probes(cfg, pilots, corr_true, streams):
     """One trial's one-bit LS probes of stationary channels, (K, M, count).
 
     Draws the channels from the true per-user stack corr_true and runs them
-    through the quantized front end. The learned correlations are the
-    per-user sample correlations of these probes; the true correlation
-    stays with the channel generator only.
+    through the quantized front end, then takes the LS of PerUserLs on the
+    user bins, r_k / sqrt(tau rho), for all count columns in one product.
+    The learned correlations are the per-user sample correlations of these
+    probes; the true correlation stays with the channel generator only.
     """
     count = cfg.sample_count
     g = complex_normal(streams.channel, (cfg.M * cfg.K, count))
     h_all = apply_sqrt_factor(corr_true, g).reshape(g.shape)
     noise = complex_normal(streams.pilot_noise, (cfg.M * cfg.tau, count))
     quantized = one_bit_quantize(pilots.apply(h_all) + noise)
-    probes = ls_estimate(QuantizedObservation(slot=0, r=quantized), pilots)
-    return probes.reshape(cfg.K, cfg.M, count)
+    bins = kron_apply(pilots.bin_map, quantized) / np.sqrt(pilots.tau * pilots.rho)
+    return bins.reshape(cfg.K, cfg.M, count)
 
 
 def _estimator(name, cfg, stats, prior, model, basis):

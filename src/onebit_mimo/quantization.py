@@ -19,7 +19,6 @@ bin of C_r is D R_k D + C_n_eff,k for D = sqrt(tau rho) diag(a)).
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -53,13 +52,10 @@ class PilotMatrix:
             raise ValueError("pilot power not set, call with_rho first")
         return np.sqrt(self.rho) * self.phi
 
-    @cached_property
-    def pinv(self):
-        """pinv(phi), computed once per pilot block; ValueError if phi is rank deficient."""
-        sv = np.linalg.svd(self.phi, compute_uv=False)
-        if sv[-1] <= 1e-10 * sv[0]:
-            raise ValueError("pilot matrix is rank deficient")
-        return np.linalg.pinv(self.phi, rcond=1e-10)
+    @property
+    def bin_map(self):
+        """phi^H / sqrt(tau), for DFT pilots the map to the user bins (see PerUserModel)."""
+        return self.phi.conj().T / np.sqrt(self.tau)
 
     def phi_bar(self, n_antennas):
         """Dense Phi_bar = phi kron sqrt(rho) I_M, mapping the stacked channel to vec(Y).
@@ -155,9 +151,11 @@ def one_bit_quantize(y):
     {±1 ± j}/sqrt(2).
     """
     y = np.asarray(y)
-    re = np.where(y.real >= 0, 1.0, -1.0)
-    im = np.where(y.imag >= 0, 1.0, -1.0)
-    return (re + 1j * im) / np.sqrt(2.0)
+    level = 1.0 / np.sqrt(2.0)
+    out = np.empty(y.shape, dtype=complex)
+    out.real = np.where(y.real >= 0, level, -level)
+    out.imag = np.where(y.imag >= 0, level, -level)
+    return out
 
 
 def received_pilot_signal(state, pilots, rng):
@@ -239,8 +237,8 @@ def quantize_pilot_slot(state, pilots, model, rng):
 class PerUserModel:
     """The linearized pilot observation of each user in its own DFT bin.
 
-    bin_map holds the K rows of the unitary tau-point DFT, phi^H / sqrt(tau),
-    that take a stacked observation to its user bins. In bin k the model is
+    bin_map (PilotMatrix.bin_map) holds the K rows of the unitary tau-point
+    DFT that take a stacked observation to its user bins. In bin k the model is
     r_k = gain diag(a) h_k + n_k, with gain = sqrt(tau rho) and a the
     per-antenna Bussgang gain; C_n_eff stacks the K per-user covariances of
     n_k, (K, M, M). The bins beyond K carry noise alone, uncorrelated with
@@ -290,7 +288,7 @@ def build_per_user_model(pilots, prior):
     c_n_eff[diagonal] += a**2
     bins = pilots.phi.conj().T @ c_n_eff.reshape(lead + (tau, -1))
     return PerUserModel(
-        bin_map=pilots.phi.conj().T / np.sqrt(tau),
+        bin_map=pilots.bin_map,
         a=a,
         gain=float(np.sqrt(tau * pilots.rho)),
         C_n_eff=bins.reshape(lead + (n_users, n_antennas, n_antennas)),

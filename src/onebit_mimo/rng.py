@@ -5,8 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Stream indices are part of the reproducibility contract: changing them
-# changes every published result for a given seed.
-_STREAMS = {"channel": 0, "pilot_noise": 1, "data": 2, "phases": 3}
+# changes every published result for a given seed. Index 2 is unassigned.
+_STREAMS = {"channel": 0, "pilot_noise": 1, "phases": 3}
 
 
 def stream_rng(seed, trial, stream):
@@ -25,11 +25,10 @@ def stream_rng(seed, trial, stream):
 
 @dataclass(frozen=True)
 class TrialStreams:
-    """The four generators belonging to one trial."""
+    """The three generators belonging to one trial."""
 
     channel: np.random.Generator
     pilot_noise: np.random.Generator
-    data: np.random.Generator
     phases: np.random.Generator
 
 
@@ -54,4 +53,7 @@ def complex_normal_sequence(rng, count, size):
     same bits as count calls of complex_normal.
     """
     parts = rng.standard_normal((count, 2, *np.atleast_1d(size)))
-    return (parts[:, 0] + 1j * parts[:, 1]) / np.sqrt(2.0)
+    out = np.empty(parts.shape[:1] + parts.shape[2:], dtype=complex)
+    np.multiply(parts[:, 0], 1.0 / np.sqrt(2.0), out=out.real)
+    np.multiply(parts[:, 1], 1.0 / np.sqrt(2.0), out=out.imag)
+    return out

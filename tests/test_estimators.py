@@ -85,7 +85,7 @@ class TestLeastSquares:
 class TestSampleCorrelation:
     def test_single_sample_outer_product(self):
         sample = np.array([[1.0 + 0j, 0.0, 0.0]])
-        est = sample_correlation(sample, normalize_diagonal=False)
+        est = sample_correlation(sample)
         assert_allclose(est.matrix, np.outer(sample[0], sample[0].conj()), atol=1e-14)
 
     def test_consistency_with_known_correlation(self):
@@ -101,8 +101,25 @@ class TestSampleCorrelation:
         g = (rng.standard_normal((5000, 3)) + 1j * rng.standard_normal((5000, 3))) / np.sqrt(2)
         scaled = sample_correlation(0.2 * g)
         assert_allclose(np.real(np.diag(scaled.matrix)), 1.0, atol=1e-12)
-        raw = sample_correlation(0.2 * g, normalize_diagonal=False)
-        assert np.all(np.real(np.diag(raw.matrix)) < 0.1)
+
+    @pytest.mark.parametrize("count", [3, 20])
+    def test_factor_of_each_matrix_in_a_stack(self, count):
+        """S S^H = R per (trial, user) matrix, also rank deficient (count < M) and clamped."""
+        # At count = 3 this seed's stack has 5 of its 6 matrices clamped.
+        rng = np.random.default_rng(2)
+        shape = (2, 3, count, 6)
+        samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        est = sample_correlation(samples)
+        assert est.sqrt_factor.shape == (2, 3, 6, 6)
+        factor = est.sqrt_factor
+        assert_allclose(factor @ np.swapaxes(factor, -1, -2).conj(), est.matrix, atol=1e-12)
+        for t, k in np.ndindex(2, 3):
+            alone = sample_correlation(samples[t, k])
+            assert_allclose(est.matrix[t, k], alone.matrix, atol=1e-12)
+        if count < 6:
+            raw = np.swapaxes(samples, -1, -2) @ samples.conj() / count
+            clamped = np.linalg.eigvalsh(0.5 * (raw + np.swapaxes(raw, -1, -2).conj()))[..., 0] < 0
+            assert clamped.any() and not clamped.all()
 
     def test_result_is_psd(self):
         rng = np.random.default_rng(3)
