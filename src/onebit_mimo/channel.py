@@ -232,25 +232,39 @@ def init_channel(corr, rng):
 def evolve_channel(state, stats, corr, rng):
     """Advance the channel by one slot, drawing its unit normals from rng.
 
-    The result has the shape init_channel gives for corr; see advance_channel.
+    The one-slot case of channel_trajectory; the result has the shape
+    init_channel gives for corr.
     """
-    return advance_channel(state, stats, corr, complex_normal(rng, state.h.size))
+    g = complex_normal(rng, state.h.size)
+    h = channel_trajectory(state, stats, corr, g)
+    return ChannelState(slot=state.slot + 1, h=h.reshape(state.h.shape))
 
 
-def advance_channel(state, stats, corr, g):
-    """Advance the channel by one slot under the Gauss-Markov model, with normals g.
+def channel_trajectory(state, stats, corr, g):
+    """The channels of the S slots after state under the Gauss-Markov model.
 
     h_i = eta h_{i-1} + zeta S g_i with user k's eta_k and zeta_k applied to
-    its antenna block, for g of h.size unit normals. The marginal
-    distribution of every slot stays CN(0, R). The channel and the
-    correlation stack may carry a leading trial axis, (T, K, M) with
-    (T, K, M, M).
+    its antenna block, for g_i of h.size unit normals. The marginal
+    distribution of every slot stays CN(0, R). A channel (..., K, M), with
+    leading trial axes and the correlation stacked (..., K, M, M), takes g
+    as (..., S, K, M), slot-major within each trial, and gives its slots in
+    the same layout; a dense (n,) channel takes and gives (S, n). The
+    innovations S g of all slots are one product per block over S columns;
+    the recursion then runs elementwise, slot by slot.
     """
+    h = state.h
     n_users = stats.eta.size
-    if state.h.size % n_users != 0:
+    if h.size % n_users != 0:
         raise ValueError("channel length is not a multiple of the user count")
-    h = state.h if state.h.ndim > 1 else state.h.reshape(n_users, -1)
-    innovation = apply_sqrt_factor(corr, np.reshape(g, -1)).reshape(h.shape)
-    h = stats.eta[:, None] * h
-    h += stats.zeta[:, None] * innovation
-    return ChannelState(slot=state.slot + 1, h=h.reshape(state.h.shape))
+    trial_axes, per_trial = h.shape[:-2], h.shape[-2:]
+    g = np.reshape(g, trial_axes + (-1, math.prod(per_trial)))
+    n_slots = g.shape[-2]
+    # Slots in columns, (n, S): each block's rows are contiguous at any trial count.
+    columns = np.swapaxes(g, -1, -2).reshape(-1, n_slots)
+    innovation = apply_sqrt_factor(corr, columns).reshape(trial_axes + (n_users, -1, n_slots))
+    eta, zeta = stats.eta[:, None], stats.zeta[:, None]
+    out = np.empty(trial_axes + (n_slots,) + innovation.shape[-3:-1], dtype=complex)
+    prev = h.reshape(innovation.shape[:-1])
+    for i in range(n_slots):
+        prev = out[..., i, :, :] = eta * prev + zeta * innovation[..., i]
+    return out.reshape(trial_axes + (n_slots,) + per_trial)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SpatialCorrelation
-from .linalg import kron_apply, solve_lower
+from .linalg import inv_lower, kron_apply, solve_lower
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,14 @@ def ls_estimate(obs, pilots):
 def sample_correlation(samples):
     """Spatial correlation estimated from per-user channel samples.
 
-    Averages h h^H over the rows of samples, symmetrizes, clamps negative
-    eigenvalues to zero, and rescales the diagonal back to one (one-bit
-    front ends shrink the apparent power, so the raw scale is off).
-    Diagonal entries at numerical zero are left untouched. The factor is
-    S = diag(scale) U diag(sqrt(max(w, 0))) from the same eigh, U diag(w) U^H.
-    samples is (count, M), or a stack (..., count, M) that gives a stack of
+    Averages h h^H over the rows of samples, symmetrizes, and rescales the
+    diagonal back to one (one-bit front ends shrink the apparent power, so
+    the raw scale is off). Diagonal entries at numerical zero are left
+    untouched. The average is PSD; its factor is
+    S = diag(scale) U diag(sqrt(max(w, 0))) from its eigh, U diag(w) U^H,
+    where max(w, 0) drops the rounding-level negative eigenvalues of a
+    rank-deficient average (fewer samples than antennas). samples is
+    (count, M), or a stack (..., count, M) that gives a stack of
     correlations, each from its own samples alone.
     """
     samples = np.asarray(samples, dtype=complex)
@@ -101,11 +103,7 @@ def sample_correlation(samples):
     est = np.swapaxes(samples, -1, -2) @ samples.conj() / samples.shape[-2]
     est = 0.5 * (est + _adjoint(est))
     w, u = np.linalg.eigh(est)
-    clamp = w[..., 0] < 0.0
     root = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-    if clamp.any():
-        clamped = root @ _adjoint(root)
-        est = np.where(clamp[..., None, None], 0.5 * (clamped + _adjoint(clamped)), est)
     d = np.real(np.diagonal(est, axis1=-2, axis2=-1))
     scale = np.where(d > 1e-12, 1.0 / np.sqrt(np.where(d > 1e-12, d, 1.0)), 1.0)[..., :, None]
     matrix = scale * est * np.swapaxes(scale, -1, -2)
@@ -247,9 +245,11 @@ class PerUserEigenbasis:
 def build_eigenbasis(prior, model):
     """The PerUserEigenbasis of per-user correlations and a PerUserModel.
 
-    One batched Cholesky factor of C_n_eff and one batched eigh. numpy has no
-    triangular inverse; at M x M the general one costs little. Raises
-    LinAlgError if C_n_eff is not positive definite.
+    One batched Cholesky factor of C_n_eff, its inverse and one batched
+    eigh. numpy has no triangular inverse, and its general LU one is several
+    times slower at M = 128 than the block rows of linalg.inv_lower, which
+    skip the zero upper triangle. Raises LinAlgError if C_n_eff is not
+    positive definite.
     """
     try:
         chol = np.linalg.cholesky(model.C_n_eff)
@@ -257,15 +257,24 @@ def build_eigenbasis(prior, model):
         raise np.linalg.LinAlgError(
             "effective noise covariance C_n_eff is not positive definite"
         ) from exc
-    inv_chol = np.linalg.inv(chol)
-    whitened = inv_chol @ (_gain_row(model)[..., None] * prior.sqrt_factor)
-    lam, u = np.linalg.eigh(_adjoint(whitened) @ whitened)
+    inv_chol = inv_lower(chol)
+    del chol
+    # A stack of this size is fresh memory to a short run, paid for in page
+    # faults, so the conjugates and W U reuse the buffers of B and J.
+    scaled = _gain_row(model)[..., None] * prior.sqrt_factor
+    whitened = inv_chol @ scaled
+    info = np.swapaxes(np.conjugate(whitened, out=scaled), -1, -2) @ whitened
+    lam, u = np.linalg.eigh(info)
+    rotated = np.conjugate(np.matmul(whitened, u, out=info), out=info)
+    del scaled, whitened
     su = prior.sqrt_factor @ u
+    power = np.abs(su)
+    power **= 2
     return PerUserEigenbasis(
         lam=lam,
-        G=_adjoint(whitened @ u) @ inv_chol,
+        G=np.swapaxes(rotated, -1, -2) @ inv_chol,
         SU=su,
-        col_norms=np.sum(np.abs(su) ** 2, axis=-2),
+        col_norms=np.sum(power, axis=-2),
     )
 
 

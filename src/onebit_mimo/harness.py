@@ -19,8 +19,9 @@ eta = 0, so blmmse and kfb share one per-trial estimators.PerUserEigenbasis.
 The engine runs the trials in chunks of T, sized so that a (T, K, M, M)
 complex stack stays within _CHUNK_BYTES. Every per-trial array gains a
 leading trial axis: per chunk, one call each builds the learned
-correlations, the per-user models, the eigenbasis and the estimators, and
-each slot is simulated, quantized and estimated once for all T trials. Each
+correlations, the per-user models, the eigenbasis and the estimators, one
+pass simulates, receives, quantizes and takes into the user bins every slot
+of all T trials, and each slot is estimated once for all of them. Each
 trial still draws from its own streams, every slot up front, in the order
 the one-trial loop drew them. Each trial's numbers come from per-matrix
 LAPACK calls and per-block products of the same shapes at any T, so the
@@ -37,8 +38,8 @@ from .channel import (
     ChannelState,
     SpatialCorrelation,
     TemporalStats,
-    advance_channel,
     apply_sqrt_factor,
+    channel_trajectory,
     exponential_correlation,
     init_channel,
     jakes_coefficient,
@@ -53,6 +54,7 @@ from .estimators import (
 )
 from .linalg import kron_apply
 from .quantization import (
+    QuantizedObservation,
     build_per_user_model,
     dft_pilots,
     one_bit_quantize,
@@ -108,9 +110,9 @@ def _chunk_size(cfg):
     return max(1, _CHUNK_BYTES // (16 * cfg.K * cfg.M**2))
 
 
-def _stack(arrays, axis=0):
+def _stack(arrays):
     """np.stack, without a copy for a single array."""
-    return np.expand_dims(arrays[0], axis) if len(arrays) == 1 else np.stack(arrays, axis)
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _correlation_probes(cfg, pilots, corr_true, streams):
@@ -174,8 +176,9 @@ def _run_chunk(cfg, pilots, stats, trials):
     its slots; trial_streams and init_channel run once per trial, in trial
     order. The chunk then builds the per-user model, the eigenbasis when
     blmmse or kfb runs, and one estimator per configured name over the
-    (T, K, M, M) stacks; each slot is simulated, quantized and taken into its
-    user bins once for all of them.
+    (T, K, M, M) stacks. The channels of all slots are one trajectory,
+    received, quantized and taken into their user bins in one pass over
+    (T, S, ...); each estimator then steps through the slots.
     """
     probes = None
     if cfg.sample_count is not None:
@@ -203,18 +206,14 @@ def _run_chunk(cfg, pilots, stats, trials):
     estimators = [_estimator(name, cfg, stats, prior, model, basis) for name in cfg.estimators]
     kfb = estimators[cfg.estimators.index("kfb")] if "kfb" in cfg.estimators else None
 
-    # Slot-major draws, so that slot i's are one contiguous (T, n) block.
-    g, noise = _stack(g, axis=1), _stack(noise, axis=1)
-    shape = (len(trials), cfg.slots, cfg.K, cfg.M)
+    # (T, S, K, M) channels and (T, S, K, M) user bins, each trial's slots in order.
+    h_true = channel_trajectory(ChannelState(slot=0, h=_stack(h0)), stats, corr, _stack(g))
+    bins = model.bins(one_bit_quantize(pilot_signal(h_true, pilots, _stack(noise))))
+    shape = h_true.shape
     h_hat = np.empty((shape[0], len(estimators)) + shape[1:], dtype=complex)
-    h_true = np.empty(shape, dtype=complex)
     kfb_trace = np.zeros(shape[:2])
-    chan = ChannelState(slot=0, h=_stack(h0))
     for i in range(cfg.slots):
-        chan = advance_channel(chan, stats, corr, g[i])
-        r = one_bit_quantize(pilot_signal(chan.h, pilots, noise[i]))
-        obs = model.observe(chan.slot, r)
-        h_true[:, i] = chan.h
+        obs = QuantizedObservation(slot=i + 1, r=bins[:, i])
         for e, estimator in enumerate(estimators):
             h_hat[:, e, i] = estimator.step(obs)
         if kfb is not None:

@@ -3,15 +3,18 @@
 scipy bundles a second BLAS with its own thread pool. Alternating calls
 between it and numpy's make the two pools compete for the cores: with the
 default thread count, a Kalman step at n = 128 ran 7x slower on two cores.
-So the triangular solve the Cholesky-form Kalman update needs, which numpy
-lacks, is blocked here onto numpy matrix products.
+So the triangular solve and inverse that numpy lacks are blocked here onto
+numpy matrix products.
 """
 
 import numpy as np
 
-# Block size: large enough for efficient matrix products, small enough that
-# the dense diagonal-block work of the solve stays minor.
+# Block sizes: large enough for efficient matrix products, small enough that
+# the dense diagonal-block work stays minor. The solve takes a few columns at
+# n up to 1024 (the dense Kalman step); the inverse takes n columns at
+# n = M, where smaller diagonal blocks were twice as fast at M = 128.
 _SOLVE_BLOCK = 64
+_INVERSE_BLOCK = 16
 
 
 def kron_apply(mat, x):
@@ -27,13 +30,37 @@ def kron_apply(mat, x):
 
 
 def solve_lower(chol, b):
-    """chol^{-1} b for a lower-triangular chol and a vector or column block b.
+    """chol^{-1} b for a lower-triangular chol, or each of a stack (..., n, n).
 
-    Blocked forward substitution: each diagonal block is inverted directly
-    and all other work is matrix products.
+    b is a vector (n,) or column blocks (..., n, p) that broadcast against
+    the stack, as for np.linalg.solve. Blocked forward substitution: each
+    diagonal block is inverted directly and all other work is matrix
+    products.
     """
-    x = np.empty(np.shape(b), dtype=np.result_type(chol, b))
-    for i in range(0, chol.shape[0], _SOLVE_BLOCK):
+    b = np.asarray(b)
+    if b.ndim == 1:
+        return solve_lower(chol, b[:, None])[:, 0]
+    shape = np.broadcast_shapes(chol.shape[:-2], b.shape[:-2]) + b.shape[-2:]
+    x = np.empty(shape, dtype=np.result_type(chol, b))
+    for i in range(0, chol.shape[-1], _SOLVE_BLOCK):
         rows = slice(i, i + _SOLVE_BLOCK)
-        x[rows] = np.linalg.inv(chol[rows, rows]) @ (b[rows] - chol[rows, :i] @ x[:i])
+        rhs = b[..., rows, :] - chol[..., rows, :i] @ x[..., :i, :]
+        x[..., rows, :] = np.linalg.inv(chol[..., rows, rows]) @ rhs
     return x
+
+
+def inv_lower(chol):
+    """chol^{-1} for a lower-triangular chol, or each of a stack (..., n, n).
+
+    The forward substitution of solve_lower on the identity, by block rows:
+    row block i of the inverse X is -L_ii^{-1} L[i, :i] X[:i, :i] left of
+    the diagonal block L_ii^{-1}, and the zero blocks right of it are never
+    computed.
+    """
+    out = np.zeros_like(chol)
+    for i in range(0, chol.shape[-1], _INVERSE_BLOCK):
+        rows = slice(i, i + _INVERSE_BLOCK)
+        diagonal = np.linalg.inv(chol[..., rows, rows])
+        out[..., rows, :i] = -diagonal @ (chol[..., rows, :i] @ out[..., :i, :i])
+        out[..., rows, rows] = diagonal
+    return out

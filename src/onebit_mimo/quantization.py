@@ -167,7 +167,8 @@ def received_pilot_signal(state, pilots, rng):
 def pilot_signal(h, pilots, noise):
     """Phi_bar h + noise for an (n,) or (K, M) channel and noise (tau M,).
 
-    T trials at once take a (T, K, M) channel and (T, tau M) noise.
+    Channels stacked (..., K, M), over trials and slots, take noise
+    (..., tau M), one pilot product per channel.
     """
     h = np.reshape(h, noise.shape[:-1] + (pilots.K, -1))
     return (pilots._scaled_phi() @ h).reshape(noise.shape) + noise
@@ -192,12 +193,20 @@ def _outer(d):
     return d[..., :, None] * d[..., None, :]
 
 
-def _arcsine_law(c_y, d):
-    """(2/pi)(arcsin X + j arcsin Y) for c_y or a stack of blocks normalized by outer(d, d)."""
+def _arcsine_law(c_y, d, out=None):
+    """(2/pi)(arcsin X + j arcsin Y) for c_y or a stack of blocks normalized by outer(d, d).
+
+    Each part is normalized, clamped and mapped in place in out (a new array
+    by default), so a stack of blocks takes no temporaries of its size.
+    """
     scale = _outer(d)
-    x = np.clip(np.real(c_y) / scale, -1.0, 1.0)
-    y = np.clip(np.imag(c_y) / scale, -1.0, 1.0)
-    return (2.0 / np.pi) * (np.arcsin(x) + 1j * np.arcsin(y))
+    out = np.empty(np.shape(c_y), dtype=complex) if out is None else out
+    for part, source in ((out.real, np.real(c_y)), (out.imag, np.imag(c_y))):
+        np.divide(source, scale, out=part)
+        np.clip(part, -1.0, 1.0, out=part)
+        np.arcsin(part, out=part)
+    out *= 2.0 / np.pi
+    return out
 
 
 def build_bussgang_model(pilots, corr):
@@ -251,23 +260,29 @@ class PerUserModel:
     gain: float
     C_n_eff: np.ndarray
 
+    def bins(self, r):
+        """The user bins (..., K, M) of stacked one-bit observations (..., tau M)."""
+        return self.bin_map @ r.reshape(r.shape[:-1] + (self.bin_map.shape[1], -1))
+
     def observe(self, slot, r):
         """A stacked one-bit observation (..., tau M), as a (..., K, M) observation of the user bins."""
-        bins = self.bin_map @ r.reshape(r.shape[:-1] + (self.bin_map.shape[1], -1))
-        return QuantizedObservation(slot=slot, r=bins)
+        return QuantizedObservation(slot=slot, r=self.bins(r))
 
 
 def build_per_user_model(pilots, prior):
     """Per-user model for DFT pilots and per-user correlations stacked (K, M, M).
 
     prior is a SpatialCorrelation whose matrix stacks R_1 .. R_K, or the
-    stacks of T trials, (T, K, M, M), for a model of each. Only the tau lag
-    blocks of the analog covariance are formed, B_l = block (l, 0) of
+    stacks of T trials, (T, K, M, M), for a model of each. Only lag blocks
+    of the analog covariance are formed, B_l = block (l, 0) of
     C_y = rho sum_k phi[l, k] R_k + delta_l0 I, then their arcsine and
-    effective-noise blocks, and from the effective-noise lag blocks X_l the
-    user bins sum_l conj(phi[l, k]) X_l. No n x n matrix is built. Raises
-    ValueError for pilots other than dft_pilots, where the model does not
-    decouple.
+    effective-noise blocks X_l, and from those the user bins
+    sum_l conj(phi[l, k]) X_l. For DFT pilots phi[tau - l, k] = conj(phi[l, k]),
+    so with Hermitian R_k, B_{tau-l} = B_l^H. The arcsine law is odd and
+    its normalization symmetric, so X_{tau-l} = X_l^H too: the blocks are
+    formed for lags 0 .. tau // 2 and the rest are their adjoints. No
+    n x n matrix is built. Raises ValueError for pilots other than
+    dft_pilots, where the model does not decouple.
     """
     tau, n_users = pilots.phi.shape
     if not np.allclose(pilots.phi, dft_pilots(tau, n_users).phi, rtol=0.0, atol=1e-12):
@@ -275,18 +290,26 @@ def build_per_user_model(pilots, prior):
     scaled = pilots._scaled_phi()
     lead = prior.matrix.shape[:-3]
     n_antennas = prior.matrix.shape[-1]
-    blocks = (tau, n_antennas, n_antennas)
+    half = tau // 2 + 1
     diagonal = (..., 0, *np.diag_indices(n_antennas))
-    first_column = scaled[0].conj()[:, None, None] * prior.matrix
-    c_y = (scaled @ first_column.reshape(lead + (n_users, -1))).reshape(lead + blocks)
+    # B_l = rho sum_k phi[l, k] conj(phi[0, k]) R_k (+ I at lag 0): one (half, K) weight matrix.
+    weights = scaled[:half] * scaled[0].conj()
+    c_y = weights @ prior.matrix.reshape(lead + (n_users, -1))
+    c_y = c_y.reshape(lead + (half, n_antennas, n_antennas))
     c_y[diagonal] += 1.0
     d = np.sqrt(np.real(c_y[diagonal]))
     a = np.sqrt(2.0 / np.pi) / d
-    c_r = _arcsine_law(c_y, d[..., None, :])
-    c_r[diagonal] = 1.0
-    c_n_eff = c_r - _outer(a)[..., None, :, :] * c_y
+    lags = np.empty(lead + (tau, n_antennas, n_antennas), dtype=complex)
+    # The C_r lag blocks, then C_n_eff's in their place: C_r - A C_y A + A^2 at lag 0.
+    c_n_eff = _arcsine_law(c_y, d[..., None, :], out=lags[..., :half, :, :])
+    c_n_eff[diagonal] = 1.0
+    c_y *= _outer(a)[..., None, :, :]
+    c_n_eff -= c_y
     c_n_eff[diagonal] += a**2
-    bins = pilots.phi.conj().T @ c_n_eff.reshape(lead + (tau, -1))
+    # Lags tau // 2 + 1 .. tau - 1 are the adjoints of lags (tau - 1) // 2 .. 1.
+    mirrored = np.swapaxes(c_n_eff[..., (tau - 1) // 2 : 0 : -1, :, :], -1, -2)
+    np.conjugate(mirrored, out=lags[..., half:, :, :])
+    bins = pilots.phi.conj().T @ lags.reshape(lead + (tau, -1))
     return PerUserModel(
         bin_map=pilots.bin_map,
         a=a,

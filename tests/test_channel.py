@@ -15,6 +15,8 @@ from onebit_mimo import (
     psd_sqrt,
     stack_correlation,
 )
+from onebit_mimo.channel import channel_trajectory
+from onebit_mimo.rng import complex_normal_sequence
 
 
 class TestExponentialCorrelation:
@@ -246,6 +248,30 @@ class TestChannelEvolution:
         stacked, dense = runs
         assert stacked.shape == (11, 3, 4) and dense.shape == (11, 12)
         assert_allclose(stacked.reshape(11, 12), dense, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("layout", ["dense", "users", "trials"])
+    def test_trajectory_equals_slot_by_slot_evolution(self, layout):
+        """One pass over S slots gives the channels of S evolve_channel calls on the same draws."""
+        users = [exponential_correlation(5, 0.8, th) for th in (0.3, 1.7, 2.9)]
+        stats = TemporalStats(np.array([0.99, 0.7, 0.0]))
+        corr = aggregate_correlation(users) if layout == "dense" else stack_correlation(users)
+        if layout == "trials":
+            corr = stack_correlation([stack_correlation(users), stack_correlation(users[::-1])])
+        slots = 6
+        state = init_channel(corr, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        chan, expected = state, []
+        for _ in range(slots):
+            chan = evolve_channel(chan, stats, corr, rng)
+            expected.append(chan)
+        assert [s.slot for s in expected] == list(range(1, slots + 1))
+        # The same draws, slot-major within each trial.
+        g = complex_normal_sequence(np.random.default_rng(4), slots, state.h.size)
+        g = np.moveaxis(g.reshape((slots,) + state.h.shape), 0, max(state.h.ndim - 2, 0))
+        trajectory = channel_trajectory(state, stats, corr, g)
+        assert trajectory.shape == g.shape
+        expected = np.stack([s.h for s in expected], axis=max(state.h.ndim - 2, 0))
+        assert_allclose(trajectory, expected, rtol=0, atol=1e-13)
 
     def test_shape_mismatch_rejected(self):
         corr = exponential_correlation(2, 0.5, 0.0)

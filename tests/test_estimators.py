@@ -291,6 +291,9 @@ PER_USER_CASES = {
     "rank_deficient_factor": dict(n_antennas=6, n_users=2, tau=5, eta=[0.9, 0.6], samples=3),
     "block_fading": dict(n_antennas=4, n_users=2, tau=3, eta=[0.0, 0.0]),
     "static_channel": dict(n_antennas=4, n_users=2, tau=2, eta=[1.0, 1.0]),
+    # Lags 5, 6 and 7 are the adjoints of lags 3, 2 and 1 in build_per_user_model.
+    "three_mirrored_lags": dict(n_antennas=3, n_users=3, tau=8, eta=[0.9, 0.6, 0.2]),
+    "single_pilot_slot": dict(n_antennas=4, n_users=1, tau=1, eta=[0.8]),
 }
 
 

@@ -41,7 +41,7 @@ from onebit_mimo import (
     trial_streams,
     write_csv,
 )
-from onebit_mimo import channel, harness
+from onebit_mimo import channel, harness, linalg
 from onebit_mimo.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -302,6 +302,34 @@ class TestChunkedEngine:
         self.inject(monkeypatch, PerUserLs, 1.0, first_slot)
         with pytest.raises(ValueError, match=f"ls estimate is rank deficient at {where}, snr 0.0"):
             run_rate_experiment(cfg)
+
+    def test_slots_are_quantized_once_per_chunk(self, monkeypatch):
+        """One pass over a chunk's slots: 16 trials in chunks of 7 quantize 3 times."""
+        shape = dict(self.NMSE, correlation_knowledge="true", estimators="[ls, kfb]")
+        cfg = tiny_config(**shape)
+        chunk_trials(monkeypatch, cfg, 7)
+        quantize, shapes = harness.one_bit_quantize, []
+
+        def counting(y):
+            shapes.append(y.shape)
+            return quantize(y)
+
+        monkeypatch.setattr(harness, "one_bit_quantize", counting)
+        run_nmse_experiment(cfg)
+        slots = (cfg.slots, cfg.tau * cfg.M)
+        assert shapes == [(7,) + slots, (7,) + slots, (2,) + slots]
+
+    def test_no_general_inverse_of_a_user_block(self, monkeypatch):
+        """At M = 33 the eigenbasis inverts only diagonal blocks of its triangular factor."""
+        inverse, sizes = np.linalg.inv, []
+
+        def recording(a):
+            sizes.append(np.shape(a)[-1])
+            return inverse(a)
+
+        monkeypatch.setattr(np.linalg, "inv", recording)
+        run_nmse_experiment(tiny_config(M=33, K=2, tau=2, slots=2, trials=2, snr_db="[0]"))
+        assert sizes and max(sizes) <= linalg._INVERSE_BLOCK
 
     def test_default_chunk_adds_little_peak_memory(self, monkeypatch):
         """small_sweep_rate's shape: default chunks of 4 trials against one at a time.
