@@ -87,21 +87,34 @@ def ls_estimate(obs, pilots):
 def sample_correlation(samples):
     """Spatial correlation estimated from per-user channel samples.
 
-    Averages h h^H over the rows of samples, symmetrizes, and rescales the
-    diagonal back to one (one-bit front ends shrink the apparent power, so
-    the raw scale is off). Diagonal entries at numerical zero are left
-    untouched. The average is PSD; its factor is
-    S = diag(scale) U diag(sqrt(max(w, 0))) from its eigh, U diag(w) U^H,
-    where max(w, 0) drops the rounding-level negative eigenvalues of a
-    rank-deficient average (fewer samples than antennas). samples is
-    (count, M), or a stack (..., count, M) that gives a stack of
-    correlations, each from its own samples alone.
+    Averages h h^H over the rows of samples (sample_gram) and takes the
+    correlation of that average (gram_correlation). samples is (count, M),
+    or a stack (..., count, M) that gives a stack of correlations, each
+    from its own samples alone.
     """
+    return gram_correlation(sample_gram(samples))
+
+
+def sample_gram(samples):
+    """The average of h h^H over the rows h of samples (..., count, M), (..., M, M)."""
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim < 2 or samples.shape[-2] == 0:
         raise ValueError("need a non-empty array of samples, (..., count, M)")
-    est = np.swapaxes(samples, -1, -2) @ samples.conj() / samples.shape[-2]
-    est = 0.5 * (est + _adjoint(est))
+    return np.swapaxes(samples, -1, -2) @ samples.conj() / samples.shape[-2]
+
+
+def gram_correlation(gram):
+    """The spatial correlation of a sample average gram of h h^H, or a stack of them.
+
+    Symmetrizes the average and rescales the diagonal back to one (one-bit
+    front ends shrink the apparent power, so the raw scale is off).
+    Diagonal entries at numerical zero are left untouched. The average is
+    PSD; its factor is S = diag(scale) U diag(sqrt(max(w, 0))) from its
+    eigh, U diag(w) U^H, where max(w, 0) drops the rounding-level negative
+    eigenvalues of a rank-deficient average (fewer samples than antennas).
+    Each matrix of a stack (..., M, M) is factored on its own.
+    """
+    est = 0.5 * (gram + _adjoint(gram))
     w, u = np.linalg.eigh(est)
     root = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     d = np.real(np.diagonal(est, axis1=-2, axis2=-1))
@@ -232,14 +245,19 @@ class PerUserEigenbasis:
     J = (L^{-1} B)^H L^{-1} B = U diag(lam) U^H: lam (K, M), the measurement
     map G = U^H B^H C_n_eff^{-1} (K, M, M), the basis S U (K, M, M) and its
     squared column norms (K, M). None of it depends on eta, so one basis
-    serves every exact-gain tracker of a trial. A basis of T trials at once
-    has a leading trial axis on each.
+    serves every exact-gain tracker of a trial, and one measurement G r per
+    slot (measure) serves them all. A basis of T trials at once has a
+    leading trial axis on each.
     """
 
     lam: np.ndarray
     G: np.ndarray
     SU: np.ndarray
     col_norms: np.ndarray
+
+    def measure(self, r):
+        """G r for the user bins r (K, M), or (T, K, M) for a basis of T trials."""
+        return _matvec(self.G, r)
 
 
 def build_eigenbasis(prior, model):
@@ -260,7 +278,8 @@ def build_eigenbasis(prior, model):
     inv_chol = inv_lower(chol)
     del chol
     # A stack of this size is fresh memory to a short run, paid for in page
-    # faults, so the conjugates and W U reuse the buffers of B and J.
+    # faults, so the conjugates and W U reuse the buffers of B and J, and
+    # each stack is dropped once used.
     scaled = _gain_row(model)[..., None] * prior.sqrt_factor
     whitened = inv_chol @ scaled
     info = np.swapaxes(np.conjugate(whitened, out=scaled), -1, -2) @ whitened
@@ -268,13 +287,13 @@ def build_eigenbasis(prior, model):
     rotated = np.conjugate(np.matmul(whitened, u, out=info), out=info)
     del scaled, whitened
     su = prior.sqrt_factor @ u
+    del u
     power = np.abs(su)
     power **= 2
+    col_norms = np.sum(power, axis=-2)
+    del power
     return PerUserEigenbasis(
-        lam=lam,
-        G=np.swapaxes(rotated, -1, -2) @ inv_chol,
-        SU=su,
-        col_norms=np.sum(power, axis=-2),
+        lam=lam, G=np.swapaxes(rotated, -1, -2) @ inv_chol, SU=su, col_norms=col_norms
     )
 
 
@@ -291,7 +310,9 @@ class PerUserKalman:
     p = 1 (M = R): predict p <- eta^2 p + 1 - eta^2, correct
     p <- p / (1 + lam p). The estimate is h_hat = (S U) y, with
     y <- eta y + p (G r - lam eta y). S^{-1} is never needed, so a singular
-    (learned) correlation works too.
+    (learned) correlation works too. An observation that carries measured,
+    the PerUserEigenbasis.measure of its bins on this tracker's basis, is
+    taken at that: the trackers sharing a basis then share one product.
     """
 
     def __init__(self, basis, eta):
@@ -314,7 +335,8 @@ class PerUserKalman:
         p = eta2 * self._p + (1.0 - eta2)
         p /= 1.0 + lam * p
         y = self._eta * self._y
-        y += p * (_matvec(self._basis.G, obs.r) - lam * y)
+        measured = self._basis.measure(obs.r) if obs.measured is None else obs.measured
+        y += p * (measured - lam * y)
         self._p, self._y, self.slot = p, y, obs.slot
         return _matvec(self._basis.SU, y)
 

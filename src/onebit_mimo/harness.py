@@ -2,30 +2,34 @@
 
 Each trial owns independent random streams, so trial t is reproducible in
 isolation and the trial loop is an order-indexed reduction: results would be
-identical under any parallel schedule. The nmse and rate experiments share one
-trial engine, _run_trials, which yields each trial's estimates as one
-(estimators, slots, K, M) array with the true channels and the Kalman
-tracker's error traces. NMSE and zero-forcing sum rates are array reductions
-over a trial, and one mean and standard error over the trials gives the
-rows of both.
+identical under any parallel schedule. None of a trial's draws depends on
+the SNR point, so a run draws each trial once and estimates it at every
+point. The nmse and rate experiments share one trial engine, _run_chunk,
+which gives each trial's estimates at a point as one (estimators, slots,
+K, M) array with the true channels and the Kalman tracker's error traces.
+NMSE and zero-forcing sum rates are array reductions over a trial, and one
+mean and standard error over the trials of a point gives the rows of both.
 
 The pilots are always dft_pilots and the channel correlation is
 block-diagonal over the users, so the whole trial works on per-user M x M
 blocks and builds no n x n array: the channel is a (K, M) stack, and every
 estimator runs on the exact per-user model of
 quantization.build_per_user_model. BLMMSE is the exact-gain tracker with
-eta = 0, so blmmse and kfb share one per-trial estimators.PerUserEigenbasis.
+eta = 0, so blmmse and kfb share one per-trial estimators.PerUserEigenbasis
+and its one measurement per slot.
 
 The engine runs the trials in chunks of T, sized so that a (T, K, M, M)
-complex stack stays within _CHUNK_BYTES. Every per-trial array gains a
-leading trial axis: per chunk, one call each builds the learned
+complex stack stays within _CHUNK_BYTES, and walks the chunks once. A
+chunk's draw stage runs once: each trial draws from its own streams, every
+slot up front, in the order a one-trial loop drew them, its learned-
+correlation probes are kept only as per-point sample Grams, and one pass
+simulates the channels of all slots. Its estimate stage runs once per SNR
+point over the (T, ...) stacks: one call each builds the learned
 correlations, the per-user models, the eigenbasis and the estimators, one
-pass simulates, receives, quantizes and takes into the user bins every slot
-of all T trials, and each slot is estimated once for all of them. Each
-trial still draws from its own streams, every slot up front, in the order
-the one-trial loop drew them. Each trial's numbers come from per-matrix
-LAPACK calls and per-block products of the same shapes at any T, so the
-CSV does not depend on the chunk size, byte for byte.
+pass receives, quantizes and takes into the user bins every slot, and each
+slot is estimated once for all T trials. Each trial's numbers come from
+per-matrix LAPACK calls and per-block products of the same shapes at any
+T, so the CSV does not depend on the chunk size, byte for byte.
 """
 
 import sys
@@ -50,7 +54,8 @@ from .estimators import (
     PerUserTpe,
     TpeGain,
     build_eigenbasis,
-    sample_correlation,
+    gram_correlation,
+    sample_gram,
 )
 from .linalg import kron_apply
 from .quantization import (
@@ -63,7 +68,7 @@ from .quantization import (
 # The trial loop no longer calls these functions, but perfbench/tracing.py
 # wraps them by their names in this module, so they stay bound here.
 from .channel import aggregate_correlation, evolve_channel  # noqa: F401
-from .estimators import blmmse_estimate, kfb_step, ls_estimate  # noqa: F401
+from .estimators import blmmse_estimate, kfb_step, ls_estimate, sample_correlation  # noqa: F401
 from .quantization import build_bussgang_model, quantize_pilot_slot  # noqa: F401
 from .rate import RankDeficientError, achievable_rates
 from .rng import complex_normal, complex_normal_sequence, trial_streams
@@ -115,22 +120,39 @@ def _stack(arrays):
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _correlation_probes(cfg, pilots, corr_true, streams):
-    """One trial's one-bit LS probes of stationary channels, (K, M, count).
+def _correlation_grams(cfg, points, corr_true, streams):
+    """One trial's learned-correlation Grams at each SNR point, (P, K, M, M).
 
-    Draws the channels from the true per-user stack corr_true and runs them
-    through the quantized front end, then takes the LS of PerUserLs on the
-    user bins, r_k / sqrt(tau rho), for all count columns in one product.
-    The learned correlations are the per-user sample correlations of these
-    probes; the true correlation stays with the channel generator only.
+    Draws the probe channels from the true per-user stack corr_true, and
+    their pilot noise, once. At each point's pilots they run through the
+    quantized front end (_correlation_probes), and only the sample Gram of
+    each user's probes is kept (estimators.sample_gram): the learned
+    correlation of a point is its gram_correlation. The true correlation
+    stays with the channel generator only.
     """
     count = cfg.sample_count
     g = complex_normal(streams.channel, (cfg.M * cfg.K, count))
-    h_all = apply_sqrt_factor(corr_true, g).reshape(g.shape)
+    channels = apply_sqrt_factor(corr_true, g).reshape(g.shape)
     noise = complex_normal(streams.pilot_noise, (cfg.M * cfg.tau, count))
-    quantized = one_bit_quantize(pilots.apply(h_all) + noise)
+    # (K, count, M): each user's samples in rows, as sample_gram takes them.
+    return _stack(
+        [
+            sample_gram(np.swapaxes(_correlation_probes(cfg, pilots, channels, noise), -1, -2))
+            for pilots in points
+        ]
+    )
+
+
+def _correlation_probes(cfg, pilots, channels, noise):
+    """One-bit LS probes of stationary channels (n, count) at one SNR point, (K, M, count).
+
+    Receives and quantizes the channels with the noise (tau M, count), then
+    takes the LS of PerUserLs on the user bins, r_k / sqrt(tau rho), for all
+    count columns in one product.
+    """
+    quantized = one_bit_quantize(pilots.apply(channels) + noise)
     bins = kron_apply(pilots.bin_map, quantized) / np.sqrt(pilots.tau * pilots.rho)
-    return bins.reshape(cfg.K, cfg.M, count)
+    return bins.reshape(cfg.K, cfg.M, -1)
 
 
 def _estimator(name, cfg, stats, prior, model, basis):
@@ -143,53 +165,43 @@ def _estimator(name, cfg, stats, prior, model, basis):
     return PerUserTpe(prior, model, stats.eta, TpeGain(cfg.tpe_order, cfg.tpe_alpha))
 
 
-def _run_trials(cfg, snr_db, stats):
-    """Shared Monte-Carlo engine: yields (h_hat, h_true, kfb_trace) per trial, in order.
+def _run_chunk(cfg, points, stats, trials):
+    """Runs the T trials of a chunk: yields h_hat (T, E, S, K, M), h_true, kfb_trace per point.
 
-    h_hat (E, S, K, M) holds the estimates of the E configured estimators at
-    the S slots, h_true (S, K, M) the true channels, and kfb_trace (S,) the
-    trace of the Kalman tracker's filtered error covariance (zeros without
-    kfb). The trials run in chunks (_run_chunk). A non-finite estimate
-    raises FloatingPointError naming the estimator, slot, trial and SNR
-    point, so no diverged result is written; the trials before it are
-    yielded first, as a one-trial loop would.
+    Two stages. The draw stage (_draw_chunk) runs once, for all of points.
+    The estimate stage (_estimate_chunk) then runs once per point, in
+    order, on those draws. kfb_trace (T, S) is the Kalman tracker's
+    filtered error trace (zeros without kfb).
     """
-    pilots = dft_pilots(cfg.tau, cfg.K).with_rho(10.0 ** (snr_db / 10.0))
-    size = _chunk_size(cfg)
-    for first in range(0, cfg.trials, size):
-        trials = range(first, min(first + size, cfg.trials))
-        h_hat, h_true, kfb_trace = _run_chunk(cfg, pilots, stats, trials)
-        for t, trial in enumerate(trials):
-            nonfinite = ~np.isfinite(h_hat[t]).all(axis=(-2, -1))
-            if nonfinite.any():
-                raise FloatingPointError(
-                    _estimate_error("not finite", nonfinite, cfg, trial, snr_db)
-                )
-            yield h_hat[t], h_true[t], kfb_trace[t]
+    corr, grams, h_true, noise = _draw_chunk(cfg, points, stats, trials)
+    for p, pilots in enumerate(points):
+        prior = corr if grams is None else gram_correlation(grams[p])
+        h_hat, kfb_trace = _estimate_chunk(cfg, pilots, stats, prior, h_true, noise)
+        yield h_hat, h_true, kfb_trace
 
 
-def _run_chunk(cfg, pilots, stats, trials):
-    """Runs the T trials of a chunk together: h_hat (T, E, S, K, M), h_true, kfb_trace.
+def _draw_chunk(cfg, points, stats, trials):
+    """Everything random of a chunk's trials: corr, grams, h_true (T, S, K, M) and noise.
 
     Each trial first takes its streams, its correlation, its learned-
-    correlation probes and its slot-0 channel, then draws the normals of all
-    its slots; trial_streams and init_channel run once per trial, in trial
-    order. The chunk then builds the per-user model, the eigenbasis when
-    blmmse or kfb runs, and one estimator per configured name over the
-    (T, K, M, M) stacks. The channels of all slots are one trajectory,
-    received, quantized and taken into their user bins in one pass over
-    (T, S, ...); each estimator then steps through the slots.
+    correlation probes and its slot-0 channel, then draws the normals of
+    all its slots; trial_streams and init_channel run once per trial, in
+    trial order. corr stacks the true correlations (T, K, M, M). With
+    learned correlation, grams (P, T, K, M, M) holds the probes' sample
+    Grams at each point of points (_correlation_grams), else it is None.
+    The channels of all slots are one trajectory; noise (T, S, tau M) is
+    their pilot noise.
     """
-    probes = None
+    grams = None
     if cfg.sample_count is not None:
-        probes = np.empty((len(trials), cfg.K, cfg.M, cfg.sample_count), dtype=complex)
+        grams = np.empty((len(points), len(trials), cfg.K, cfg.M, cfg.M), dtype=complex)
     users, h0, g, noise = [], [], [], []
     for t, trial in enumerate(trials):
         streams = trial_streams(cfg.seed, trial)
         theta = streams.phases.uniform(0.0, 2.0 * np.pi, cfg.K)
         users.append(exponential_correlation(cfg.M, cfg.r_spatial, theta))
-        if probes is not None:
-            probes[t] = _correlation_probes(cfg, pilots, users[-1], streams)
+        if grams is not None:
+            grams[:, t] = _correlation_grams(cfg, points, users[-1], streams)
         h0.append(init_channel(users[-1], streams.channel).h)
         g.append(complex_normal_sequence(streams.channel, cfg.slots, cfg.M * cfg.K))
         noise.append(complex_normal_sequence(streams.pilot_noise, cfg.slots, cfg.M * cfg.tau))
@@ -197,8 +209,19 @@ def _run_chunk(cfg, pilots, stats, trials):
         matrix=_stack([u.matrix for u in users]),
         sqrt_factor=_stack([u.sqrt_factor for u in users]),
     )
-    # (T, K, count, M): each user's samples in rows, as sample_correlation takes them.
-    prior = corr if probes is None else sample_correlation(np.swapaxes(probes, -1, -2))
+    h_true = channel_trajectory(ChannelState(slot=0, h=_stack(h0)), stats, corr, _stack(g))
+    return corr, grams, h_true, _stack(noise)
+
+
+def _estimate_chunk(cfg, pilots, stats, prior, h_true, noise):
+    """One SNR point's h_hat (T, E, S, K, M) and kfb_trace (T, S) for a chunk's draws.
+
+    Builds the per-user model of prior (T, K, M, M), the eigenbasis when
+    blmmse or kfb runs, and one estimator per configured name. The slots
+    are received, quantized and taken into their user bins in one pass over
+    (T, S, ...); each estimator then steps through the slots, the exact-gain
+    trackers on one measurement of the basis per slot.
+    """
     model = build_per_user_model(pilots, prior)
     basis = None
     if "blmmse" in cfg.estimators or "kfb" in cfg.estimators:
@@ -206,19 +229,20 @@ def _run_chunk(cfg, pilots, stats, trials):
     estimators = [_estimator(name, cfg, stats, prior, model, basis) for name in cfg.estimators]
     kfb = estimators[cfg.estimators.index("kfb")] if "kfb" in cfg.estimators else None
 
-    # (T, S, K, M) channels and (T, S, K, M) user bins, each trial's slots in order.
-    h_true = channel_trajectory(ChannelState(slot=0, h=_stack(h0)), stats, corr, _stack(g))
-    bins = model.bins(one_bit_quantize(pilot_signal(h_true, pilots, _stack(noise))))
+    # (T, S, K, M) user bins, each trial's slots in order.
+    bins = model.bins(one_bit_quantize(pilot_signal(h_true, pilots, noise)))
     shape = h_true.shape
     h_hat = np.empty((shape[0], len(estimators)) + shape[1:], dtype=complex)
     kfb_trace = np.zeros(shape[:2])
     for i in range(cfg.slots):
-        obs = QuantizedObservation(slot=i + 1, r=bins[:, i])
+        r = bins[:, i]
+        measured = None if basis is None else basis.measure(r)
+        obs = QuantizedObservation(slot=i + 1, r=r, measured=measured)
         for e, estimator in enumerate(estimators):
             h_hat[:, e, i] = estimator.step(obs)
         if kfb is not None:
             kfb_trace[:, i] = kfb.error_trace
-    return h_hat, h_true, kfb_trace
+    return h_hat, kfb_trace
 
 
 def _estimate_error(problem, bad, cfg, trial, snr_db):
@@ -228,39 +252,88 @@ def _estimate_error(problem, bad, cfg, trial, snr_db):
     return f"{cfg.estimators[e]} estimate is {problem} at {where}"
 
 
-def _nmse(cfg, snr_db, trial, h_hat, h_true, kfb_trace):
-    """Per-trial NMSE (labels, S): each estimator's, and kfb_theory's after kfb."""
-    errors = np.sum(np.abs(h_hat - h_true) ** 2, axis=(-2, -1))
+def _nmse(cfg, snr_db, trials, h_hat, h_true, kfb_trace):
+    """Per-trial NMSE (T, labels, S): each estimator's, and kfb_theory's after kfb."""
+    errors = np.sum(np.abs(h_hat - h_true[:, None]) ** 2, axis=(-2, -1))
     if "kfb" in cfg.estimators:
-        errors = np.insert(errors, cfg.estimators.index("kfb") + 1, kfb_trace, axis=0)
+        errors = np.insert(errors, cfg.estimators.index("kfb") + 1, kfb_trace, axis=1)
     return errors / (cfg.M * cfg.K)
 
 
-def _sum_rates(cfg, snr_db, trial, h_hat, h_true, kfb_trace):
-    """Per-trial zero-forcing sum rates (E, S); the data phase has the pilots' SNR."""
+def _sum_rates(cfg, snr_db, trials, h_hat, h_true, kfb_trace):
+    """Per-trial zero-forcing sum rates (T, E, S); the data phase has the pilots' SNR."""
     h_est = np.swapaxes(h_hat, -1, -2)
-    h_true = np.broadcast_to(np.swapaxes(h_true, -1, -2), h_est.shape)
+    h_true = np.broadcast_to(np.swapaxes(h_true, -1, -2)[:, None], h_est.shape)
     try:
         return achievable_rates(h_true, h_est, 10.0 ** (snr_db / 10.0)).sum_rate
     except RankDeficientError as err:
-        message = _estimate_error("rank deficient", err.deficient, cfg, trial, snr_db)
+        t = np.flatnonzero(err.deficient.any(axis=(-2, -1)))[0]
+        message = _estimate_error("rank deficient", err.deficient[t], cfg, trials[t], snr_db)
         raise ValueError(message) from err
 
 
-def _trial_means(cfg, metric):
-    """Yields (snr_db, mean, stderr) over the trials of each SNR point.
+def _chunk_metric(cfg, metric, snr_db, trials, h_hat, h_true, kfb_trace):
+    """metric over a chunk's trials at one point, (T, labels, S).
 
-    metric(cfg, snr_db, trial, h_hat, h_true, kfb_trace) maps one trial of
-    _run_trials to a (labels, S) array; mean and stderr are (labels, S).
+    A non-finite estimate raises FloatingPointError naming the estimator,
+    slot, trial and SNR point, so no diverged result is written. The metric
+    takes only the trials before the first such one, so that an error of
+    its own (a rank-deficient estimate) at an earlier trial comes first, as
+    in a one-trial loop.
+    """
+    nonfinite = ~np.isfinite(h_hat).all(axis=(-2, -1))
+    bad = np.flatnonzero(nonfinite.any(axis=(-2, -1)))
+    end = bad[0] if bad.size else len(trials)
+    values = metric(cfg, snr_db, trials[:end], h_hat[:end], h_true[:end], kfb_trace[:end])
+    if bad.size:
+        raise FloatingPointError(
+            _estimate_error("not finite", nonfinite[end], cfg, trials[end], snr_db)
+        )
+    return values
+
+
+def _trial_means(cfg, metric):
+    """Yields (snr_db, mean, stderr) over the trials of each SNR point, in order.
+
+    metric(cfg, snr_db, trials, h_hat, h_true, kfb_trace) maps the trials
+    of a chunk at one point of _run_chunk to a (T, labels, S) array; mean
+    and stderr are (labels, S). The chunks are walked once, each serving
+    every point.
+
+    Errors are reported as a point-by-point loop over the trials would meet
+    them: the lowest failing point, then its lowest failing trial
+    (_chunk_metric). So once a point fails, the later chunks run only the
+    points below it, and the run raises when none is left or the chunks
+    are done.
     """
     stats = TemporalStats([jakes_coefficient(v, cfg.f_c, cfg.t_slot) for v in cfg.speeds()])
-    for snr_db in cfg.snr_db:
-        trials = enumerate(_run_trials(cfg, snr_db, stats))
-        per_trial = np.array([metric(cfg, snr_db, trial, *out) for trial, out in trials])
-        stderr = np.zeros(per_trial.shape[1:])
-        if len(per_trial) > 1:
-            stderr = per_trial.std(axis=0, ddof=1) / np.sqrt(len(per_trial))
-        yield float(snr_db), per_trial.mean(axis=0), stderr
+    # perfbench/tracing.py counts a point per dft_pilots call and pairs each
+    # trial's trial_streams with its init_channel within one point, so every
+    # point's pilots are built before any trial is drawn.
+    points = [dft_pilots(cfg.tau, cfg.K).with_rho(10.0 ** (snr_db / 10.0)) for snr_db in cfg.snr_db]
+    per_trial = [[] for _ in points]
+    failed, error = len(points), None
+    size = _chunk_size(cfg)
+    for first in range(0, cfg.trials, size):
+        if failed == 0:
+            break
+        trials = range(first, min(first + size, cfg.trials))
+        outputs = _run_chunk(cfg, points[:failed], stats, trials)
+        for p in range(failed):
+            try:
+                out = next(outputs)
+                per_trial[p].append(_chunk_metric(cfg, metric, cfg.snr_db[p], trials, *out))
+            except (ValueError, ArithmeticError) as err:
+                failed, error = p, err
+                break
+    if error is not None:
+        raise error
+    for snr_db, values in zip(cfg.snr_db, per_trial):
+        values = np.concatenate(values)
+        stderr = np.zeros(values.shape[1:])
+        if len(values) > 1:
+            stderr = values.std(axis=0, ddof=1) / np.sqrt(len(values))
+        yield float(snr_db), values.mean(axis=0), stderr
 
 
 def run_nmse_experiment(cfg):

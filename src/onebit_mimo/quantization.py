@@ -120,13 +120,16 @@ class QuantizedObservation:
 
     The dense form carries the stacked observation r (tau M,) with the
     BussgangModel and phi_tilde it was received under. The per-user form
-    (PerUserModel.observe) carries only the slot and the (K, M) user bins r.
+    (PerUserModel.observe) carries the slot and the (K, M) user bins r, and
+    may carry measured, the PerUserEigenbasis.measure of r, computed once
+    for all the exact-gain trackers on that basis.
     """
 
     slot: int
     r: np.ndarray
     model: BussgangModel | None = None
     phi_tilde: ScaledPilotOperator | np.ndarray | None = None
+    measured: np.ndarray | None = None
 
 
 def dft_pilots(tau, n_users):

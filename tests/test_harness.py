@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 from onebit_mimo import (
     CSV_HEADER,
     KFB_THEORY,
+    PerUserEigenbasis,
     PerUserLs,
     PerUserTpe,
     QuantizedObservation,
@@ -22,6 +23,7 @@ from onebit_mimo import (
     aggregate_correlation,
     build_bussgang_model,
     build_eigenbasis,
+    complex_normal,
     default_config,
     dft_pilots,
     evolve_channel,
@@ -42,6 +44,7 @@ from onebit_mimo import (
     write_csv,
 )
 from onebit_mimo import channel, harness, linalg
+from onebit_mimo.channel import apply_sqrt_factor
 from onebit_mimo.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -135,10 +138,27 @@ class TestNmseExperiment:
         run_nmse_experiment(tiny_nmse_config(estimators=estimators))
         assert sum(covered) == builds
 
+    def test_one_measurement_per_slot_for_both_trackers(self, monkeypatch):
+        """blmmse and kfb step on one G r per slot of their shared basis.
+
+        The count is of trials covered per slot: it would double if each
+        tracker took its own product.
+        """
+        measure, covered = PerUserEigenbasis.measure, []
+
+        def counting(basis, r):
+            covered.append(r.shape[0])
+            return measure(basis, r)
+
+        monkeypatch.setattr(PerUserEigenbasis, "measure", counting)
+        cfg = tiny_nmse_config(estimators="[blmmse, kfb]")
+        run_nmse_experiment(cfg)
+        assert sum(covered) == cfg.slots * cfg.trials
+
     # Bound in harness only for perfbench/tracing.py; a run calls none of them.
     TRACER_ONLY = (
         "aggregate_correlation", "evolve_channel", "blmmse_estimate", "kfb_step",
-        "ls_estimate", "build_bussgang_model", "quantize_pilot_slot",
+        "ls_estimate", "build_bussgang_model", "quantize_pilot_slot", "sample_correlation",
     )
 
     def test_trial_loop_builds_no_dense_correlation(self, monkeypatch):
@@ -174,6 +194,9 @@ class TestNmseExperiment:
         cfg = tiny_config(M=4, K=3, tau=5, correlation_knowledge="sampled(30)")
         pilots = dft_pilots(cfg.tau, cfg.K).with_rho(10.0 ** 0.7)
         corr = exponential_correlation(cfg.M, 0.6, np.array([0.2, 1.9, 4.0]))
+        streams = trial_streams(0, 0)
+        channels = apply_sqrt_factor(corr, complex_normal(streams.channel, (12, 30)))
+        noise = complex_normal(streams.pilot_noise, (20, 30))
         quantize, quantized = harness.one_bit_quantize, []
 
         def recording(y):
@@ -181,7 +204,7 @@ class TestNmseExperiment:
             return quantized[-1]
 
         monkeypatch.setattr(harness, "one_bit_quantize", recording)
-        probes = harness._correlation_probes(cfg, pilots, corr, trial_streams(0, 0))
+        probes = harness._correlation_probes(cfg, pilots, channels.reshape(12, 30), noise)
         assert probes.shape == (3, 4, 30)
         dense = ls_estimate(QuantizedObservation(slot=0, r=quantized[0]), pilots)
         assert_allclose(probes, dense.reshape(probes.shape), rtol=0, atol=1e-12)
@@ -246,6 +269,9 @@ class TestChunkedEngine:
         **{"tpe.alpha": 1.38},
     )
     RATE = dict(NMSE, M=8, mode="rate", snr_db="[0, 10]", **{"tpe.alpha": 1.09})
+    # The first-failure cases: 4 trials at two SNR points.
+    SMALL = dict(M=4, K=2, tau=2, slots=3, trials=4, snr_db="[0, 10]")
+    POINTS = "[-5, 5, 20]"
 
     def csv_text(self, cfg, path):
         if cfg.mode == "rate":
@@ -254,8 +280,8 @@ class TestChunkedEngine:
 
     @pytest.mark.parametrize("mode", ["nmse", "rate"])
     def test_csv_bytes_do_not_depend_on_chunk_size(self, monkeypatch, tmp_path, mode):
-        """Chunks of 1, 7 and all trials write the same CSV text."""
-        cfg = tiny_config(**(self.NMSE if mode == "nmse" else self.RATE))
+        """Chunks of 1, 7 and all trials write the same CSV text, at three SNR points."""
+        cfg = tiny_config(**dict(self.NMSE if mode == "nmse" else self.RATE, snr_db=self.POINTS))
         texts = []
         for size in (1, 7, cfg.trials):
             chunk_trials(monkeypatch, cfg, size)
@@ -265,6 +291,91 @@ class TestChunkedEngine:
             # tpe.alpha clamps some trials but not all.
             assert 0 < len(caught) < cfg.trials * len(cfg.snr_db)
         assert texts[1] == texts[0] and texts[2] == texts[0]
+
+    @pytest.mark.filterwarnings("ignore:tpe.alpha:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["nmse", "rate"])
+    def test_each_point_equals_its_single_point_run(self, tmp_path, mode):
+        """A point's rows of a three-point run are, byte for byte, its one-point run's rows."""
+        shape = dict(self.NMSE if mode == "nmse" else self.RATE, trials=6)
+        cfg = tiny_config(**dict(shape, snr_db=self.POINTS))
+        lines = self.csv_text(cfg, tmp_path / "all.csv").splitlines()
+        for snr_db in (-5.0, 5.0, 20.0):
+            cfg = tiny_config(**dict(shape, snr_db=f"[{snr_db}]"))
+            single = self.csv_text(cfg, tmp_path / f"{snr_db}.csv").splitlines()
+            rows = [line for line in lines[1:] if line.split(",")[3] == repr(snr_db)]
+            assert len(single) > 1 and rows == single[1:]
+
+    @pytest.mark.parametrize("mode", ["nmse", "rate"])
+    @pytest.mark.parametrize("knowledge", ["true", "sampled(40)"])
+    def test_trials_are_drawn_once_per_run(self, monkeypatch, mode, knowledge):
+        """Three SNR points: each trial's streams, correlation and slot-0 channel once, in order."""
+        cfg = tiny_config(
+            M=16, K=2, tau=2, slots=2, trials=5, snr_db=self.POINTS, mode=mode,
+            estimators="[ls, blmmse, kfb]", correlation_knowledge=knowledge,
+        )
+        chunk_trials(monkeypatch, cfg, 2)
+        calls = {"trial_streams": [], "exponential_correlation": [], "init_channel": []}
+        for name, record in calls.items():
+            monkeypatch.setattr(harness, name, self.recording(getattr(harness, name), record))
+        run = run_rate_experiment if mode == "rate" else run_nmse_experiment
+        run(cfg)
+        assert [args[1] for args in calls["trial_streams"]] == list(range(cfg.trials))
+        assert len(calls["exponential_correlation"]) == cfg.trials
+        assert len(calls["init_channel"]) == cfg.trials
+
+    @staticmethod
+    def recording(fn, record):
+        def call(*args):
+            record.append(args)
+            return fn(*args)
+
+        return call
+
+    def inject_at_points(self, monkeypatch, at):
+        """Estimator 0 at each (snr_db, trial) of at gives its value from its slot on.
+
+        at maps (snr_db, trial) to (first slot, value).
+        """
+        run_chunk = harness._run_chunk
+
+        def injected(cfg, points, stats, trials):
+            outputs = run_chunk(cfg, points, stats, trials)
+            for pilots, (h_hat, h_true, kfb_trace) in zip(points, outputs):
+                snr_db = round(10.0 * np.log10(pilots.rho))
+                for t, trial in enumerate(trials):
+                    if (snr_db, trial) in at:
+                        slot, value = at[snr_db, trial]
+                        h_hat[t, 0, slot - 1 :] = value
+                yield h_hat, h_true, kfb_trace
+
+        monkeypatch.setattr(harness, "_run_chunk", injected)
+
+    FAILURES = {"not finite": (np.nan, FloatingPointError), "rank deficient": (1.0, ValueError)}
+
+    @pytest.mark.parametrize(
+        "mode,problem", [("nmse", "not finite"), ("rate", "not finite"), ("rate", "rank deficient")]
+    )
+    def test_lowest_failing_point_is_reported(self, monkeypatch, mode, problem):
+        """10 dB fails in the first chunk, 0 dB only in the second: the 0 dB failure is named."""
+        value, error = self.FAILURES[problem]
+        cfg = tiny_config(**self.SMALL, mode=mode, estimators="[ls, blmmse]")
+        chunk_trials(monkeypatch, cfg, 2)
+        self.inject_at_points(monkeypatch, {(10, 0): (1, value), (0, 3): (2, value)})
+        run = run_rate_experiment if mode == "rate" else run_nmse_experiment
+        with pytest.raises(error, match=f"ls estimate is {problem} at slot 2, trial 3, snr 0.0 dB"):
+            run(cfg)
+
+    @pytest.mark.parametrize(
+        "first,second", [("rank deficient", "not finite"), ("not finite", "rank deficient")]
+    )
+    def test_lowest_failing_trial_of_a_chunk_is_reported(self, monkeypatch, first, second):
+        """A rate run's trial 1 fails at slot 3, trial 2 at slot 1: trial 1's failure is named."""
+        cfg = tiny_config(**self.SMALL, mode="rate", estimators="[ls, blmmse]")
+        chunk_trials(monkeypatch, cfg, 4)
+        (value, error), (later, _) = self.FAILURES[first], self.FAILURES[second]
+        self.inject_at_points(monkeypatch, {(0, 1): (3, value), (0, 2): (1, later)})
+        with pytest.raises(error, match=f"ls estimate is {first} at slot 3, trial 1, snr 0.0"):
+            run_rate_experiment(cfg)
 
     def inject(self, monkeypatch, cls, value, first_slot):
         """cls's estimates at trial t of the chunk become value from slot first_slot[t]."""
@@ -617,5 +728,6 @@ def test_benchmark_trace_mode_runs(tmp_path):
     assert {"rate.achievable_rates", "channel.init_channel"} <= {s[0] for s in traced["spans"]}
     # layer_metrics pairs each trial's trial_streams span with its init_channel span.
     metrics = load_benchmark_module("tracing").layer_metrics([traced])
-    assert metrics["rate.achievable_rates.calls"][0] == 3 * 2
-    assert metrics["channel.init_channel.calls"][0] == 3 * 2
+    # The 3 trials are one chunk: drawn once, rated once per SNR point.
+    assert metrics["rate.achievable_rates.calls"][0] == 2
+    assert metrics["channel.init_channel.calls"][0] == 3

@@ -132,8 +132,8 @@ class TestAchievableRates:
         with pytest.raises(ValueError):
             achievable_rates(h, h, 1.0)
 
-    def test_rate_run_calls_once_per_trial_and_snr_point(self, monkeypatch):
-        """Each trial's (estimators, slots) stack goes through one call per SNR point."""
+    def test_rate_run_calls_once_per_chunk_and_snr_point(self, monkeypatch):
+        """A chunk's (trials, estimators, slots) stack goes through one call per SNR point."""
         shapes = []
 
         def counting(h_true, h_est, rho_d):
@@ -146,5 +146,7 @@ class TestAchievableRates:
             "snr_db = [0, 10]\nestimators = [blmmse, kfb]\n",
             base=default_config(),
         )
+        # Chunks of 2, 2 and 1 trials, each rated at both points in turn.
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 2 * 16 * cfg.K * cfg.M**2)
         run_rate_experiment(cfg)
-        assert shapes == [(2, 3, 8, 2)] * (5 * 2)
+        assert shapes == [(2, 2, 3, 8, 2)] * 4 + [(1, 2, 3, 8, 2)] * 2
