@@ -11,12 +11,10 @@ from .channel import (
     ChannelState,
     SpatialCorrelation,
     TemporalStats,
-    aggregate_correlation,
     evolve_channel,
     exponential_correlation,
     init_channel,
     jakes_coefficient,
-    psd_sqrt,
     stack_correlation,
 )
 from .config import (
@@ -29,18 +27,12 @@ from .config import (
 )
 from .estimators import (
     ExactGain,
-    KalmanState,
     PerUserEigenbasis,
     PerUserKalman,
     PerUserLs,
     PerUserTpe,
     TpeGain,
-    blmmse_estimate,
     build_eigenbasis,
-    kfb_init,
-    kfb_step,
-    ls_estimate,
-    sample_correlation,
     tpe_inverse,
 )
 from .harness import (
@@ -55,18 +47,29 @@ from .harness import (
     write_csv,
 )
 from .quantization import (
-    BussgangModel,
     PerUserModel,
     PilotMatrix,
     QuantizedObservation,
-    ScaledPilotOperator,
-    arcsin_covariance,
-    build_bussgang_model,
     build_per_user_model,
     dft_pilots,
     one_bit_quantize,
+    pilot_signal,
+)
+from .reference import (
+    BussgangModel,
+    KalmanState,
+    ScaledPilotOperator,
+    aggregate_correlation,
+    arcsin_covariance,
+    blmmse_estimate,
+    build_bussgang_model,
+    kfb_init,
+    kfb_step,
+    ls_estimate,
+    psd_sqrt,
     quantize_pilot_slot,
     received_pilot_signal,
+    sample_correlation,
 )
 from .rate import RateBreakdown, achievable_rates, data_bussgang_gain, zf_combiner
 from .rng import complex_normal, stream_rng, trial_streams

@@ -5,9 +5,8 @@ and evolves across pilot slots as a first-order Gauss-Markov process whose
 stationary covariance equals the spatial correlation. The users are
 independent, so the generator works on K M x M problems: a correlation is a
 stack of per-user blocks (stack_correlation) and the channel a (K, M) stack,
-user k in row k. A dense n x n correlation (aggregate_correlation, the
-block-diagonal form with user k in entries [k*M, (k+1)*M)) counts as a stack
-of one block and gives an (n,) channel from the same draws.
+user k in row k. An n x n correlation counts as a stack of one block and
+gives an (n,) channel from the same draws.
 
 Only numpy is needed: the exponential model has a closed-form Cholesky
 factor, and the Jakes coefficient J0 is summed directly.
@@ -22,9 +21,6 @@ from .rng import complex_normal
 
 # Propagation speed used for Doppler, m/s.
 SPEED_OF_LIGHT = 3.0e8
-
-# Below this smallest eigenvalue the Cholesky route is considered unsafe.
-_CHOLESKY_FLOOR = 1e-10
 
 # J0 switches from the trapezoid rule to Hankel's asymptotic series above this
 # argument; the series' first 20 terms are accurate to roundoff there.
@@ -65,30 +61,10 @@ class TemporalStats:
 
 @dataclass(frozen=True)
 class ChannelState:
-    """Channel at one pilot slot: (K, M) for a stacked correlation, (n,) for a dense one."""
+    """Channel at one pilot slot: (K, M) for a stacked correlation, (n,) for one block."""
 
     slot: int
     h: np.ndarray
-
-
-def psd_sqrt(matrix):
-    """Factor S with S @ S^H = matrix for a Hermitian PSD matrix or a stack (..., M, M).
-
-    Uses Cholesky where a matrix is comfortably positive definite and falls
-    back to an eigendecomposition with negative eigenvalues clamped to zero,
-    which tolerates the rank-deficient limit. Each matrix of a stack takes
-    its own route, so its factor does not depend on the others. Tests only:
-    exponential_correlation and sample_correlation give a run's factors.
-    """
-    matrix = np.asarray(matrix)
-    definite = np.linalg.eigvalsh(matrix)[..., 0] > _CHOLESKY_FLOOR
-    if definite.all():
-        return np.linalg.cholesky(matrix)
-    w, u = np.linalg.eigh(matrix)
-    factor = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-    if definite.any():
-        factor[definite] = np.linalg.cholesky(matrix[definite])
-    return factor
 
 
 def exponential_correlation(n_antennas, magnitude, phase):
@@ -120,47 +96,19 @@ def exponential_correlation(n_antennas, magnitude, phase):
     return SpatialCorrelation(matrix=matrix, sqrt_factor=factor)
 
 
-def _block_diag(blocks):
-    """Dense block-diagonal matrix of square blocks, in order."""
-    size = sum(b.shape[0] for b in blocks)
-    out = np.zeros((size, size), dtype=np.result_type(*blocks))
-    start = 0
-    for b in blocks:
-        stop = start + b.shape[0]
-        out[start:stop, start:stop] = b
-        start = stop
-    return out
-
-
-def aggregate_correlation(users):
-    """Block-diagonal n x n correlation over all users, in user order.
-
-    The dense reference form; the channel generator and the per-user
-    estimators work on stack_correlation. The square-root factor is
-    assembled block-wise, which is itself a valid factor of the
-    block-diagonal matrix.
-    """
-    users = list(users)
-    if not users:
-        raise ValueError("need at least one user")
-    return SpatialCorrelation(
-        matrix=_block_diag([u.matrix for u in users]),
-        sqrt_factor=_block_diag([u.sqrt_factor for u in users]),
-    )
+def _stack(arrays):
+    """np.stack, without a copy for a single array (4 MB for a paper-scale correlation)."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def stack_correlation(users):
-    """Per-user correlations stacked along a leading user axis, (K, M, M) each.
-
-    The per-user form of aggregate_correlation, for the channel generator and
-    the estimators that work on each user's block separately.
-    """
+    """Correlations stacked on a new leading axis: K users' (K, M, M), T trials' (T, K, M, M)."""
     users = list(users)
     if not users:
         raise ValueError("need at least one user")
     return SpatialCorrelation(
-        matrix=np.stack([u.matrix for u in users]),
-        sqrt_factor=np.stack([u.sqrt_factor for u in users]),
+        matrix=_stack([u.matrix for u in users]),
+        sqrt_factor=_stack([u.sqrt_factor for u in users]),
     )
 
 
@@ -209,10 +157,10 @@ def apply_sqrt_factor(corr, g):
     """S g for draws g of the n channel entries, (n,) or (n, p), block by block.
 
     corr is a stack of per-user blocks, (K, M, M) (stack_correlation) or
-    (T, K, M, M) over T trials with n = T K M, or a dense n x n correlation,
-    which counts as a stack of one block. The result is factor.shape[:-1] +
-    g.shape[1:]: (K, M) + g.shape[1:] for a stack of users and g.shape for a
-    dense correlation. Raises ValueError when the blocks' rows differ from n.
+    (T, K, M, M) over T trials with n = T K M; an n x n correlation counts
+    as a stack of one block. The result is factor.shape[:-1] +
+    g.shape[1:]: (K, M) + g.shape[1:] for a stack of users and g.shape for
+    one block. Raises ValueError when the blocks' rows differ from n.
     """
     factor = corr.sqrt_factor
     blocks = factor.reshape((-1,) + factor.shape[-2:])

@@ -1,28 +1,25 @@
-"""Channel estimators for the quantized pilot observations.
+"""Channel estimators on the per-user one-bit model.
 
-Single-shot estimators (least squares and Bussgang LMMSE) treat every slot
-independently. The Kalman variants track the Gauss-Markov evolution across
-slots, with either the exact innovation-covariance inverse or a truncated
-polynomial expansion of it in the gain.
-
-ls_estimate, blmmse_estimate and kfb_step work on the dense model over all
-n = tau M observed entries, for any pilots. With DFT pilots and a
-block-diagonal correlation the model decouples per user in the pilot-DFT
-domain (see quantization.PerUserModel), and the PerUser estimators run the
-same estimators on the K user bins, as batched M x M problems, with any
-per-user temporal coefficients. They share one protocol: step(obs) returns
-the (K, M) estimate for the slot's user bins. PerUserKalman's error_trace is
-the trace of its filtered error covariance.
+With DFT pilots and a block-diagonal correlation the linearized pilot
+observation decouples per user in the pilot-DFT domain (see
+quantization.PerUserModel), so every estimator runs on the K user bins, as
+batched M x M problems, with any per-user temporal coefficients. Least
+squares and Bussgang LMMSE treat every slot independently; the Kalman
+trackers follow the Gauss-Markov evolution across slots, with either the
+exact innovation-covariance inverse or a truncated polynomial expansion of
+it in the gain. They share one protocol: step(obs) returns the (K, M)
+estimate for the slot's user bins. PerUserKalman's error_trace is the trace
+of its filtered error covariance.
 
 The exact-gain tracker for a memoryless channel (eta = 0) is the Bussgang
 LMMSE estimator, so both run as PerUserKalman on one PerUserEigenbasis, the
 per-trial factorization of the whitened measurement information, which does
 not depend on eta.
 
-Every PerUser estimator also runs T independent trials at once: given a
-model of T trials (quantization.build_per_user_model on (T, K, M, M)
-correlations), its step takes and returns (T, K, M) stacks, and each
-trial's numbers are those of its own estimator.
+Every estimator also runs T independent trials at once: given a model of T
+trials (quantization.build_per_user_model on (T, K, M, M) correlations),
+its step takes and returns (T, K, M) stacks, and each trial's numbers are
+those of its own estimator.
 """
 
 import warnings
@@ -31,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import SpatialCorrelation
-from .linalg import inv_lower, kron_apply, solve_lower
+from .linalg import inv_lower
 
 
 @dataclass(frozen=True)
@@ -48,51 +45,11 @@ class TpeGain:
     (1 - (1 - alpha s)^(L + 1)) / s. It lies in [0, 1/s], so that the update
     neither raises the error covariance nor takes it below the exact
     posterior, exactly when alpha s <= 2 for odd L and alpha s <= 1 for
-    even L. PerUserTpe holds alpha to that limit once per trial; kfb_step
-    takes it as given.
+    even L. PerUserTpe holds alpha to that limit once per trial.
     """
 
     order: int = 1
     alpha: float = 0.5
-
-
-@dataclass(frozen=True)
-class KalmanState:
-    """Filtered estimate and error covariance after a given slot."""
-
-    slot: int
-    h_hat: np.ndarray
-    M_filt: np.ndarray
-    stats: object
-    corr: SpatialCorrelation
-
-
-def ls_estimate(obs, pilots):
-    """Least-squares estimate pinv(Phi_bar) r of the stacked channel.
-
-    obs.r is one stacked observation (tau M,) or a block of them, one per
-    column (tau M, count); the estimates come back in the same layout. Works
-    on the quantized observation directly, so the scale is biased by the
-    quantizer. A dense reference: the harness's learned-correlation probe
-    takes the same LS on the user bins.
-    """
-    sv = np.linalg.svd(pilots.phi, compute_uv=False)
-    if sv[-1] <= 1e-10 * sv[0]:
-        raise ValueError("pilot matrix is rank deficient")
-    pinv_phi = np.linalg.pinv(pilots.phi, rcond=1e-10)
-    # pinv(Phi (x) sqrt(rho) I) = pinv(Phi) (x) I / sqrt(rho).
-    return kron_apply(pinv_phi, obs.r) / np.sqrt(pilots.rho)
-
-
-def sample_correlation(samples):
-    """Spatial correlation estimated from per-user channel samples.
-
-    Averages h h^H over the rows of samples (sample_gram) and takes the
-    correlation of that average (gram_correlation). samples is (count, M),
-    or a stack (..., count, M) that gives a stack of correlations, each
-    from its own samples alone.
-    """
-    return gram_correlation(sample_gram(samples))
 
 
 def sample_gram(samples):
@@ -123,87 +80,6 @@ def gram_correlation(gram):
     return SpatialCorrelation(matrix=matrix, sqrt_factor=scale * root)
 
 
-def blmmse_estimate(obs, corr):
-    """Bussgang LMMSE estimate R phi_tilde^H C_r^{-1} r for one slot.
-
-    phi_tilde is applied through its adjoint.
-    """
-    return corr.matrix @ obs.phi_tilde.adjoint(np.linalg.solve(obs.model.C_r, obs.r))
-
-
-def kfb_init(corr, stats):
-    """Filter state before any observation: zero mean, covariance R."""
-    n = corr.matrix.shape[0]
-    return KalmanState(
-        slot=0,
-        h_hat=np.zeros(n, dtype=complex),
-        M_filt=corr.matrix.copy(),
-        stats=stats,
-        corr=corr,
-    )
-
-
-def kfb_step(state, obs, gain=ExactGain()):
-    """One predict/correct cycle of the Kalman tracker.
-
-    Predict through the Gauss-Markov model, then correct with the linearized
-    observation r = phi_tilde h + n_eff, where n_eff carries the effective
-    noise covariance from the Bussgang model. phi_tilde is only applied from
-    the left, so it may be a dense matrix or the factored ScaledPilotOperator.
-
-    With the exact gain, S = C_n_eff + phi_tilde M_pred phi_tilde^H is
-    factored as L L^H and W = L^{-1} phi_tilde M_pred, so that
-    h = h_pred + W^H L^{-1} e and M = M_pred - W^H W; the gain matrix is
-    never formed. A TpeGain replaces S^{-1} by its expansion in both the gain
-    and the covariance update, keeping the recursion self-consistent. Either
-    way the new covariance is symmetrized, 0.5 (M + M^H), which makes it
-    exactly Hermitian.
-    """
-    if obs.slot != state.slot + 1:
-        raise ValueError(f"observation slot {obs.slot} does not follow state slot {state.slot}")
-    stats = state.stats
-    n = state.h_hat.size
-    n_antennas = n // stats.eta.size
-    eta = np.repeat(stats.eta, n_antennas)
-    zeta = np.repeat(stats.zeta, n_antennas)
-
-    h_pred = eta * state.h_hat
-    m_pred = eta[:, None] * state.M_filt * eta[None, :]
-    m_pred += zeta[:, None] * state.corr.matrix * zeta[None, :]
-
-    phi_tilde = obs.phi_tilde
-    # M_pred is Hermitian, so cross_h^H = M_pred phi_tilde^H.
-    cross_h = phi_tilde @ m_pred
-    innov_cov = obs.model.C_n_eff + phi_tilde @ cross_h.conj().T
-    innovation = obs.r - phi_tilde @ h_pred
-
-    if isinstance(gain, TpeGain):
-        innov_cov = 0.5 * (innov_cov + innov_cov.conj().T)
-        gain_mat = cross_h.conj().T @ tpe_inverse(innov_cov, gain.alpha, gain.order)
-        h_new = h_pred + gain_mat @ innovation
-        m_new = m_pred - gain_mat @ cross_h
-    else:
-        try:
-            chol = np.linalg.cholesky(innov_cov)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError(
-                f"innovation covariance not positive definite at slot {obs.slot}"
-            ) from exc
-        # Each n x n temporary is 16 MiB at paper scale (n = 1024): drop
-        # them once used, to keep the peak memory down.
-        del innov_cov
-        # One solve for W and z = L^{-1} e, so the diagonal blocks of L are
-        # inverted once.
-        w_z = solve_lower(chol, np.column_stack((cross_h, innovation)))
-        del cross_h, chol
-        w = w_z[:, :-1]
-        # W^H z, computed as (z^* W)^* without a conjugated copy of W.
-        h_new = h_pred + (w_z[:, -1].conj() @ w).conj()
-        m_new = m_pred - w.conj().T @ w
-    m_new = 0.5 * (m_new + m_new.conj().T)
-    return KalmanState(slot=obs.slot, h_hat=h_new, M_filt=m_new, stats=stats, corr=state.corr)
-
-
 def _adjoint(stack):
     return np.swapaxes(stack, -1, -2).conj()
 
@@ -224,13 +100,14 @@ def _check_slot(obs, slot):
 
 
 class PerUserLs:
-    """Least squares on the user bins: r_k / sqrt(tau rho).
+    """Least squares on the user bins: r_k / sqrt(tau rho), pinv(Phi_bar) r for DFT pilots.
 
-    Equal to ls_estimate, since pinv(phi) = phi^H / tau for DFT pilots.
+    It depends on the pilots alone (pinv(phi) = phi^H / tau), so the
+    learned-correlation probes take it too.
     """
 
-    def __init__(self, model):
-        self._scale = 1.0 / model.gain
+    def __init__(self, pilots):
+        self._scale = 1.0 / pilots.gain
 
     def step(self, obs):
         return self._scale * obs.r
@@ -300,10 +177,9 @@ def build_eigenbasis(prior, model):
 class PerUserKalman:
     """Exact-gain Kalman tracker on the user bins, on a PerUserEigenbasis.
 
-    Gives the estimates and error traces of kfb_init/kfb_step with ExactGain,
-    for per-user coefficients eta (K,), at two batched matrix-vector
+    For per-user coefficients eta (K,), at two batched matrix-vector
     products per slot. With eta = 0 it is the Bussgang LMMSE estimator
-    R_k D C_r,k^{-1} r_k of blmmse_estimate.
+    R_k D C_r,k^{-1} r_k.
 
     In the basis's terms every predicted and filtered covariance equals
     (S U) diag(p) (S U)^H. The recursion therefore runs on the vector p, from
@@ -344,11 +220,10 @@ class PerUserKalman:
 class PerUserTpe:
     """Kalman tracker with a TpeGain on the user bins.
 
-    The kfb_step recursion with a truncated polynomial expansion of each
+    The Kalman recursion with a truncated polynomial expansion of each
     user's innovation covariance inverse, for per-user coefficients eta (K,).
-    Gives the estimates of kfb_step with the same gain: the polynomial of
-    the block-diagonal innovation covariance in the DFT domain is the
-    polynomial of each block.
+    The polynomial of the block-diagonal innovation covariance in the DFT
+    domain is the polynomial of each block.
 
     The scale is bounded once per trial. While 0 <= M <= R, user k's
     innovation covariance C_n_eff,k + D M_pred D is at most

@@ -16,7 +16,8 @@ blocks and builds no n x n array: the channel is a (K, M) stack, and every
 estimator runs on the exact per-user model of
 quantization.build_per_user_model. BLMMSE is the exact-gain tracker with
 eta = 0, so blmmse and kfb share one per-trial estimators.PerUserEigenbasis
-and its one measurement per slot.
+and its one measurement per slot. The slots and the learned-correlation
+probes take one front end (_user_bins) and one LS (estimators.PerUserLs).
 
 The engine runs the trials in chunks of T, sized so that a (T, K, M, M)
 complex stack stays within _CHUNK_BYTES, and walks the chunks once. A
@@ -40,13 +41,14 @@ import numpy as np
 
 from .channel import (
     ChannelState,
-    SpatialCorrelation,
     TemporalStats,
+    _stack,
     apply_sqrt_factor,
     channel_trajectory,
     exponential_correlation,
     init_channel,
     jakes_coefficient,
+    stack_correlation,
 )
 from .estimators import (
     PerUserKalman,
@@ -57,7 +59,6 @@ from .estimators import (
     gram_correlation,
     sample_gram,
 )
-from .linalg import kron_apply
 from .quantization import (
     QuantizedObservation,
     build_per_user_model,
@@ -65,11 +66,19 @@ from .quantization import (
     one_bit_quantize,
     pilot_signal,
 )
-# The trial loop no longer calls these functions, but perfbench/tracing.py
-# wraps them by their names in this module, so they stay bound here.
-from .channel import aggregate_correlation, evolve_channel  # noqa: F401
-from .estimators import blmmse_estimate, kfb_step, ls_estimate, sample_correlation  # noqa: F401
-from .quantization import build_bussgang_model, quantize_pilot_slot  # noqa: F401
+# The trial loop calls none of these: evolve_channel and the dense references
+# of the reference module stay bound here only because perfbench/tracing.py
+# wraps them by their names in this module.
+from .channel import evolve_channel  # noqa: F401
+from .reference import (  # noqa: F401
+    aggregate_correlation,
+    blmmse_estimate,
+    build_bussgang_model,
+    kfb_step,
+    ls_estimate,
+    quantize_pilot_slot,
+    sample_correlation,
+)
 from .rate import RankDeficientError, achievable_rates
 from .rng import complex_normal, complex_normal_sequence, trial_streams
 from .theory import TheoryParams, alpha_upper_bound, fixed_point_gamma, nmse_recursion
@@ -115,11 +124,6 @@ def _chunk_size(cfg):
     return max(1, _CHUNK_BYTES // (16 * cfg.K * cfg.M**2))
 
 
-def _stack(arrays):
-    """np.stack, without a copy for a single array."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 def _correlation_grams(cfg, points, corr_true, streams):
     """One trial's learned-correlation Grams at each SNR point, (P, K, M, M).
 
@@ -146,18 +150,23 @@ def _correlation_grams(cfg, points, corr_true, streams):
 def _correlation_probes(cfg, pilots, channels, noise):
     """One-bit LS probes of stationary channels (n, count) at one SNR point, (K, M, count).
 
-    Receives and quantizes the channels with the noise (tau M, count), then
-    takes the LS of PerUserLs on the user bins, r_k / sqrt(tau rho), for all
-    count columns in one product.
+    The front end and LS of the slots (_user_bins, PerUserLs) on the
+    channels with their noise (tau M, count). Both are flattened, so all
+    count columns take one pilot product and one bin product.
     """
-    quantized = one_bit_quantize(pilots.apply(channels) + noise)
-    bins = kron_apply(pilots.bin_map, quantized) / np.sqrt(pilots.tau * pilots.rho)
-    return bins.reshape(cfg.K, cfg.M, -1)
+    bins = _user_bins(pilots, channels, noise.reshape(-1))
+    probes = PerUserLs(pilots).step(QuantizedObservation(slot=0, r=bins))
+    return probes.reshape(cfg.K, cfg.M, -1)
 
 
-def _estimator(name, cfg, stats, prior, model, basis):
+def _user_bins(pilots, h, noise):
+    """The one-bit front end: the user bins of channels h in any layout pilot_signal takes."""
+    return pilots.bins(one_bit_quantize(pilot_signal(h, pilots, noise)))
+
+
+def _estimator(name, cfg, stats, pilots, prior, model, basis):
     if name == "ls":
-        return PerUserLs(model)
+        return PerUserLs(pilots)
     if name == "blmmse":
         return PerUserKalman(basis, np.zeros_like(stats.eta))
     if name == "kfb":
@@ -205,10 +214,7 @@ def _draw_chunk(cfg, points, stats, trials):
         h0.append(init_channel(users[-1], streams.channel).h)
         g.append(complex_normal_sequence(streams.channel, cfg.slots, cfg.M * cfg.K))
         noise.append(complex_normal_sequence(streams.pilot_noise, cfg.slots, cfg.M * cfg.tau))
-    corr = SpatialCorrelation(
-        matrix=_stack([u.matrix for u in users]),
-        sqrt_factor=_stack([u.sqrt_factor for u in users]),
-    )
+    corr = stack_correlation(users)
     h_true = channel_trajectory(ChannelState(slot=0, h=_stack(h0)), stats, corr, _stack(g))
     return corr, grams, h_true, _stack(noise)
 
@@ -226,11 +232,11 @@ def _estimate_chunk(cfg, pilots, stats, prior, h_true, noise):
     basis = None
     if "blmmse" in cfg.estimators or "kfb" in cfg.estimators:
         basis = build_eigenbasis(prior, model)
-    estimators = [_estimator(name, cfg, stats, prior, model, basis) for name in cfg.estimators]
+    estimators = [_estimator(e, cfg, stats, pilots, prior, model, basis) for e in cfg.estimators]
     kfb = estimators[cfg.estimators.index("kfb")] if "kfb" in cfg.estimators else None
 
     # (T, S, K, M) user bins, each trial's slots in order.
-    bins = model.bins(one_bit_quantize(pilot_signal(h_true, pilots, noise)))
+    bins = _user_bins(pilots, h_true, noise)
     shape = h_true.shape
     h_hat = np.empty((shape[0], len(estimators)) + shape[1:], dtype=complex)
     kfb_trace = np.zeros(shape[:2])

@@ -1,29 +1,27 @@
-"""Pilot design, one-bit quantization, and the Bussgang-linearized model.
+"""Pilot design, the one-bit front end, and the per-user Bussgang model.
 
 The quantized pilot observation r = Q(y) is rewritten as r = A y + q with A
 the Bussgang gain and q distortion uncorrelated with y. The second-order
 statistics of r follow the arcsine law, which is everything the linear
 estimators downstream need.
 
-build_bussgang_model forms that model densely, as one record over all
-n = tau M observed entries, for the dense estimators that the tests use as
-references. With DFT pilots and a block-diagonal channel correlation (one
-block per user) the model decouples: block (t, t') of C_y depends only on
-t - t' mod tau, the arcsine law keeps that block-circulant structure because
-diag(C_y) depends only on the antenna, and A = I_tau kron diag(a). One
-unitary DFT across the pilot slots therefore block-diagonalizes C_y, C_r,
-C_q and C_n_eff at once, and user k sees only DFT bin k. build_per_user_model
-forms this exact per-user model from M x M blocks alone: the gains and the
+With DFT pilots and a block-diagonal channel correlation (one block per
+user) the model decouples: block (t, t') of C_y depends only on t - t' mod
+tau, the arcsine law keeps that block-circulant structure because diag(C_y)
+depends only on the antenna, and A = I_tau kron diag(a). One unitary DFT
+across the pilot slots therefore block-diagonalizes C_y, C_r, C_q and
+C_n_eff at once, and user k sees only DFT bin k. build_per_user_model forms
+this exact per-user model from M x M blocks alone: the gains and the
 user-bin blocks of C_n_eff, which is all the per-user estimators read (the
 bin of C_r is D R_k D + C_n_eff,k for D = sqrt(tau rho) diag(a)).
+
+Every slot and every learned-correlation probe takes the same front end:
+pilot_signal, one_bit_quantize and PilotMatrix.bins.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .linalg import kron_apply
-from .rng import complex_normal
 
 
 @dataclass(frozen=True)
@@ -47,88 +45,43 @@ class PilotMatrix:
             raise ValueError("pilot power must be positive")
         return replace(self, rho=float(rho))
 
-    def _scaled_phi(self):
+    def scaled_phi(self):
+        """sqrt(rho) phi; raises ValueError while the pilot power is unset."""
         if self.rho is None:
             raise ValueError("pilot power not set, call with_rho first")
         return np.sqrt(self.rho) * self.phi
 
     @property
-    def bin_map(self):
-        """phi^H / sqrt(tau), for DFT pilots the map to the user bins (see PerUserModel)."""
-        return self.phi.conj().T / np.sqrt(self.tau)
+    def gain(self):
+        """sqrt(tau rho), the gain of each user's own bin (bins) for DFT pilots."""
+        return float(np.sqrt(self.tau * self.rho))
+
+    def bins(self, r):
+        """The user bins (..., K, L) of observations (..., tau L): phi^H / sqrt(tau) on (tau, L)."""
+        bin_map = self.phi.conj().T / np.sqrt(self.tau)
+        return bin_map @ r.reshape(r.shape[:-1] + (self.tau, -1))
 
     def phi_bar(self, n_antennas):
         """Dense Phi_bar = phi kron sqrt(rho) I_M, mapping the stacked channel to vec(Y).
 
-        Reference form for tests; apply and adjoint give its products
-        without building it.
+        The reference form of pilot_signal's product, for the tests.
         """
-        return np.kron(self._scaled_phi(), np.eye(n_antennas))
-
-    def apply(self, x):
-        """Phi_bar x for a stacked channel vector or a block of them (columns)."""
-        return kron_apply(self._scaled_phi(), x)
-
-    def adjoint(self, y):
-        """Phi_bar^H y for a stacked observation vector or a block of them."""
-        return kron_apply(self._scaled_phi().conj().T, y)
-
-
-@dataclass(frozen=True)
-class ScaledPilotOperator:
-    """The linearized pilot operator phi_tilde = diag(a) Phi_bar, kept factored.
-
-    Supports phi_tilde @ x and adjoint(y) = phi_tilde^H y, for vectors and
-    column blocks, at O(tau n) per column.
-    """
-
-    a_diag: np.ndarray
-    pilots: PilotMatrix
-
-    def __matmul__(self, x):
-        y = self.pilots.apply(x)
-        y *= _row_factor(self.a_diag, y.ndim)
-        return y
-
-    def adjoint(self, y):
-        return self.pilots.adjoint(_row_factor(self.a_diag, np.ndim(y)) * y)
-
-
-def _row_factor(a, ndim):
-    return a[:, None] if ndim == 2 else a
-
-
-@dataclass(frozen=True)
-class BussgangModel:
-    """Second-order description of the quantized pilot observation.
-
-    a_diag holds the diagonal of the Bussgang gain A, C_y the analog
-    covariance, C_r the arcsine-law covariance of the quantized output, C_q
-    the distortion covariance and C_n_eff the effective noise covariance.
-    """
-
-    a_diag: np.ndarray
-    C_y: np.ndarray
-    C_r: np.ndarray
-    C_q: np.ndarray
-    C_n_eff: np.ndarray
+        return np.kron(self.scaled_phi(), np.eye(n_antennas))
 
 
 @dataclass(frozen=True)
 class QuantizedObservation:
-    """One slot of quantized pilots.
+    """One slot of quantized pilots: its (K, M) user bins r, or (T, K, M) over T trials.
 
-    The dense form carries the stacked observation r (tau M,) with the
-    BussgangModel and phi_tilde it was received under. The per-user form
-    (PerUserModel.observe) carries the slot and the (K, M) user bins r, and
-    may carry measured, the PerUserEigenbasis.measure of r, computed once
-    for all the exact-gain trackers on that basis.
+    measured may carry PerUserEigenbasis.measure of r, computed once for all
+    the exact-gain trackers on that basis. The dense references take r
+    stacked (tau M,), with the model and phi_tilde it was received under.
     """
 
     slot: int
     r: np.ndarray
-    model: BussgangModel | None = None
-    phi_tilde: ScaledPilotOperator | np.ndarray | None = None
+    model: object | None = None
+    phi_tilde: object | None = None
     measured: np.ndarray | None = None
 
 
@@ -161,34 +114,15 @@ def one_bit_quantize(y):
     return out
 
 
-def received_pilot_signal(state, pilots, rng):
-    """Analog pilot observation y = Phi_bar h + n, for an (n,) or a (K, M) channel."""
-    n_antennas = state.h.size // pilots.K
-    return pilot_signal(state.h, pilots, complex_normal(rng, n_antennas * pilots.tau))
-
-
 def pilot_signal(h, pilots, noise):
-    """Phi_bar h + noise for an (n,) or (K, M) channel and noise (tau M,).
+    """Phi_bar h + noise, one pilot product per row of noise (..., tau L) and K L entries of h.
 
-    Channels stacked (..., K, M), over trials and slots, take noise
-    (..., tau M), one pilot product per channel.
+    A (K, M) channel takes noise (tau M,), and channels stacked (..., K, M)
+    take (..., tau M). p channels in columns, (K M, p), with their noise
+    (tau M, p) flattened to (tau M p,), take a single product.
     """
     h = np.reshape(h, noise.shape[:-1] + (pilots.K, -1))
-    return (pilots._scaled_phi() @ h).reshape(noise.shape) + noise
-
-
-def arcsin_covariance(c_y):
-    """Covariance of the one-bit output via the arcsine law.
-
-    With X and Y the diagonally normalized real and imaginary parts of C_y,
-    C_r = (2/pi)(arcsin X + j arcsin Y). Arguments are clamped to [-1, 1]
-    against floating-point spill. The diagonal is written as exactly 1, its
-    analytic value: near 1 the arcsine slope is unbounded, so leaving the
-    normalization roundoff in would cost sqrt(eps) there.
-    """
-    out = _arcsine_law(c_y, np.sqrt(np.real(np.diag(c_y))))
-    np.fill_diagonal(out, 1.0)
-    return out
+    return (pilots.scaled_phi() @ h).reshape(noise.shape) + noise
 
 
 def _outer(d):
@@ -212,64 +146,20 @@ def _arcsine_law(c_y, d, out=None):
     return out
 
 
-def build_bussgang_model(pilots, corr):
-    """Bussgang gain, analog, arcsine, distortion and effective noise covariances.
-
-    C_y = Phi_bar R Phi_bar^H + I and A = sqrt(2/pi) diag(C_y)^(-1/2); the
-    unit noise floor keeps the diagonal strictly positive. C_r follows from
-    the arcsine law. C_q = C_r - A C_y A^H is the part of the quantizer
-    output the linear model cannot explain, and the effective noise A n + q
-    has covariance A A^H + C_q.
-    """
-    # Phi_bar (Phi_bar R)^H = Phi_bar R Phi_bar^H since R is Hermitian.
-    c_y = pilots.apply(pilots.apply(corr.matrix).conj().T)
-    c_y[np.diag_indices_from(c_y)] += 1.0
-    a_diag = np.sqrt(2.0 / np.pi) / np.sqrt(np.real(np.diag(c_y)))
-    c_r = arcsin_covariance(c_y)
-    c_q = c_r - a_diag[:, None] * c_y * a_diag[None, :]
-    c_n_eff = c_q.copy()
-    c_n_eff[np.diag_indices_from(c_n_eff)] += a_diag**2
-    return BussgangModel(a_diag=a_diag, C_y=c_y, C_r=c_r, C_q=c_q, C_n_eff=c_n_eff)
-
-
-def quantize_pilot_slot(state, pilots, model, rng):
-    """Receive one slot, quantize it, and package it for the estimators.
-
-    The model is passed in prebuilt since pilots and correlation are static
-    across slots. phi_tilde = A Phi_bar, the operator of the linearized
-    observation equation r = phi_tilde h + effective noise, is attached in
-    factored form (a ScaledPilotOperator); A Phi_bar is never formed.
-    """
-    r = one_bit_quantize(received_pilot_signal(state, pilots, rng))
-    phi_tilde = ScaledPilotOperator(a_diag=model.a_diag, pilots=pilots)
-    return QuantizedObservation(slot=state.slot, r=r, model=model, phi_tilde=phi_tilde)
-
-
 @dataclass(frozen=True)
 class PerUserModel:
     """The linearized pilot observation of each user in its own DFT bin.
 
-    bin_map (PilotMatrix.bin_map) holds the K rows of the unitary tau-point
-    DFT that take a stacked observation to its user bins. In bin k the model is
-    r_k = gain diag(a) h_k + n_k, with gain = sqrt(tau rho) and a the
-    per-antenna Bussgang gain; C_n_eff stacks the K per-user covariances of
-    n_k, (K, M, M). The bins beyond K carry noise alone, uncorrelated with
-    the user bins, and are dropped. A model of T trials at once has a
-    (T, M) and C_n_eff (T, K, M, M), and observes (T, K, M) bins.
+    In bin k (PilotMatrix.bins) the model is r_k = gain diag(a) h_k + n_k,
+    with gain = sqrt(tau rho) and a the per-antenna Bussgang gain; C_n_eff
+    stacks the K per-user covariances of n_k, (K, M, M). The bins beyond K
+    carry noise alone, uncorrelated with the user bins, and are dropped. A
+    model of T trials at once has a (T, M) and C_n_eff (T, K, M, M).
     """
 
-    bin_map: np.ndarray
     a: np.ndarray
     gain: float
     C_n_eff: np.ndarray
-
-    def bins(self, r):
-        """The user bins (..., K, M) of stacked one-bit observations (..., tau M)."""
-        return self.bin_map @ r.reshape(r.shape[:-1] + (self.bin_map.shape[1], -1))
-
-    def observe(self, slot, r):
-        """A stacked one-bit observation (..., tau M), as a (..., K, M) observation of the user bins."""
-        return QuantizedObservation(slot=slot, r=self.bins(r))
 
 
 def build_per_user_model(pilots, prior):
@@ -290,7 +180,7 @@ def build_per_user_model(pilots, prior):
     tau, n_users = pilots.phi.shape
     if not np.allclose(pilots.phi, dft_pilots(tau, n_users).phi, rtol=0.0, atol=1e-12):
         raise ValueError("the per-user model needs DFT pilots")
-    scaled = pilots._scaled_phi()
+    scaled = pilots.scaled_phi()
     lead = prior.matrix.shape[:-3]
     n_antennas = prior.matrix.shape[-1]
     half = tau // 2 + 1
@@ -314,8 +204,5 @@ def build_per_user_model(pilots, prior):
     np.conjugate(mirrored, out=lags[..., half:, :, :])
     bins = pilots.phi.conj().T @ lags.reshape(lead + (tau, -1))
     return PerUserModel(
-        bin_map=pilots.bin_map,
-        a=a,
-        gain=float(np.sqrt(tau * pilots.rho)),
-        C_n_eff=bins.reshape(lead + (n_users, n_antennas, n_antennas)),
+        a=a, gain=pilots.gain, C_n_eff=bins.reshape(lead + (n_users, n_antennas, n_antennas))
     )

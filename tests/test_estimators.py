@@ -40,7 +40,7 @@ from onebit_mimo import (
     stack_correlation,
     tpe_inverse,
 )
-from onebit_mimo.quantization import BussgangModel
+from onebit_mimo.reference import BussgangModel
 
 
 def white_correlation(n_users, n_antennas):
@@ -178,7 +178,7 @@ class TestKalmanFilter:
             PerUserTpe(prior, per_user, stats.eta, TpeGain()),
         ):
             with pytest.raises(ValueError):
-                tracker.step(per_user.observe(3, obs.r))
+                tracker.step(QuantizedObservation(slot=3, r=pilots.bins(obs.r)))
 
     def test_first_slot_error_trace_closed_form(self):
         """White channel, square pilots: trace(M_1) = (1 - beta) M K."""
@@ -335,7 +335,7 @@ def per_user_slots(scene, slots=10):
     for _ in range(slots):
         chan = evolve_channel(chan, stats, corr, rng)
         obs = quantize_pilot_slot(chan, scene["pilots"], scene["model"], rng)
-        yield obs, scene["per_user"].observe(obs.slot, obs.r)
+        yield obs, QuantizedObservation(slot=obs.slot, r=scene["pilots"].bins(obs.r))
 
 
 def kalman_reference_obs(scene, obs):
@@ -375,9 +375,7 @@ class TestEigenbasisKalman:
 
     def test_non_positive_definite_noise_rejected(self):
         prior = stack_correlation([exponential_correlation(2, 0.0, 0.0)])
-        degenerate = PerUserModel(
-            bin_map=np.ones((1, 1)), a=np.zeros(2), gain=1.0, C_n_eff=np.zeros((1, 2, 2)),
-        )
+        degenerate = PerUserModel(a=np.zeros(2), gain=1.0, C_n_eff=np.zeros((1, 2, 2)))
         with pytest.raises(np.linalg.LinAlgError, match="C_n_eff"):
             build_eigenbasis(prior, degenerate)
 
@@ -406,7 +404,7 @@ class TestPerUserEstimators:
     @pytest.mark.parametrize("case", sorted(PER_USER_CASES))
     def test_single_shot_matches_dense(self, case):
         scene = per_user_scene(case)
-        ls = PerUserLs(scene["per_user"])
+        ls = PerUserLs(scene["pilots"])
         # BLMMSE is the exact-gain tracker of a memoryless channel.
         eta = np.zeros_like(scene["stats"].eta)
         blmmse = PerUserKalman(build_eigenbasis(scene["prior"], scene["per_user"]), eta)
@@ -530,7 +528,7 @@ class TestTpeScaleBound:
         for _ in range(cfg.slots):
             chan = evolve_channel(chan, stats, prior, rng)
             r = one_bit_quantize(received_pilot_signal(chan, pilots, rng))
-            tracker.step(model.observe(chan.slot, r))
+            tracker.step(QuantizedObservation(slot=chan.slot, r=pilots.bins(r)))
             assert np.linalg.eigvalsh(tracker.M_filt).min() >= -1e-10
             assert np.linalg.eigvalsh(prior.matrix - tracker.M_filt).min() >= -1e-10
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import importlib.util
 import json
@@ -43,11 +44,18 @@ from onebit_mimo import (
     trial_streams,
     write_csv,
 )
-from onebit_mimo import channel, harness, linalg
+from onebit_mimo import harness, linalg, reference
 from onebit_mimo.channel import apply_sqrt_factor
 from onebit_mimo.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
+
+# The dense layer: every public name that the reference module defines.
+REFERENCE_NAMES = {
+    name
+    for name, value in vars(reference).items()
+    if not name.startswith("_") and getattr(value, "__module__", None) == reference.__name__
+}
 
 
 def tiny_config(**kwargs):
@@ -156,17 +164,14 @@ class TestNmseExperiment:
         assert sum(covered) == cfg.slots * cfg.trials
 
     # Bound in harness only for perfbench/tracing.py; a run calls none of them.
-    TRACER_ONLY = (
-        "aggregate_correlation", "evolve_channel", "blmmse_estimate", "kfb_step",
-        "ls_estimate", "build_bussgang_model", "quantize_pilot_slot", "sample_correlation",
-    )
+    TRACER_ONLY = ("evolve_channel", *sorted(REFERENCE_NAMES & set(vars(harness))))
 
     def test_trial_loop_builds_no_dense_correlation(self, monkeypatch):
         """Known and learned correlation both run on per-user stacks alone.
 
         No nmse or rate run calls a dense reference, the dense LS or a
         pseudo-inverse, or takes a square root of a correlation apart from
-        the one its generator or sample_correlation gives.
+        the one its generator or gram_correlation gives.
         """
 
         def forbidden(name):
@@ -178,7 +183,8 @@ class TestNmseExperiment:
         for name in self.TRACER_ONLY:
             monkeypatch.setattr(harness, name, forbidden(name))
         monkeypatch.setattr(np.linalg, "pinv", forbidden("np.linalg.pinv"))
-        monkeypatch.setattr(channel, "psd_sqrt", forbidden("psd_sqrt"))
+        for name in REFERENCE_NAMES:
+            monkeypatch.setattr(reference, name, forbidden(name))
         for knowledge in ("true", "sampled(40)"):
             shape = dict(
                 M=4, K=2, tau=2, slots=2, trials=2, r_spatial=0.3, snr_db="[0]",
@@ -206,8 +212,28 @@ class TestNmseExperiment:
         monkeypatch.setattr(harness, "one_bit_quantize", recording)
         probes = harness._correlation_probes(cfg, pilots, channels.reshape(12, 30), noise)
         assert probes.shape == (3, 4, 30)
-        dense = ls_estimate(QuantizedObservation(slot=0, r=quantized[0]), pilots)
+        dense = ls_estimate(QuantizedObservation(slot=0, r=quantized[0].reshape(20, 30)), pilots)
         assert_allclose(probes, dense.reshape(probes.shape), rtol=0, atol=1e-12)
+
+    def test_correlation_probes_equal_slot_ls(self):
+        """A probe column is, byte for byte, PerUserLs.step on the slot path's bins.
+
+        The probes take all their columns in one pilot product; the slots
+        take a (K, M) channel per product. Same channels and noise, same bits.
+        """
+        cfg = tiny_config(M=16, K=4, tau=4, correlation_knowledge="sampled(30)")
+        pilots = dft_pilots(cfg.tau, cfg.K).with_rho(10.0 ** 0.5)
+        corr = exponential_correlation(cfg.M, 0.5, np.array([0.3, 1.2, 2.6, 5.0]))
+        streams = trial_streams(3, 0)
+        channels = apply_sqrt_factor(corr, complex_normal(streams.channel, (64, 30)))
+        channels = channels.reshape(64, 30)
+        noise = complex_normal(streams.pilot_noise, (64, 30))
+        probes = harness._correlation_probes(cfg, pilots, channels, noise)
+        # The 30 columns as one trial's 30 slots, (T, S, K, M) with noise (T, S, tau M).
+        h = np.swapaxes(channels, 0, 1).reshape(1, 30, 4, 16)
+        bins = harness._user_bins(pilots, h, np.swapaxes(noise, 0, 1).reshape(1, 30, 64))
+        slots = PerUserLs(pilots).step(QuantizedObservation(slot=1, r=bins[0]))
+        assert np.array_equal(np.moveaxis(probes, -1, 0), slots)
 
     def test_learned_correlation_runs(self):
         known = run_nmse_experiment(tiny_nmse_config(trials=2))
@@ -731,3 +757,43 @@ def test_benchmark_trace_mode_runs(tmp_path):
     # The 3 trials are one chunk: drawn once, rated once per SNR point.
     assert metrics["rate.achievable_rates.calls"][0] == 2
     assert metrics["channel.init_channel.calls"][0] == 3
+
+
+PROGRAM_MODULES = (
+    "channel", "quantization", "estimators", "linalg", "rate", "rng", "theory", "config", "cli",
+)
+
+
+def reference_imports(tree):
+    """The import statements of a syntax tree that bind the reference module or its names."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            named = {alias.name for alias in node.names}
+            if module in (".reference", "onebit_mimo.reference") or (
+                module in (".", "onebit_mimo") and "reference" in named
+            ):
+                found.append(node)
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "onebit_mimo.reference" for alias in node.names):
+                found.append(node)
+    return found
+
+
+def test_reference_layer_stays_out_of_the_program():
+    """No program module imports the reference module, and harness uses none of its names.
+
+    harness binds some of them only for perfbench/tracing.py to wrap.
+    """
+    src = REPO / "src" / "onebit_mimo"
+    for name in PROGRAM_MODULES:
+        tree = ast.parse((src / f"{name}.py").read_text(encoding="utf-8"))
+        assert reference_imports(tree) == [], f"{name} imports the reference module"
+    tree = ast.parse((src / "harness.py").read_text(encoding="utf-8"))
+    bound = {
+        alias.asname or alias.name for node in reference_imports(tree) for alias in node.names
+    }
+    assert bound and bound <= REFERENCE_NAMES
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not bound & used, f"harness uses {sorted(bound & used)} from the reference module"

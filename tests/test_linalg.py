@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from onebit_mimo.linalg import inv_lower, kron_apply, solve_lower
+from onebit_mimo.linalg import inv_lower
+from onebit_mimo.reference import kron_apply, solve_lower
 
 
 def random_complex(rng, shape):

@@ -14,6 +14,8 @@ from onebit_mimo import (
     quantize_pilot_slot,
     received_pilot_signal,
 )
+from onebit_mimo.quantization import pilot_signal
+from onebit_mimo.reference import ScaledPilotOperator
 
 
 def white_correlation(n_users, n_antennas):
@@ -61,21 +63,30 @@ class TestPilotOperator:
         with pytest.raises(ValueError):
             dft_pilots(2, 2).phi_bar(2)
         with pytest.raises(ValueError):
-            dft_pilots(2, 2).apply(np.ones(2))
+            pilot_signal(np.ones(2), dft_pilots(2, 2), np.zeros(2))
         with pytest.raises(ValueError):
             dft_pilots(2, 2).with_rho(0.0)
 
     @pytest.mark.parametrize("tau,k,n_antennas", [(6, 4, 1), (6, 4, 3), (4, 4, 5)])
     def test_apply_and_adjoint_match_dense_kron(self, tau, k, n_antennas):
+        """The factored operator with unit gain, and pilot_signal in all its layouts."""
         pilots = dft_pilots(tau, k).with_rho(1.7)
         dense = pilots.phi_bar(n_antennas)
+        op = ScaledPilotOperator(a_diag=np.ones(tau * n_antennas), pilots=pilots)
         rng = np.random.default_rng(10)
         x = rng.standard_normal((k * n_antennas, 3)) + 1j * rng.standard_normal((k * n_antennas, 3))
         y = rng.standard_normal((tau * n_antennas, 3)) + 1j * rng.standard_normal((tau * n_antennas, 3))
-        assert_allclose(pilots.apply(x), dense @ x, atol=1e-13)
-        assert_allclose(pilots.apply(x[:, 0]), dense @ x[:, 0], atol=1e-13)
-        assert_allclose(pilots.adjoint(y), dense.conj().T @ y, atol=1e-13)
-        assert_allclose(pilots.adjoint(y[:, 0]), dense.conj().T @ y[:, 0], atol=1e-13)
+        assert_allclose(op @ x, dense @ x, atol=1e-13)
+        assert_allclose(op @ x[:, 0], dense @ x[:, 0], atol=1e-13)
+        assert_allclose(op.adjoint(y), dense.conj().T @ y, atol=1e-13)
+        assert_allclose(op.adjoint(y[:, 0]), dense.conj().T @ y[:, 0], atol=1e-13)
+        # One (K, M) channel, a stack of them, and columns with their noise flattened.
+        channels = x.T.reshape(3, k, n_antennas)
+        expected = dense @ x + y
+        assert_allclose(pilot_signal(channels[0], pilots, y[:, 0]), expected[:, 0], atol=1e-13)
+        assert_allclose(pilot_signal(channels, pilots, y.T), expected.T, atol=1e-13)
+        flat = pilot_signal(x, pilots, y.reshape(-1)).reshape(y.shape)
+        assert_allclose(flat, expected, atol=1e-13)
 
 
 class TestOneBitQuantize:
