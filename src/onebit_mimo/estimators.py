@@ -14,7 +14,12 @@ of its filtered error covariance.
 The exact-gain tracker for a memoryless channel (eta = 0) is the Bussgang
 LMMSE estimator, so both run as PerUserKalman on one PerUserEigenbasis, the
 per-trial factorization of the whitened measurement information, which does
-not depend on eta.
+not depend on eta. A trial whose correlations are all centro-Hermitian
+(J conj(R_k) J = R_k, as for the exponential model's Hermitian Toeplitz
+R_k) has a real problem: a fixed unitary Q makes R_k, C_n_eff,k and the
+gains real, so build_eigenbasis factors it with real LAPACK and maps only
+its outputs back. Other trials, and centro-Hermitian ones whose real prior
+form has no Cholesky factor, take complex arithmetic.
 
 Every estimator also runs T independent trials at once: given a model of T
 trials (quantization.build_per_user_model on (T, K, M, M) correlations),
@@ -23,12 +28,15 @@ those of its own estimator.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .channel import SpatialCorrelation
 from .linalg import inv_lower
+
+_HALF = np.sqrt(0.5)
+_SQRT2 = np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -125,6 +133,13 @@ class PerUserEigenbasis:
     serves every exact-gain tracker of a trial, and one measurement G r per
     slot (measure) serves them all. A basis of T trials at once has a
     leading trial axis on each.
+
+    Any factor S of R gives the same G, S U, lam and norms. A trial whose
+    correlations are all exactly centro-Hermitian gets them in real
+    arithmetic, with S = Q S' for the Cholesky factor S' of the real form
+    Q^H R Q; any other trial, or one whose real form has no Cholesky factor,
+    with S = prior.sqrt_factor (build_eigenbasis). G and S U are complex
+    either way.
     """
 
     lam: np.ndarray
@@ -145,9 +160,162 @@ def build_eigenbasis(prior, model):
     times slower at M = 128 than the block rows of linalg.inv_lower, which
     skip the zero upper triangle. Raises LinAlgError if C_n_eff is not
     positive definite.
+
+    A trial whose K correlations are all exactly centro-Hermitian,
+    J conj(R_k) J = R_k for the exchange matrix J, runs in real arithmetic.
+    Hermitian Toeplitz matrices, such as the exponential model's, are
+    centro-Hermitian. With DFT pilots the arcsine law keeps the symmetry, so
+    every C_n_eff,k of such a trial is centro-Hermitian too, to rounding
+    (its real form is read from its first rows), and its gains a are
+    persymmetric. The fixed unitary Q of _real_form then makes
+    R' = Q^H R_k Q and Q^H C_n_eff,k Q real symmetric and Q^H D Q real
+    diagonal, and the same pipeline runs on them, with the Cholesky factor
+    S' of R' for S, at about half the cost in LAPACK and BLAS. Only the
+    outputs return: S U = Q (S'U') and G = G' Q^H; lam and the norms carry
+    over, Q being unitary. Every other trial takes complex arithmetic with
+    S = prior.sqrt_factor, and so does a centro-Hermitian one whose R' has
+    no Cholesky factor (a singular learned correlation, such as [[0]] at
+    M = 1). The choice is per trial, from its own correlations, so a
+    trial's numbers do not depend on the other trials of a stack.
+    """
+    lead = prior.matrix.shape[:-3]
+    # One trial axis, (T, K, M, M), also for a single trial's (K, M, M).
+    matrix, factor, noise = (
+        np.reshape(x, (-1,) + x.shape[-3:])
+        for x in (prior.matrix, prior.sqrt_factor, model.C_n_eff)
+    )
+    gain = np.reshape(model.gain * model.a, (len(matrix), 1, -1))
+    real, real_factor = _real_prior(matrix)
+    bases = []
+    if real.any():
+        noise_form = _real_form(_take(noise, real))
+        bases.append(_real_eigenbasis(real_factor, _take(gain, real), noise_form))
+    if not real.all():
+        other = ~real
+        bases.append(_eigenbasis(_take(factor, other), _take(gain, other), _take(noise, other)))
+    out = {}
+    for field in fields(PerUserEigenbasis):
+        arrays = [getattr(basis, field.name) for basis in bases]
+        array = arrays[0] if len(arrays) == 1 else _merge(real, *arrays)
+        out[field.name] = array.reshape(lead + array.shape[1:])
+    return PerUserEigenbasis(**out)
+
+
+def _take(stack, mask):
+    """The trials of stack (T, ...) where mask (T,) holds, without a copy when it holds for all."""
+    return stack if mask.all() else stack[mask]
+
+
+def _merge(mask, where, elsewhere):
+    """One (T, ...) stack of where on the trials of mask (T,) and elsewhere on the rest."""
+    out = np.empty(mask.shape + where.shape[1:], dtype=where.dtype)
+    out[mask], out[~mask] = where, elsewhere
+    return out
+
+
+def _real_prior(matrix):
+    """The trials (T,) of a (T, K, M, M) stack that take the real path, and their factors S'.
+
+    A trial does when each of its blocks equals J conj(block) J exactly and
+    the real forms have a Cholesky factor; those factors are returned,
+    stacked over the selected trials (None if there are none).
+    """
+    # The first ceil(M/2) rows of J conj(X) J against X's: the rest are the same pairs.
+    rows = matrix.shape[-1] - matrix.shape[-1] // 2
+    mirror = matrix[..., ::-1, ::-1][..., :rows, :].conj()
+    real = (matrix[..., :rows, :] == mirror).reshape(len(matrix), -1).all(axis=1)
+    if not real.any():
+        return real, None
+    forms = _real_form(_take(matrix, real))
+    try:
+        return real, np.linalg.cholesky(forms)
+    except np.linalg.LinAlgError:
+        pass
+    # Rare: a singular R', say a learned [[0]] at M = 1. Find its trials.
+    definite = np.ones(len(forms), dtype=bool)
+    for t, form in enumerate(forms):
+        try:
+            np.linalg.cholesky(form)
+        except np.linalg.LinAlgError:
+            definite[t] = False
+    real[real] = definite
+    return real, np.linalg.cholesky(forms[definite]) if definite.any() else None
+
+
+def _real_form(matrix):
+    """Q^H X Q for centro-Hermitian X (..., M, M): a real matrix, symmetric for Hermitian X.
+
+    Q = V diag(1, .., 1, i, .., i) with ceil(M/2) ones and the orthogonal
+    V = [[I, 0, I], [0, sqrt 2, 0], [J, 0, -J]] / sqrt 2 (the middle row and
+    column only for odd M), after Lee, "Centrohermitian and
+    skew-centrohermitian matrices", Linear Algebra Appl. 29 (1980). With
+    X's first p = M // 2 rows [B, x, C J] (B and C p x p) and, for odd M,
+    its middle row [y^T, z, ...], the form is [[Re(B + C), sqrt 2 Re x,
+    -Im(B - C)], [sqrt 2 Re y^T, Re z, -sqrt 2 Im y^T], [Im(B + C),
+    sqrt 2 Im x, Re(B - C)]]. It reads those ceil(M/2) rows alone, which
+    determine a centro-Hermitian X, at O(M^2) and with no products.
+    """
+    m = matrix.shape[-1]
+    p, e = m // 2, m - m // 2
+    top = matrix[..., :p, :]
+    near, far = top[..., :p], top[..., m - 1 : m - 1 - p : -1]
+    out = np.empty(matrix.shape)
+    plus, minus = near + far, near - far
+    out[..., :p, :p] = plus.real
+    out[..., e:, :p] = plus.imag
+    out[..., e:, e:] = minus.real
+    np.negative(minus.imag, out=out[..., :p, e:])
+    if m % 2:
+        column, row = _SQRT2 * top[..., p:e], _SQRT2 * matrix[..., p:e, :p]
+        out[..., :p, p:e] = column.real
+        out[..., e:, p:e] = column.imag
+        out[..., p:e, :p] = row.real
+        np.negative(row.imag, out=out[..., p:e, e:])
+        out[..., p:e, p:e] = matrix[..., p:e, p:e].real
+    return out
+
+
+def _complex_rows(x, out, sign=1.0):
+    """out = Q x for a real x (..., M, N), or conj(Q) x for sign = -1: undoes _real_form's Q^H.
+
+    Row j < M // 2 of Q x is (x_j + i x_{e+j}) / sqrt 2 and row M - 1 - j
+    its conjugate, for e = ceil(M/2); the middle row of an odd M is x's.
+    out may be any view of a complex (..., M, N).
+    """
+    m = x.shape[-2]
+    p, e = m // 2, m - m // 2
+    near, tail = _HALF * x[..., :p, :], (sign * _HALF) * x[..., e:, :]
+    out.real[..., :p, :] = near
+    out.real[..., p:e, :] = x[..., p:e, :]
+    out.real[..., e:, :] = near[..., ::-1, :]
+    out.imag[..., :p, :] = tail
+    out.imag[..., p:e, :] = 0.0
+    np.negative(tail[..., ::-1, :], out=out.imag[..., e:, :])
+    return out
+
+
+def _real_eigenbasis(factor, gain, noise_form):
+    """The PerUserEigenbasis from real forms: S' (T, K, M, M), gains (T, 1, M) and C_n_eff's.
+
+    Q^H diag(a) Q is diag(a_0 .. a_{e-1}, a_0 .. a_{p-1}) for persymmetric a.
+    """
+    m = gain.shape[-1]
+    gain = np.concatenate((gain[..., : m - m // 2], gain[..., : m // 2]), axis=-1)
+    basis = _eigenbasis(factor, gain, noise_form)
+    su = _complex_rows(basis.SU, np.empty(basis.SU.shape, dtype=complex))
+    measure = np.empty(basis.G.shape, dtype=complex)
+    # G = G' Q^H, so G^T = conj(Q) G'^T.
+    _complex_rows(np.swapaxes(basis.G, -1, -2), np.swapaxes(measure, -1, -2), sign=-1.0)
+    return replace(basis, G=measure, SU=su)
+
+
+def _eigenbasis(factor, gain, noise):
+    """build_eigenbasis's pipeline on factors S, gain rows (..., 1, M) and C_n_eff.
+
+    The same calls serve the real forms and the complex matrices.
     """
     try:
-        chol = np.linalg.cholesky(model.C_n_eff)
+        chol = np.linalg.cholesky(noise)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "effective noise covariance C_n_eff is not positive definite"
@@ -157,13 +325,13 @@ def build_eigenbasis(prior, model):
     # A stack of this size is fresh memory to a short run, paid for in page
     # faults, so the conjugates and W U reuse the buffers of B and J, and
     # each stack is dropped once used.
-    scaled = _gain_row(model)[..., None] * prior.sqrt_factor
+    scaled = gain[..., None] * factor
     whitened = inv_chol @ scaled
     info = np.swapaxes(np.conjugate(whitened, out=scaled), -1, -2) @ whitened
     lam, u = np.linalg.eigh(info)
     rotated = np.conjugate(np.matmul(whitened, u, out=info), out=info)
     del scaled, whitened
-    su = prior.sqrt_factor @ u
+    su = factor @ u
     del u
     power = np.abs(su)
     power **= 2

@@ -30,7 +30,8 @@ correlations, the per-user models, the eigenbasis and the estimators, one
 pass receives, quantizes and takes into the user bins every slot, and each
 slot is estimated once for all T trials. Each trial's numbers come from
 per-matrix LAPACK calls and per-block products of the same shapes at any
-T, so the CSV does not depend on the chunk size, byte for byte.
+T, and the eigenbasis picks real or complex arithmetic per trial, so the
+CSV does not depend on the chunk size, byte for byte.
 """
 
 import sys

@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,11 +7,13 @@ from numpy.testing import assert_allclose
 
 from onebit_mimo import (
     ExactGain,
+    PerUserEigenbasis,
     PerUserKalman,
     PerUserLs,
     PerUserModel,
     PerUserTpe,
     QuantizedObservation,
+    SpatialCorrelation,
     TemporalStats,
     TheoryParams,
     TpeGain,
@@ -33,6 +35,7 @@ from onebit_mimo import (
     nmse_recursion,
     one_bit_quantize,
     parse_config,
+    psd_sqrt,
     quantize_pilot_slot,
     received_pilot_signal,
     run_nmse_experiment,
@@ -40,6 +43,7 @@ from onebit_mimo import (
     stack_correlation,
     tpe_inverse,
 )
+from onebit_mimo import estimators
 from onebit_mimo.reference import BussgangModel
 
 
@@ -294,7 +298,17 @@ PER_USER_CASES = {
     # Lags 5, 6 and 7 are the adjoints of lags 3, 2 and 1 in build_per_user_model.
     "three_mirrored_lags": dict(n_antennas=3, n_users=3, tau=8, eta=[0.9, 0.6, 0.2]),
     "single_pilot_slot": dict(n_antennas=4, n_users=1, tau=1, eta=[0.8]),
+    # Centro-Hermitian but of rank 2: its real form has no Cholesky factor.
+    "singular_centro_hermitian": dict(
+        n_antennas=5, n_users=2, tau=2, eta=[0.9, 0.5], samples=1, forward_backward=True
+    ),
 }
+
+
+def forward_backward(corr):
+    """(R + J conj(R) J) / 2, exactly centro-Hermitian, with a factor of its own."""
+    matrix = 0.5 * (corr.matrix + corr.matrix[::-1, ::-1].conj())
+    return SpatialCorrelation(matrix=matrix, sqrt_factor=psd_sqrt(matrix))
 
 
 def per_user_scene(case):
@@ -310,8 +324,11 @@ def per_user_scene(case):
     users_est = users
     if "samples" in params:
         users_est = learned_rank_deficient_users(n_antennas, n_users, params["samples"], rng)
+        rank = params["samples"]
+        if params.get("forward_backward"):
+            users_est, rank = [forward_backward(u) for u in users_est], 2 * rank
         ranks = [np.linalg.matrix_rank(u.matrix, hermitian=True) for u in users_est]
-        assert ranks == [params["samples"]] * n_users and params["samples"] < n_antennas
+        assert ranks == [rank] * n_users and rank < n_antennas
     corr_est = aggregate_correlation(users_est)
     pilots = dft_pilots(params["tau"], n_users).with_rho(0.5)
     prior = stack_correlation(users_est)
@@ -373,6 +390,39 @@ class TestEigenbasisKalman:
             if np.all(scene["stats"].eta == 0.0):
                 assert_close_norm(h_hat, blmmse_estimate(obs, corr_est))
 
+    @pytest.mark.parametrize(
+        "case,dtype",
+        [("tau_above_users", np.float64), ("rank_deficient_factor", np.complex128),
+         ("singular_centro_hermitian", np.complex128)],
+    )
+    def test_real_arithmetic_for_centro_hermitian_priors(self, monkeypatch, case, dtype):
+        """Exponential priors take the real path; learned and singular ones the complex."""
+        scene = per_user_scene(case)
+        eigh, seen = np.linalg.eigh, []
+
+        def spy(matrix):
+            seen.append(matrix.dtype)
+            return eigh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        build_eigenbasis(scene["prior"], scene["per_user"])
+        assert seen == [dtype]
+
+    def test_mixed_stack_equals_each_trial(self):
+        """Real- and complex-path trials in one stack: each equals its own build, bit for bit."""
+        rng = np.random.default_rng(3)
+        exponential = [exponential_correlation(5, 0.6, 0.7 * k) for k in range(2)]
+        learned = learned_rank_deficient_users(5, 2, 3, rng)
+        singular = [forward_backward(u) for u in learned_rank_deficient_users(5, 2, 1, rng)]
+        trials = [stack_correlation(u) for u in (exponential, learned, singular, exponential)]
+        pilots = dft_pilots(2, 2).with_rho(0.5)
+        stacked = stack_correlation(trials)
+        whole = build_eigenbasis(stacked, build_per_user_model(pilots, stacked))
+        for t, prior in enumerate(trials):
+            alone = build_eigenbasis(prior, build_per_user_model(pilots, prior))
+            for field in fields(PerUserEigenbasis):
+                assert np.array_equal(getattr(whole, field.name)[t], getattr(alone, field.name))
+
     def test_non_positive_definite_noise_rejected(self):
         prior = stack_correlation([exponential_correlation(2, 0.0, 0.0)])
         degenerate = PerUserModel(a=np.zeros(2), gain=1.0, C_n_eff=np.zeros((1, 2, 2)))
@@ -430,6 +480,44 @@ class TestPerUserEstimators:
         prior = stack_correlation([exponential_correlation(3, 0.5, 0.0) for _ in range(2)])
         with pytest.raises(ValueError, match="DFT pilots"):
             build_per_user_model(swapped, prior)
+
+
+def exchange_basis(n_antennas):
+    """The dense Q = V diag(1, .., 1, i, .., i) of the real forms."""
+    half, ones = n_antennas // 2, n_antennas - n_antennas // 2
+    v = np.zeros((n_antennas, n_antennas))
+    j = np.arange(half)
+    v[j, j] = v[n_antennas - 1 - j, j] = v[j, ones + j] = np.sqrt(0.5)
+    v[n_antennas - 1 - j, ones + j] = -np.sqrt(0.5)
+    if n_antennas % 2:
+        v[half, half] = 1.0
+    return v * np.where(np.arange(n_antennas) < ones, 1.0, 1j)
+
+
+class TestRealForm:
+    """The centro-Hermitian real forms against a dense Q."""
+
+    @pytest.mark.parametrize("n_antennas", [1, 2, 3, 4, 5, 32])
+    def test_real_form_is_q_adjoint_x_q(self, n_antennas):
+        rng = np.random.default_rng(n_antennas)
+        q = exchange_basis(n_antennas)
+        assert_allclose(q.conj().T @ q, np.eye(n_antennas), atol=1e-15)
+        shape = (3, n_antennas, n_antennas)
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        # Hermitian Toeplitz, and a general centro-Hermitian stack.
+        for x in (exponential_correlation(n_antennas, 0.8, [0.3, 1.9]).matrix,
+                  0.5 * (g + g[..., ::-1, ::-1].conj())):
+            dense = q.conj().T @ x @ q
+            assert np.abs(dense.imag).max() <= 1e-14 * np.abs(x).max()
+            assert_allclose(estimators._real_form(x), dense.real, rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n_antennas", [1, 2, 3, 4, 5, 32])
+    def test_complex_rows_is_q_x(self, n_antennas):
+        q = exchange_basis(n_antennas)
+        x = np.random.default_rng(n_antennas).standard_normal((2, n_antennas, 3))
+        for sign, expected in ((1.0, q @ x), (-1.0, q.conj() @ x)):
+            out = estimators._complex_rows(x, np.empty(x.shape, dtype=complex), sign)
+            assert_allclose(out, expected, rtol=0.0, atol=1e-15)
 
 
 class TestTpeInverse:

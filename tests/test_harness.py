@@ -295,6 +295,8 @@ class TestChunkedEngine:
         **{"tpe.alpha": 1.38},
     )
     RATE = dict(NMSE, M=8, mode="rate", snr_db="[0, 10]", **{"tpe.alpha": 1.09})
+    # Known correlation at an odd M: the eigenbasis on (T, K, M, M) real stacks.
+    KNOWN = dict(NMSE, M=5, correlation_knowledge="true", **{"tpe.alpha": 1.2})
     # The first-failure cases: 4 trials at two SNR points.
     SMALL = dict(M=4, K=2, tau=2, slots=3, trials=4, snr_db="[0, 10]")
     POINTS = "[-5, 5, 20]"
@@ -304,10 +306,11 @@ class TestChunkedEngine:
             return write_csv(run_rate_experiment(cfg), path)
         return write_csv(nmse_csv_rows(run_nmse_experiment(cfg), cfg), path)
 
-    @pytest.mark.parametrize("mode", ["nmse", "rate"])
+    @pytest.mark.parametrize("mode", ["nmse", "rate", "known"])
     def test_csv_bytes_do_not_depend_on_chunk_size(self, monkeypatch, tmp_path, mode):
         """Chunks of 1, 7 and all trials write the same CSV text, at three SNR points."""
-        cfg = tiny_config(**dict(self.NMSE if mode == "nmse" else self.RATE, snr_db=self.POINTS))
+        shape = {"nmse": self.NMSE, "rate": self.RATE, "known": self.KNOWN}[mode]
+        cfg = tiny_config(**dict(shape, snr_db=self.POINTS))
         texts = []
         for size in (1, 7, cfg.trials):
             chunk_trials(monkeypatch, cfg, size)
@@ -695,6 +698,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert '"error": "runtime"' in err
         assert "ls estimate is rank deficient at slot 2, trial 0, snr 0.0 dB" in err
+
+    def test_singular_learned_priors_run(self, tmp_path):
+        """M = 1 from one probe: some learned priors are [[0]], singular but centro-Hermitian."""
+        cfg = tmp_path / "single.cfg"
+        cfg.write_text(
+            "M = 1\nK = 2\ntau = 2\nslots = 3\nsnr_db = [0, 10]\n"
+            "estimators = [blmmse, kfb]\ncorrelation_knowledge = sampled(1)\n",
+            encoding="utf-8",
+        )
+        for seed in range(6):
+            out = tmp_path / f"{seed}.csv"
+            code = main(["nmse", "--config", str(cfg), "--trials", "8", "--seed", str(seed),
+                         "--out", str(out)])
+            assert code == 0
+            with out.open(encoding="utf-8") as handle:
+                rows = list(csv.DictReader(handle))
+            assert len(rows) == 2 * 3 * 3 * 2
+            assert all(np.isfinite(float(r["value"])) for r in rows)
 
     def test_command_is_required(self):
         with pytest.raises(SystemExit):
