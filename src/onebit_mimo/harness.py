@@ -80,7 +80,7 @@ from .reference import (  # noqa: F401
     quantize_pilot_slot,
     sample_correlation,
 )
-from .rate import RankDeficientError, achievable_rates
+from .rate import achievable_rates
 from .rng import complex_normal, complex_normal_sequence, trial_streams
 from .theory import TheoryParams, alpha_upper_bound, fixed_point_gamma, nmse_recursion
 
@@ -252,14 +252,14 @@ def _estimate_chunk(cfg, pilots, stats, prior, h_true, noise):
     return h_hat, kfb_trace
 
 
-def _estimate_error(problem, bad, cfg, trial, snr_db):
+def _estimate_error(bad, cfg, trial, snr_db):
     """Message for the earliest slot where bad (E, S) holds, naming its first estimator."""
     i, e = np.argwhere(bad.T)[0]
     where = f"slot {i + 1}, trial {trial}, snr {snr_db} dB"
-    return f"{cfg.estimators[e]} estimate is {problem} at {where}"
+    return f"{cfg.estimators[e]} estimate is not finite at {where}"
 
 
-def _nmse(cfg, snr_db, trials, h_hat, h_true, kfb_trace):
+def _nmse(cfg, snr_db, h_hat, h_true, kfb_trace):
     """Per-trial NMSE (T, labels, S): each estimator's, and kfb_theory's after kfb."""
     errors = np.sum(np.abs(h_hat - h_true[:, None]) ** 2, axis=(-2, -1))
     if "kfb" in cfg.estimators:
@@ -267,51 +267,42 @@ def _nmse(cfg, snr_db, trials, h_hat, h_true, kfb_trace):
     return errors / (cfg.M * cfg.K)
 
 
-def _sum_rates(cfg, snr_db, trials, h_hat, h_true, kfb_trace):
+def _sum_rates(cfg, snr_db, h_hat, h_true, kfb_trace):
     """Per-trial zero-forcing sum rates (T, E, S); the data phase has the pilots' SNR."""
     h_est = np.swapaxes(h_hat, -1, -2)
     h_true = np.broadcast_to(np.swapaxes(h_true, -1, -2)[:, None], h_est.shape)
-    try:
-        return achievable_rates(h_true, h_est, 10.0 ** (snr_db / 10.0)).sum_rate
-    except RankDeficientError as err:
-        t = np.flatnonzero(err.deficient.any(axis=(-2, -1)))[0]
-        message = _estimate_error("rank deficient", err.deficient[t], cfg, trials[t], snr_db)
-        raise ValueError(message) from err
+    return achievable_rates(h_true, h_est, 10.0 ** (snr_db / 10.0)).sum_rate
 
 
 def _chunk_metric(cfg, metric, snr_db, trials, h_hat, h_true, kfb_trace):
     """metric over a chunk's trials at one point, (T, labels, S).
 
     A non-finite estimate raises FloatingPointError naming the estimator,
-    slot, trial and SNR point, so no diverged result is written. The metric
-    takes only the trials before the first such one, so that an error of
-    its own (a rank-deficient estimate) at an earlier trial comes first, as
-    in a one-trial loop.
+    slot, lowest such trial and SNR point, as a one-trial loop would meet
+    it, so no diverged result is written.
     """
     nonfinite = ~np.isfinite(h_hat).all(axis=(-2, -1))
     bad = np.flatnonzero(nonfinite.any(axis=(-2, -1)))
-    end = bad[0] if bad.size else len(trials)
-    values = metric(cfg, snr_db, trials[:end], h_hat[:end], h_true[:end], kfb_trace[:end])
     if bad.size:
-        raise FloatingPointError(
-            _estimate_error("not finite", nonfinite[end], cfg, trials[end], snr_db)
-        )
-    return values
+        t = bad[0]
+        raise FloatingPointError(_estimate_error(nonfinite[t], cfg, trials[t], snr_db))
+    return metric(cfg, snr_db, h_hat, h_true, kfb_trace)
 
 
 def _trial_means(cfg, metric):
     """Yields (snr_db, mean, stderr) over the trials of each SNR point, in order.
 
-    metric(cfg, snr_db, trials, h_hat, h_true, kfb_trace) maps the trials
-    of a chunk at one point of _run_chunk to a (T, labels, S) array; mean
-    and stderr are (labels, S). The chunks are walked once, each serving
-    every point.
+    metric(cfg, snr_db, h_hat, h_true, kfb_trace) maps the trials of a
+    chunk at one point of _run_chunk to a (T, labels, S) array; mean and
+    stderr are (labels, S). The chunks are walked once, each serving every
+    point.
 
-    Errors are reported as a point-by-point loop over the trials would meet
-    them: the lowest failing point, then its lowest failing trial
-    (_chunk_metric). So once a point fails, the later chunks run only the
-    points below it, and the run raises when none is left or the chunks
-    are done.
+    A point fails on a non-finite estimate (_chunk_metric) or a LinAlgError
+    of the estimate stage. Errors are reported as a point-by-point loop
+    over the trials would meet them: the lowest failing point, and for a
+    non-finite estimate its lowest failing trial. So once a point fails,
+    the later chunks run only the points below it, and the run raises when
+    none is left or the chunks are done.
     """
     stats = TemporalStats([jakes_coefficient(v, cfg.f_c, cfg.t_slot) for v in cfg.speeds()])
     # perfbench/tracing.py counts a point per dft_pilots call and pairs each

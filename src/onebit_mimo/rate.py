@@ -5,6 +5,12 @@ the combiner sees a Bussgang-scaled signal plus quantizer distortion. Under
 channel hardening the data-phase Bussgang gain collapses to a scalar and the
 distortion covariance to (1 - 2/pi) I, which keeps the per-user rate in
 closed form given the channel and its estimate.
+
+The combiner is the Moore-Penrose inverse of the estimate, which is the
+zero-forcing combiner on every full-rank estimate. One-bit estimates at
+small M can be rank deficient (a user bin vanishes to rounding, or is
+exactly +-j times another user's); they get the minimum-norm combiner and
+a finite rate, and a user whose combiner row is zero gets rate 0.
 """
 
 from dataclasses import dataclass
@@ -28,14 +34,6 @@ class RateBreakdown:
     sum_rate: float | np.ndarray
 
 
-class RankDeficientError(ValueError):
-    """A zero-forcing estimate lacks full column rank; deficient (...) marks which."""
-
-    def __init__(self, deficient):
-        super().__init__("channel estimate is rank deficient, cannot zero-force")
-        self.deficient = deficient
-
-
 def data_bussgang_gain(n_users, rho_d):
     """Scalar Bussgang gain of the data phase under channel hardening."""
     if n_users < 1:
@@ -46,19 +44,20 @@ def data_bussgang_gain(n_users, rho_d):
 
 
 def zf_combiner(h_est):
-    """Zero-forcing rows W^T = (H^H H)^{-1} H^H for an M x K estimate or a stack.
+    """Zero-forcing rows W^T = V diag(1/s) U^H for an M x K estimate or a stack.
 
-    Raises RankDeficientError if any member of the stack is rank deficient.
+    One SVD H = U diag(s) V^H per member. Singular values s <= 1e-12 s_max
+    are dropped, so a rank-deficient member gets its pseudo-inverse, the
+    minimum-norm combiner, and an all-zero one gets W^T = 0. On a full-rank
+    member this is (H^H H)^{-1} H^H without squaring the condition number.
     """
     h_est = np.asarray(h_est)
     if h_est.ndim < 2 or h_est.shape[-2] < h_est.shape[-1]:
         raise ValueError("need a tall M x K channel matrix")
-    sv = np.linalg.svd(h_est, compute_uv=False)
-    deficient = sv[..., -1] <= 1e-12 * sv[..., 0]
-    if np.any(deficient):
-        raise RankDeficientError(deficient)
-    h_adj = np.swapaxes(h_est, -1, -2).conj()
-    return np.linalg.solve(h_adj @ h_est, h_adj)
+    u, s, vh = np.linalg.svd(h_est, full_matrices=False)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-12 * s[..., :1])
+    v_scaled = np.swapaxes(vh, -1, -2).conj() * inv_s[..., None, :]
+    return v_scaled @ np.swapaxes(u, -1, -2).conj()
 
 
 def achievable_rates(h_true, h_est, rho_d):
@@ -68,6 +67,8 @@ def achievable_rates(h_true, h_est, rho_d):
     combiner is zero-forcing on the estimate. Signal power counts the
     estimated direction; the mismatch h_est - h_true leaks into the noise
     term together with thermal noise and the (1 - 2/pi) I distortion floor.
+    A user whose combiner row is zero, as for an all-zero estimate column,
+    has rate 0.
     """
     h_true = np.asarray(h_true)
     h_est = np.asarray(h_est)
@@ -90,7 +91,8 @@ def achievable_rates(h_true, h_est, rho_d):
         + (1.0 - 2.0 / np.pi) * w_power
     )
 
-    per_user = np.log2(1.0 + signal / (interference + noise))
+    sinr = np.divide(signal, interference + noise, out=np.zeros_like(signal), where=w_power > 0)
+    per_user = np.log2(1.0 + sinr)
     sum_rate = np.sum(per_user, axis=-1)
     return RateBreakdown(
         signal=signal,

@@ -297,6 +297,8 @@ class TestChunkedEngine:
     RATE = dict(NMSE, M=8, mode="rate", snr_db="[0, 10]", **{"tpe.alpha": 1.09})
     # Known correlation at an odd M: the eigenbasis on (T, K, M, M) real stacks.
     KNOWN = dict(NMSE, M=5, correlation_knowledge="true", **{"tpe.alpha": 1.2})
+    # One-bit estimates at M = 4: 7 of the 720 rated members are rank deficient.
+    SMALL_M = dict(M=4, K=2, tau=2, slots=3, trials=40, mode="rate", estimators="[blmmse, kfb]")
     # The first-failure cases: 4 trials at two SNR points.
     SMALL = dict(M=4, K=2, tau=2, slots=3, trials=4, snr_db="[0, 10]")
     POINTS = "[-5, 5, 20]"
@@ -306,10 +308,12 @@ class TestChunkedEngine:
             return write_csv(run_rate_experiment(cfg), path)
         return write_csv(nmse_csv_rows(run_nmse_experiment(cfg), cfg), path)
 
-    @pytest.mark.parametrize("mode", ["nmse", "rate", "known"])
+    @pytest.mark.parametrize("mode", ["nmse", "rate", "known", "small_m"])
     def test_csv_bytes_do_not_depend_on_chunk_size(self, monkeypatch, tmp_path, mode):
         """Chunks of 1, 7 and all trials write the same CSV text, at three SNR points."""
-        shape = {"nmse": self.NMSE, "rate": self.RATE, "known": self.KNOWN}[mode]
+        shape = {
+            "nmse": self.NMSE, "rate": self.RATE, "known": self.KNOWN, "small_m": self.SMALL_M,
+        }[mode]
         cfg = tiny_config(**dict(shape, snr_db=self.POINTS))
         texts = []
         for size in (1, 7, cfg.trials):
@@ -317,8 +321,11 @@ class TestChunkedEngine:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 texts.append(self.csv_text(cfg, tmp_path / f"{size}.csv"))
-            # tpe.alpha clamps some trials but not all.
-            assert 0 < len(caught) < cfg.trials * len(cfg.snr_db)
+            if "tpe" in cfg.estimators:
+                # tpe.alpha clamps some trials but not all.
+                assert 0 < len(caught) < cfg.trials * len(cfg.snr_db)
+            else:
+                assert not caught
         assert texts[1] == texts[0] and texts[2] == texts[0]
 
     @pytest.mark.filterwarnings("ignore:tpe.alpha:RuntimeWarning")
@@ -379,32 +386,17 @@ class TestChunkedEngine:
 
         monkeypatch.setattr(harness, "_run_chunk", injected)
 
-    FAILURES = {"not finite": (np.nan, FloatingPointError), "rank deficient": (1.0, ValueError)}
-
-    @pytest.mark.parametrize(
-        "mode,problem", [("nmse", "not finite"), ("rate", "not finite"), ("rate", "rank deficient")]
-    )
+    @pytest.mark.parametrize("mode,problem", [("nmse", "not finite"), ("rate", "not finite")])
     def test_lowest_failing_point_is_reported(self, monkeypatch, mode, problem):
         """10 dB fails in the first chunk, 0 dB only in the second: the 0 dB failure is named."""
-        value, error = self.FAILURES[problem]
         cfg = tiny_config(**self.SMALL, mode=mode, estimators="[ls, blmmse]")
         chunk_trials(monkeypatch, cfg, 2)
-        self.inject_at_points(monkeypatch, {(10, 0): (1, value), (0, 3): (2, value)})
+        self.inject_at_points(monkeypatch, {(10, 0): (1, np.nan), (0, 3): (2, np.nan)})
         run = run_rate_experiment if mode == "rate" else run_nmse_experiment
-        with pytest.raises(error, match=f"ls estimate is {problem} at slot 2, trial 3, snr 0.0 dB"):
+        with pytest.raises(
+            FloatingPointError, match=f"ls estimate is {problem} at slot 2, trial 3, snr 0.0 dB"
+        ):
             run(cfg)
-
-    @pytest.mark.parametrize(
-        "first,second", [("rank deficient", "not finite"), ("not finite", "rank deficient")]
-    )
-    def test_lowest_failing_trial_of_a_chunk_is_reported(self, monkeypatch, first, second):
-        """A rate run's trial 1 fails at slot 3, trial 2 at slot 1: trial 1's failure is named."""
-        cfg = tiny_config(**self.SMALL, mode="rate", estimators="[ls, blmmse]")
-        chunk_trials(monkeypatch, cfg, 4)
-        (value, error), (later, _) = self.FAILURES[first], self.FAILURES[second]
-        self.inject_at_points(monkeypatch, {(0, 1): (3, value), (0, 2): (1, later)})
-        with pytest.raises(error, match=f"ls estimate is {first} at slot 3, trial 1, snr 0.0"):
-            run_rate_experiment(cfg)
 
     def inject(self, monkeypatch, cls, value, first_slot):
         """cls's estimates at trial t of the chunk become value from slot first_slot[t]."""
@@ -429,19 +421,6 @@ class TestChunkedEngine:
         self.inject(monkeypatch, PerUserTpe, np.nan, first_slot)
         with pytest.raises(FloatingPointError, match=f"tpe estimate is not finite at {where},"):
             run_nmse_experiment(cfg)
-
-    @pytest.mark.parametrize(
-        "first_slot,where", [({5: 2}, "slot 2, trial 5"), ({5: 3, 6: 1}, "slot 3, trial 5")]
-    )
-    def test_rank_deficient_estimate_names_its_trial(self, monkeypatch, first_slot, where):
-        cfg = tiny_config(
-            M=16, K=2, tau=2, slots=3, trials=7, mode="rate", snr_db="[0, 10]",
-            estimators="[blmmse, ls]",
-        )
-        chunk_trials(monkeypatch, cfg, 7)
-        self.inject(monkeypatch, PerUserLs, 1.0, first_slot)
-        with pytest.raises(ValueError, match=f"ls estimate is rank deficient at {where}, snr 0.0"):
-            run_rate_experiment(cfg)
 
     def test_slots_are_quantized_once_per_chunk(self, monkeypatch):
         """One pass over a chunk's slots: 16 trials in chunks of 7 quantize 3 times."""
@@ -677,8 +656,14 @@ class TestCli:
         assert all(float(last[name]["stderr"]) < 0.1 for name in ("kfb", "tpe"))
         assert abs(float(last["tpe"]["value"]) - float(last["kfb"]["value"])) < 0.5
 
-    def test_rank_deficient_estimate_exits_with_error(self, tmp_path, capsys, monkeypatch):
-        """A rate run whose ls estimate collapses at slot 2: exit 1, no CSV, and where."""
+    def finite_rate_rows(self, path, count):
+        with path.open(encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == count
+        assert all(np.isfinite(float(r[key])) for r in rows for key in ("value", "stderr"))
+
+    def test_rank_deficient_estimate_is_rated(self, tmp_path, monkeypatch):
+        """A rate run whose ls estimate collapses to rank 1 at slot 2: exit 0, a finite CSV."""
         step = PerUserLs.step
 
         def collapsed_at_slot_2(self, obs):
@@ -693,11 +678,23 @@ class TestCli:
         )
         out = tmp_path / "out.csv"
         code = main(["rate", "--config", str(cfg), "--trials", "2", "--out", str(out)])
-        assert code == 1
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert '"error": "runtime"' in err
-        assert "ls estimate is rank deficient at slot 2, trial 0, snr 0.0 dB" in err
+        assert code == 0
+        self.finite_rate_rows(out, 2 * 3 * 2)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_small_m_one_bit_estimates_are_rated(self, tmp_path, seed):
+        """At M = 4 some one-bit blmmse and kfb estimates are rank deficient: exit 0, finite rows."""
+        cfg = tmp_path / "small.cfg"
+        cfg.write_text(
+            "M = 4\nK = 2\ntau = 2\nslots = 3\nsnr_db = [0, 10]\nestimators = [blmmse, kfb]\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.csv"
+        code = main(
+            ["rate", "--config", str(cfg), "--trials", "5", "--seed", str(seed), "--out", str(out)]
+        )
+        assert code == 0
+        self.finite_rate_rows(out, 2 * 3 * 2)
 
     def test_singular_learned_priors_run(self, tmp_path):
         """M = 1 from one probe: some learned priors are [[0]], singular but centro-Hermitian."""

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,7 +14,6 @@ from onebit_mimo import (
     zf_combiner,
 )
 from onebit_mimo import harness
-from onebit_mimo.rate import RankDeficientError
 
 
 def random_channel(rng, n_antennas, n_users, stack=()):
@@ -42,10 +43,12 @@ class TestZfCombiner:
         w = zf_combiner(h)
         assert_allclose(w @ h, np.eye(3), atol=1e-10)
 
-    def test_rank_deficient_rejected(self):
-        h = np.ones((4, 2), dtype=complex)
-        with pytest.raises(ValueError):
-            zf_combiner(h)
+    def test_rank_deficient_gets_pseudo_inverse(self):
+        """Equal columns, or one exactly j times the other as one-bit bins give."""
+        rng = np.random.default_rng(7)
+        column = random_channel(rng, 4, 1)
+        for h in (np.ones((4, 2), dtype=complex), np.hstack([column, 1j * column])):
+            assert_allclose(zf_combiner(h), np.linalg.pinv(h, rcond=1e-12), rtol=0, atol=1e-12)
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -120,17 +123,32 @@ class TestAchievableRates:
                     getattr(out, field)[index], getattr(single, field), rtol=1e-14, atol=1e-14
                 )
 
-    def test_stack_with_one_rank_deficient_member_rejected(self):
+    def test_stack_with_one_rank_deficient_member(self):
+        """The deficient member is its own per-matrix combiner; the others do not move."""
         rng = np.random.default_rng(6)
         h = random_channel(rng, 8, 2, stack=(2, 3))
+        full_rank = zf_combiner(h)
         h[1, 2] = 1.0
-        with pytest.raises(RankDeficientError) as caught:
-            zf_combiner(h)
-        expected = np.zeros((2, 3), dtype=bool)
-        expected[1, 2] = True
-        assert np.array_equal(caught.value.deficient, expected)
-        with pytest.raises(ValueError):
-            achievable_rates(h, h, 1.0)
+        w = zf_combiner(h)
+        assert np.all(np.isfinite(w[1, 2]))
+        assert np.array_equal(w[1, 2], zf_combiner(h[1, 2]))
+        w[1, 2] = full_rank[1, 2]
+        assert np.array_equal(w, full_rank)
+        assert np.all(np.isfinite(achievable_rates(h, h, 1.0).sum_rate))
+
+    def test_zero_estimate_column_gets_rate_zero(self):
+        """A user whose estimate is exactly zero has rate 0, without a 0/0."""
+        rng = np.random.default_rng(8)
+        h_true = random_channel(rng, 8, 3)
+        h_est = h_true + 0.1 * random_channel(rng, 8, 3)
+        h_est[:, 1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = achievable_rates(h_true, h_est, 2.0)
+            none = achievable_rates(h_true, np.zeros_like(h_est), 2.0)
+        assert out.per_user[1] == 0.0 and np.all(out.per_user[[0, 2]] > 0)
+        assert np.isfinite(out.sum_rate)
+        assert none.sum_rate == 0.0
 
     def test_rate_run_calls_once_per_chunk_and_snr_point(self, monkeypatch):
         """A chunk's (trials, estimators, slots) stack goes through one call per SNR point."""
