@@ -184,12 +184,12 @@ def evolve_channel(state, stats, corr, rng):
     init_channel gives for corr.
     """
     g = complex_normal(rng, state.h.size)
-    h = channel_trajectory(state, stats, corr, g)
+    h = channel_trajectory(state.h, stats, corr, g)
     return ChannelState(slot=state.slot + 1, h=h.reshape(state.h.shape))
 
 
-def channel_trajectory(state, stats, corr, g):
-    """The channels of the S slots after state under the Gauss-Markov model.
+def channel_trajectory(h, stats, corr, g):
+    """The channels of the S slots after channel h under the Gauss-Markov model.
 
     h_i = eta h_{i-1} + zeta S g_i with user k's eta_k and zeta_k applied to
     its antenna block, for g_i of h.size unit normals. The marginal
@@ -200,7 +200,6 @@ def channel_trajectory(state, stats, corr, g):
     innovations S g of all slots are one product per block over S columns;
     the recursion then runs elementwise, slot by slot.
     """
-    h = state.h
     n_users = stats.eta.size
     if h.size % n_users != 0:
         raise ValueError("channel length is not a multiple of the user count")

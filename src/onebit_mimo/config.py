@@ -2,13 +2,13 @@
 
 The on-disk format is line-oriented `key = value` with dotted keys for
 nesting, `#` comments, and bracketed lists. Values are integers, reals,
-booleans, bare strings, or flat lists of those. Every schema violation is
+bare strings, or flat lists of those. Every schema violation is
 reported with the source line it came from; entries supplied by profile
 defaults or command-line overrides carry line 0.
 """
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,28 +19,6 @@ _SAMPLED_RE = re.compile(r"^sampled\((\d+)\)$")
 
 ESTIMATOR_NAMES = ("ls", "blmmse", "kfb", "tpe")
 MODES = ("nmse", "rate", "theory")
-
-# Dotted config keys in canonical emission order, mapped to dataclass fields.
-_KEY_TO_FIELD = {
-    "mode": "mode",
-    "M": "M",
-    "K": "K",
-    "tau": "tau",
-    "snr_db": "snr_db",
-    "r_spatial": "r_spatial",
-    "user_speeds_kmh": "user_speeds_kmh",
-    "f_c": "f_c",
-    "t_slot": "t_slot",
-    "slots": "slots",
-    "trials": "trials",
-    "estimators": "estimators",
-    "tpe.order": "tpe_order",
-    "tpe.alpha": "tpe_alpha",
-    "correlation_knowledge": "correlation_knowledge",
-    "seed": "seed",
-}
-_FIELD_TO_KEY = {v: k for k, v in _KEY_TO_FIELD.items()}
-
 
 class ConfigError(ValueError):
     """Validation failure with one (line, key, message) triple per issue."""
@@ -112,10 +90,6 @@ def _parse_scalar(token):
     token = token.strip()
     if token == "":
         return None, "empty value"
-    if token == "true":
-        return True, None
-    if token == "false":
-        return False, None
     try:
         return int(token), None
     except ValueError:
@@ -231,8 +205,6 @@ def _want_estimators(value):
 
 
 def _want_correlation(value):
-    if value is True:
-        return "true", None
     if isinstance(value, str):
         if value == "true":
             return "true", None
@@ -244,6 +216,8 @@ def _want_correlation(value):
     return None, "expected true or sampled(N)"
 
 
+# The schema: every dotted config key with its checker, in canonical emission
+# order. A key's ExperimentConfig field is the key with "." replaced by "_".
 _CHECKERS = {
     "mode": _want_mode,
     "M": lambda v: _want_int(v, 1),
@@ -264,13 +238,17 @@ _CHECKERS = {
 }
 
 
+def _field(key):
+    return key.replace(".", "_")
+
+
 def _config_entries(cfg):
     out = {}
-    for field in fields(ExperimentConfig):
-        value = getattr(cfg, field.name)
+    for key in _CHECKERS:
+        value = getattr(cfg, _field(key))
         if isinstance(value, tuple):
             value = list(value)
-        out[_FIELD_TO_KEY[field.name]] = (value, 0)
+        out[key] = (value, 0)
     return out
 
 
@@ -296,7 +274,7 @@ def parse_config(text, base=None, overrides=None):
         if err:
             issues.append((line, key, err))
         else:
-            canonical[_KEY_TO_FIELD[key]] = checked
+            canonical[_field(key)] = checked
 
     for key in _CHECKERS:
         if key not in entries:
@@ -344,10 +322,6 @@ def load_config(path, base=None, overrides=None):
 
 
 def _emit_scalar(value):
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -356,8 +330,8 @@ def _emit_scalar(value):
 def emit_config(cfg):
     """Canonical text form; parse_config(emit_config(cfg)) reproduces cfg."""
     lines = []
-    for key in _KEY_TO_FIELD:
-        value = getattr(cfg, _KEY_TO_FIELD[key])
+    for key in _CHECKERS:
+        value = getattr(cfg, _field(key))
         if isinstance(value, tuple):
             rendered = "[" + ", ".join(_emit_scalar(v) for v in value) + "]"
         else:

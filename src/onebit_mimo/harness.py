@@ -4,11 +4,13 @@ Each trial owns independent random streams, so trial t is reproducible in
 isolation and the trial loop is an order-indexed reduction: results would be
 identical under any parallel schedule. None of a trial's draws depends on
 the SNR point, so a run draws each trial once and estimates it at every
-point. The nmse and rate experiments share one trial engine, _run_chunk,
-which gives each trial's estimates at a point as one (estimators, slots,
-K, M) array with the true channels and the Kalman tracker's error traces.
-NMSE and zero-forcing sum rates are array reductions over a trial, and one
-mean and standard error over the trials of a point gives the rows of both.
+point. The nmse and rate experiments share one trial engine, _trial_means:
+per chunk of trials it draws once (_draw_chunk) and then, at each point,
+estimates (_estimate_chunk), which gives each trial's estimates as one
+(estimators, slots, K, M) array with the true channels and the Kalman
+tracker's error traces. NMSE and zero-forcing sum rates are array
+reductions over a trial, and one mean and standard error over the trials
+of a point gives the rows of both.
 
 The pilots are always dft_pilots and the channel correlation is
 block-diagonal over the users, so the whole trial works on per-user M x M
@@ -41,7 +43,6 @@ from pathlib import Path
 import numpy as np
 
 from .channel import (
-    ChannelState,
     TemporalStats,
     _stack,
     apply_sqrt_factor,
@@ -175,21 +176,6 @@ def _estimator(name, cfg, stats, pilots, prior, model, basis):
     return PerUserTpe(prior, model, stats.eta, TpeGain(cfg.tpe_order, cfg.tpe_alpha))
 
 
-def _run_chunk(cfg, points, stats, trials):
-    """Runs the T trials of a chunk: yields h_hat (T, E, S, K, M), h_true, kfb_trace per point.
-
-    Two stages. The draw stage (_draw_chunk) runs once, for all of points.
-    The estimate stage (_estimate_chunk) then runs once per point, in
-    order, on those draws. kfb_trace (T, S) is the Kalman tracker's
-    filtered error trace (zeros without kfb).
-    """
-    corr, grams, h_true, noise = _draw_chunk(cfg, points, stats, trials)
-    for p, pilots in enumerate(points):
-        prior = corr if grams is None else gram_correlation(grams[p])
-        h_hat, kfb_trace = _estimate_chunk(cfg, pilots, stats, prior, h_true, noise)
-        yield h_hat, h_true, kfb_trace
-
-
 def _draw_chunk(cfg, points, stats, trials):
     """Everything random of a chunk's trials: corr, grams, h_true (T, S, K, M) and noise.
 
@@ -216,7 +202,7 @@ def _draw_chunk(cfg, points, stats, trials):
         g.append(complex_normal_sequence(streams.channel, cfg.slots, cfg.M * cfg.K))
         noise.append(complex_normal_sequence(streams.pilot_noise, cfg.slots, cfg.M * cfg.tau))
     corr = stack_correlation(users)
-    h_true = channel_trajectory(ChannelState(slot=0, h=_stack(h0)), stats, corr, _stack(g))
+    h_true = channel_trajectory(_stack(h0), stats, corr, _stack(g))
     return corr, grams, h_true, _stack(noise)
 
 
@@ -252,13 +238,6 @@ def _estimate_chunk(cfg, pilots, stats, prior, h_true, noise):
     return h_hat, kfb_trace
 
 
-def _estimate_error(bad, cfg, trial, snr_db):
-    """Message for the earliest slot where bad (E, S) holds, naming its first estimator."""
-    i, e = np.argwhere(bad.T)[0]
-    where = f"slot {i + 1}, trial {trial}, snr {snr_db} dB"
-    return f"{cfg.estimators[e]} estimate is not finite at {where}"
-
-
 def _nmse(cfg, snr_db, h_hat, h_true, kfb_trace):
     """Per-trial NMSE (T, labels, S): each estimator's, and kfb_theory's after kfb."""
     errors = np.sum(np.abs(h_hat - h_true[:, None]) ** 2, axis=(-2, -1))
@@ -281,21 +260,22 @@ def _chunk_metric(cfg, metric, snr_db, trials, h_hat, h_true, kfb_trace):
     slot, lowest such trial and SNR point, as a one-trial loop would meet
     it, so no diverged result is written.
     """
-    nonfinite = ~np.isfinite(h_hat).all(axis=(-2, -1))
-    bad = np.flatnonzero(nonfinite.any(axis=(-2, -1)))
+    # (T, S, E): the first row of argwhere is the lowest trial, then slot, then estimator.
+    bad = np.argwhere(~np.isfinite(h_hat).all(axis=(-2, -1)).swapaxes(1, 2))
     if bad.size:
-        t = bad[0]
-        raise FloatingPointError(_estimate_error(nonfinite[t], cfg, trials[t], snr_db))
+        t, i, e = bad[0]
+        where = f"slot {i + 1}, trial {trials[t]}, snr {snr_db} dB"
+        raise FloatingPointError(f"{cfg.estimators[e]} estimate is not finite at {where}")
     return metric(cfg, snr_db, h_hat, h_true, kfb_trace)
 
 
 def _trial_means(cfg, metric):
     """Yields (snr_db, mean, stderr) over the trials of each SNR point, in order.
 
-    metric(cfg, snr_db, h_hat, h_true, kfb_trace) maps the trials of a
-    chunk at one point of _run_chunk to a (T, labels, S) array; mean and
-    stderr are (labels, S). The chunks are walked once, each serving every
-    point.
+    Each chunk of trials is drawn once (_draw_chunk) and estimated at each
+    point in order (_estimate_chunk). metric(cfg, snr_db, h_hat, h_true,
+    kfb_trace) maps the chunk's trials at one point to a (T, labels, S)
+    array; mean and stderr are (labels, S).
 
     A point fails on a non-finite estimate (_chunk_metric) or a LinAlgError
     of the estimate stage. Errors are reported as a point-by-point loop
@@ -316,14 +296,18 @@ def _trial_means(cfg, metric):
         if failed == 0:
             break
         trials = range(first, min(first + size, cfg.trials))
-        outputs = _run_chunk(cfg, points[:failed], stats, trials)
+        corr, grams, h_true, noise = _draw_chunk(cfg, points[:failed], stats, trials)
         for p in range(failed):
             try:
-                out = next(outputs)
-                per_trial[p].append(_chunk_metric(cfg, metric, cfg.snr_db[p], trials, *out))
+                prior = corr if grams is None else gram_correlation(grams[p])
+                h_hat, kfb_trace = _estimate_chunk(cfg, points[p], stats, prior, h_true, noise)
+                chunk = _chunk_metric(cfg, metric, cfg.snr_db[p], trials, h_hat, h_true, kfb_trace)
+                per_trial[p].append(chunk)
             except (ValueError, ArithmeticError) as err:
                 failed, error = p, err
                 break
+        # Drop this chunk's arrays before the next draw, so memory holds one chunk at a time.
+        corr = grams = h_true = noise = prior = h_hat = None
     if error is not None:
         raise error
     for snr_db, values in zip(cfg.snr_db, per_trial):

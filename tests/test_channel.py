@@ -268,7 +268,7 @@ class TestChannelEvolution:
         # The same draws, slot-major within each trial.
         g = complex_normal_sequence(np.random.default_rng(4), slots, state.h.size)
         g = np.moveaxis(g.reshape((slots,) + state.h.shape), 0, max(state.h.ndim - 2, 0))
-        trajectory = channel_trajectory(state, stats, corr, g)
+        trajectory = channel_trajectory(state.h, stats, corr, g)
         assert trajectory.shape == g.shape
         expected = np.stack([s.h for s in expected], axis=max(state.h.ndim - 2, 0))
         assert_allclose(trajectory, expected, rtol=0, atol=1e-13)

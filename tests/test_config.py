@@ -83,6 +83,15 @@ class TestValidationErrors:
         with pytest.raises(ConfigError):
             parse_config("M = true\n", base=default_config())
 
+    @pytest.mark.parametrize(
+        "overrides", [{"M": True}, {"f_c": True}, {"snr_db": [True]}], ids=["M", "f_c", "snr_db"]
+    )
+    def test_python_boolean_is_not_a_number(self, overrides):
+        """A bool from a Python caller is no integer or real, though the file format has none."""
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("", base=default_config(), overrides=overrides)
+        assert issue_lines(excinfo, *overrides) == [0]
+
     def test_pilot_length_cross_check(self):
         with pytest.raises(ConfigError) as excinfo:
             parse_config("tau = 4\nK = 8\n", base=default_config())

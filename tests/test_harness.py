@@ -372,29 +372,34 @@ class TestChunkedEngine:
 
         at maps (snr_db, trial) to (first slot, value).
         """
-        run_chunk = harness._run_chunk
+        draw_chunk, estimate_chunk, first = harness._draw_chunk, harness._estimate_chunk, []
 
-        def injected(cfg, points, stats, trials):
-            outputs = run_chunk(cfg, points, stats, trials)
-            for pilots, (h_hat, h_true, kfb_trace) in zip(points, outputs):
-                snr_db = round(10.0 * np.log10(pilots.rho))
-                for t, trial in enumerate(trials):
-                    if (snr_db, trial) in at:
-                        slot, value = at[snr_db, trial]
-                        h_hat[t, 0, slot - 1 :] = value
-                yield h_hat, h_true, kfb_trace
+        def drawn(cfg, points, stats, trials):
+            first.append(trials[0])
+            return draw_chunk(cfg, points, stats, trials)
 
-        monkeypatch.setattr(harness, "_run_chunk", injected)
+        def injected(cfg, pilots, stats, prior, h_true, noise):
+            h_hat, kfb_trace = estimate_chunk(cfg, pilots, stats, prior, h_true, noise)
+            snr_db = round(10.0 * np.log10(pilots.rho))
+            for t in range(len(h_hat)):
+                if (snr_db, first[-1] + t) in at:
+                    slot, value = at[snr_db, first[-1] + t]
+                    h_hat[t, 0, slot - 1 :] = value
+            return h_hat, kfb_trace
 
-    @pytest.mark.parametrize("mode,problem", [("nmse", "not finite"), ("rate", "not finite")])
-    def test_lowest_failing_point_is_reported(self, monkeypatch, mode, problem):
-        """10 dB fails in the first chunk, 0 dB only in the second: the 0 dB failure is named."""
+        monkeypatch.setattr(harness, "_draw_chunk", drawn)
+        monkeypatch.setattr(harness, "_estimate_chunk", injected)
+
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    @pytest.mark.parametrize("mode", ["nmse", "rate"])
+    def test_lowest_failing_point_is_reported(self, monkeypatch, mode, size):
+        """10 dB fails at trial 0, 0 dB only at trial 3: the 0 dB failure is named at any chunk size."""
         cfg = tiny_config(**self.SMALL, mode=mode, estimators="[ls, blmmse]")
-        chunk_trials(monkeypatch, cfg, 2)
+        chunk_trials(monkeypatch, cfg, size)
         self.inject_at_points(monkeypatch, {(10, 0): (1, np.nan), (0, 3): (2, np.nan)})
         run = run_rate_experiment if mode == "rate" else run_nmse_experiment
         with pytest.raises(
-            FloatingPointError, match=f"ls estimate is {problem} at slot 2, trial 3, snr 0.0 dB"
+            FloatingPointError, match="ls estimate is not finite at slot 2, trial 3, snr 0.0 dB"
         ):
             run(cfg)
 
