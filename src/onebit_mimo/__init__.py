@@ -31,8 +31,10 @@ from .estimators import (
     PerUserKalman,
     PerUserLs,
     PerUserTpe,
+    PriorFactors,
     TpeGain,
     build_eigenbasis,
+    prior_factors,
     tpe_inverse,
 )
 from .harness import (
@@ -49,7 +51,6 @@ from .harness import (
 from .quantization import (
     PerUserModel,
     PilotMatrix,
-    QuantizedObservation,
     build_per_user_model,
     dft_pilots,
     one_bit_quantize,
@@ -58,6 +59,7 @@ from .quantization import (
 from .reference import (
     BussgangModel,
     KalmanState,
+    QuantizedObservation,
     ScaledPilotOperator,
     aggregate_correlation,
     arcsin_covariance,

@@ -86,14 +86,22 @@ def exponential_correlation(n_antennas, magnitude, phase):
         raise ValueError("correlation magnitude must lie in [0, 1)")
     c = magnitude * np.exp(1j * np.asarray(phase))
     powers = c[..., None] ** np.arange(n_antennas)
-    # Lags -(M-1) .. M-1 at index lag + M - 1; entry (m, n) has lag n - m.
+    # Lags -(M-1) .. M-1 at index lag + M - 1; entry (m, n) has lag n - m, so
+    # row m is the window of M lags from index M - 1 - m: a window sliding
+    # back one lag per row. (as_strided: sliding_window_view's first call
+    # alone costs about 0.3 MB of resident memory.)
     by_lag = np.concatenate((powers[..., :0:-1].conj(), powers), axis=-1)
-    antennas = np.arange(n_antennas)
-    # np.take keeps a stack C-ordered, so each block's products match a single matrix's.
-    matrix = np.take(by_lag, antennas + (n_antennas - 1) - antennas[:, None], axis=-1)
-    factor = np.tril(matrix)
-    factor[..., 1:] *= np.sqrt(1.0 - magnitude**2)
-    return SpatialCorrelation(matrix=matrix, sqrt_factor=factor)
+    lag = by_lag.strides[-1]
+    windows = np.lib.stride_tricks.as_strided(
+        by_lag[..., n_antennas - 1 :],
+        shape=by_lag.shape[:-1] + (n_antennas, n_antennas),
+        strides=by_lag.strides[:-1] + (-lag, lag),
+    )
+    # The copy keeps a stack C-ordered, so each block's products match a single matrix's.
+    matrix = windows.copy()
+    weights = np.tril(np.full((n_antennas, n_antennas), np.sqrt(1.0 - magnitude**2)))
+    weights[:, 0] = 1.0
+    return SpatialCorrelation(matrix=matrix, sqrt_factor=matrix * weights)
 
 
 def _stack(arrays):

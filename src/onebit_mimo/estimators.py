@@ -7,9 +7,11 @@ batched M x M problems, with any per-user temporal coefficients. Least
 squares and Bussgang LMMSE treat every slot independently; the Kalman
 trackers follow the Gauss-Markov evolution across slots, with either the
 exact innovation-covariance inverse or a truncated polynomial expansion of
-it in the gain. They share one protocol: step(obs) returns the (K, M)
-estimate for the slot's user bins. PerUserKalman's error_trace is the trace
-of its filtered error covariance.
+it in the gain. They share one protocol: estimate(bins) maps the user bins
+of S consecutive slots, (S, K, M), to their (S, K, M) estimates, and a
+tracker's next call continues from its last slot. PerUserKalman's
+error_trace holds the trace of its filtered error covariance at each slot
+of its last call.
 
 The exact-gain tracker for a memoryless channel (eta = 0) is the Bussgang
 LMMSE estimator, so both run as PerUserKalman on one PerUserEigenbasis, the
@@ -17,18 +19,19 @@ per-trial factorization of the whitened measurement information, which does
 not depend on eta. A trial whose correlations are all centro-Hermitian
 (J conj(R_k) J = R_k, as for the exponential model's Hermitian Toeplitz
 R_k) has a real problem: a fixed unitary Q makes R_k, C_n_eff,k and the
-gains real, so build_eigenbasis factors it with real LAPACK and maps only
-its outputs back. Other trials, and centro-Hermitian ones whose real prior
-form has no Cholesky factor, take complex arithmetic.
+basis real. Such a trial's basis is built and kept in real arithmetic, in
+the Q frame: the bins enter it as Q^H r and the estimates leave it as Q y'.
+Other trials, and centro-Hermitian ones whose real prior form has no
+Cholesky factor, take complex arithmetic.
 
 Every estimator also runs T independent trials at once: given a model of T
 trials (quantization.build_per_user_model on (T, K, M, M) correlations),
-its step takes and returns (T, K, M) stacks, and each trial's numbers are
-those of its own estimator.
+it takes and gives (T, S, K, M) stacks, and each trial's numbers are those
+of its own estimator.
 """
 
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,64 +105,149 @@ def _gain_row(model):
     return (model.gain * model.a)[..., None, :]
 
 
-def _check_slot(obs, slot):
-    if obs.slot != slot + 1:
-        raise ValueError(f"observation slot {obs.slot} does not follow tracker slot {slot}")
+def _trial_axis(x):
+    """A single trial's (S, K, M) or (K, M, S) stack as a view with a trial axis; (T, ...) as is."""
+    return x if x.ndim == 4 else x[None]
 
 
 class PerUserLs:
     """Least squares on the user bins: r_k / sqrt(tau rho), pinv(Phi_bar) r for DFT pilots.
 
     It depends on the pilots alone (pinv(phi) = phi^H / tau), so the
-    learned-correlation probes take it too.
+    learned-correlation probes take it too. It is elementwise, so it takes
+    bins of any shape.
     """
 
     def __init__(self, pilots):
         self._scale = 1.0 / pilots.gain
 
-    def step(self, obs):
-        return self._scale * obs.r
+    def estimate(self, bins, out=None):
+        """The estimates of the bins (..., S, K, M), into out if given."""
+        return np.multiply(bins, self._scale, out=out)
+
+
+@dataclass(frozen=True)
+class PriorFactors:
+    """What build_eigenbasis reads of a prior: each trial's frame and its factor of R.
+
+    real (T,) marks the trials of a (T, K, M, M) stack that take the real
+    frame (prior_factors); real_factor stacks their Cholesky factors S' of
+    Q^H R Q, float (T_real, K, M, M), and factor the complex factors S of
+    the other trials. Each is None when it has no trials.
+    """
+
+    real: np.ndarray
+    real_factor: np.ndarray | None
+    factor: np.ndarray | None
+
+
+def prior_factors(prior):
+    """The PriorFactors of per-user correlations (K, M, M) or (T, K, M, M).
+
+    A trial takes the real frame when each of its blocks equals
+    J conj(block) J exactly and the real forms have a Cholesky factor
+    (_real_prior). The choice is per trial, from its own correlations, so a
+    trial's numbers do not depend on the other trials of a stack.
+    """
+    real, real_factor = _real_prior(_trial_stack(prior.matrix))
+    factor = None if real.all() else _take(_trial_stack(prior.sqrt_factor), ~real)
+    return PriorFactors(real=real, real_factor=real_factor, factor=factor)
+
+
+@dataclass(frozen=True)
+class _Maps:
+    """G and S U of the trials marked by trials (T,): real, in the Q frame, or complex."""
+
+    trials: np.ndarray
+    G: np.ndarray
+    SU: np.ndarray
+
+    @property
+    def real(self):
+        return not np.iscomplexobj(self.G)
 
 
 @dataclass(frozen=True)
 class PerUserEigenbasis:
     """Per-trial eigenbasis of each user's whitened measurement information.
 
-    Per user, with R = S S^H (S = prior.sqrt_factor), B = D S for
-    D = gain diag(a), C_n_eff = L L^H and the whitened information
-    J = (L^{-1} B)^H L^{-1} B = U diag(lam) U^H: lam (K, M), the measurement
-    map G = U^H B^H C_n_eff^{-1} (K, M, M), the basis S U (K, M, M) and its
-    squared column norms (K, M). None of it depends on eta, so one basis
-    serves every exact-gain tracker of a trial, and one measurement G r per
-    slot (measure) serves them all. A basis of T trials at once has a
-    leading trial axis on each.
+    Per user, with R = S S^H, B = D S for D = gain diag(a), C_n_eff = L L^H
+    and the whitened information J = (L^{-1} B)^H L^{-1} B = U diag(lam) U^H:
+    lam (K, M), the measurement map G = U^H B^H C_n_eff^{-1}, the basis S U
+    and its squared column norms (K, M). None of it depends on eta, so one
+    basis serves every exact-gain tracker of a trial: measure takes G r for
+    all the slots of a call in one product, which the trackers share, and
+    estimates forms a tracker's S U y for all of them in one more. A basis
+    of T trials at once has a leading trial axis on lam and col_norms.
 
-    Any factor S of R gives the same G, S U, lam and norms. A trial whose
-    correlations are all exactly centro-Hermitian gets them in real
-    arithmetic, with S = Q S' for the Cholesky factor S' of the real form
-    Q^H R Q; any other trial, or one whose real form has no Cholesky factor,
-    with S = prior.sqrt_factor (build_eigenbasis). G and S U are complex
-    either way.
+    Any factor S of R gives the same G r, S U y, lam and norms. A trial
+    whose correlations are all exactly centro-Hermitian keeps G' = G Q and
+    (S U)' = Q^H S U, both real, for S = Q S' with the Cholesky factor S' of
+    the real form Q^H R Q: measure takes its bins into that frame once,
+    as Q^H r (G r = G' Q^H r), and estimates takes them out once, as
+    Q (S U)' y. Every other trial keeps the complex G and S U of
+    S = prior.sqrt_factor. maps holds one _Maps per frame present.
     """
 
     lam: np.ndarray
-    G: np.ndarray
-    SU: np.ndarray
     col_norms: np.ndarray
+    maps: tuple
 
-    def measure(self, r):
-        """G r for the user bins r (K, M), or (T, K, M) for a basis of T trials."""
-        return _matvec(self.G, r)
+    def measure(self, bins):
+        """G r for the bins r (..., S, K, M) of S slots, as (..., K, M, S): one slot a column."""
+        stack, parts = _trial_axis(bins), []
+        for m in self.maps:
+            part = _take(stack, m.trials)
+            # (T, K, M, S) columns: Q^H r for the real frame. A copy, not a strided
+            # view: BLAS on the transposed view raised a run's peak RSS.
+            columns = _to_frame(part) if m.real else np.moveaxis(part, 1, -1).copy()
+            parts.append(_apply(m.G, columns))
+        measured = _join(self.maps[0].trials, parts)
+        return measured if bins.ndim == 4 else measured[0]
+
+    def estimates(self, y, out):
+        """S U y for eigen-coordinates y (..., K, M, S), written into out (..., S, K, M)."""
+        y, target = _trial_axis(y), _trial_axis(out)
+        for m in self.maps:
+            part_y = _take(y, m.trials)
+            whole = m.trials.all()
+            part = target if whole else np.empty((len(part_y),) + target.shape[1:], dtype=complex)
+            h = _apply(m.SU, part_y)
+            if m.real:
+                _from_frame(h, part)
+            else:
+                part[...] = np.moveaxis(h, -1, 1)
+            if not whole:
+                target[m.trials] = part
+        return out
 
 
-def build_eigenbasis(prior, model):
+def _apply(maps, columns):
+    """maps (T, K, M, M), real or complex, times the complex columns (T, K, M, S).
+
+    A real map takes the real and imaginary parts of the columns as adjacent
+    real columns, so the product stays real.
+    """
+    if np.iscomplexobj(maps):
+        return maps @ columns
+    return (maps @ columns.view(float)).view(complex)
+
+
+def _join(mask, parts):
+    """One (T, ...) stack of one part, or of two: the first on the trials of mask."""
+    return parts[0] if len(parts) == 1 else _merge(mask, *parts)
+
+
+def build_eigenbasis(prior, model, factors=None):
     """The PerUserEigenbasis of per-user correlations and a PerUserModel.
 
     One batched Cholesky factor of C_n_eff, its inverse and one batched
     eigh. numpy has no triangular inverse, and its general LU one is several
     times slower at M = 128 than the block rows of linalg.inv_lower, which
     skip the zero upper triangle. Raises LinAlgError if C_n_eff is not
-    positive definite.
+    positive definite. prior is one trial's (K, M, M) or T trials'
+    (T, K, M, M); factors, its prior_factors if the caller has them, saves
+    their selection, and prior.sqrt_factor is then not read.
 
     A trial whose K correlations are all exactly centro-Hermitian,
     J conj(R_k) J = R_k for the exchange matrix J, runs in real arithmetic.
@@ -170,35 +258,43 @@ def build_eigenbasis(prior, model):
     persymmetric. The fixed unitary Q of _real_form then makes
     R' = Q^H R_k Q and Q^H C_n_eff,k Q real symmetric and Q^H D Q real
     diagonal, and the same pipeline runs on them, with the Cholesky factor
-    S' of R' for S, at about half the cost in LAPACK and BLAS. Only the
-    outputs return: S U = Q (S'U') and G = G' Q^H; lam and the norms carry
-    over, Q being unitary. Every other trial takes complex arithmetic with
+    S' of R' for S, at about half the cost in LAPACK and BLAS. Its G' and
+    (S U)' stay real and in that frame; lam and the norms carry over, Q
+    being unitary. Every other trial takes complex arithmetic with
     S = prior.sqrt_factor, and so does a centro-Hermitian one whose R' has
     no Cholesky factor (a singular learned correlation, such as [[0]] at
-    M = 1). The choice is per trial, from its own correlations, so a
-    trial's numbers do not depend on the other trials of a stack.
+    M = 1).
     """
     lead = prior.matrix.shape[:-3]
-    # One trial axis, (T, K, M, M), also for a single trial's (K, M, M).
-    matrix, factor, noise = (
-        np.reshape(x, (-1,) + x.shape[-3:])
-        for x in (prior.matrix, prior.sqrt_factor, model.C_n_eff)
-    )
-    gain = np.reshape(model.gain * model.a, (len(matrix), 1, -1))
-    real, real_factor = _real_prior(matrix)
-    bases = []
+    noise = _trial_stack(model.C_n_eff)
+    gain = np.reshape(model.gain * model.a, (len(noise), 1, -1))
+    if factors is None:
+        factors = prior_factors(prior)
+    real = factors.real
+    parts = []
     if real.any():
-        noise_form = _real_form(_take(noise, real))
-        bases.append(_real_eigenbasis(real_factor, _take(gain, real), noise_form))
+        # Q^H diag(a) Q is diag(a_0 .. a_{e-1}, a_0 .. a_{p-1}) for persymmetric a.
+        m = gain.shape[-1]
+        real_gain = np.concatenate((gain[..., : m - m // 2], gain[..., : m // 2]), axis=-1)
+        # The real form of C_n_eff is passed on unnamed, so it goes once factored.
+        basis = _eigenbasis(
+            factors.real_factor, _take(real_gain, real), _real_form(_take(noise, real))
+        )
+        parts.append((real, basis))
     if not real.all():
         other = ~real
-        bases.append(_eigenbasis(_take(factor, other), _take(gain, other), _take(noise, other)))
-    out = {}
-    for field in fields(PerUserEigenbasis):
-        arrays = [getattr(basis, field.name) for basis in bases]
-        array = arrays[0] if len(arrays) == 1 else _merge(real, *arrays)
-        out[field.name] = array.reshape(lead + array.shape[1:])
-    return PerUserEigenbasis(**out)
+        parts.append((other, _eigenbasis(factors.factor, _take(gain, other), _take(noise, other))))
+    lam, col_norms = (_join(real, [arrays[i] for _, arrays in parts]) for i in (0, 1))
+    return PerUserEigenbasis(
+        lam=lam.reshape(lead + lam.shape[1:]),
+        col_norms=col_norms.reshape(lead + col_norms.shape[1:]),
+        maps=tuple(_Maps(trials, G, SU) for trials, (_, _, G, SU) in parts),
+    )
+
+
+def _trial_stack(x):
+    """One trial axis, (T, K, M, M), also for a single trial's (K, M, M)."""
+    return np.reshape(x, (-1,) + x.shape[-3:])
 
 
 def _take(stack, mask):
@@ -222,8 +318,9 @@ def _real_prior(matrix):
     """
     # The first ceil(M/2) rows of J conj(X) J against X's: the rest are the same pairs.
     rows = matrix.shape[-1] - matrix.shape[-1] // 2
-    mirror = matrix[..., ::-1, ::-1][..., :rows, :].conj()
-    real = (matrix[..., :rows, :] == mirror).reshape(len(matrix), -1).all(axis=1)
+    top, mirror = matrix[..., :rows, :], matrix[..., ::-1, ::-1][..., :rows, :]
+    same = (top.real == mirror.real) & (top.imag == -mirror.imag)
+    real = same.reshape(len(matrix), -1).all(axis=1)
     if not real.any():
         return real, None
     forms = _real_form(_take(matrix, real))
@@ -260,11 +357,11 @@ def _real_form(matrix):
     top = matrix[..., :p, :]
     near, far = top[..., :p], top[..., m - 1 : m - 1 - p : -1]
     out = np.empty(matrix.shape)
-    plus, minus = near + far, near - far
-    out[..., :p, :p] = plus.real
-    out[..., e:, :p] = plus.imag
-    out[..., e:, e:] = minus.real
-    np.negative(minus.imag, out=out[..., :p, e:])
+    # The parts of B + C and B - C go straight into their blocks, with no complex temporaries.
+    np.add(near.real, far.real, out=out[..., :p, :p])
+    np.add(near.imag, far.imag, out=out[..., e:, :p])
+    np.subtract(near.real, far.real, out=out[..., e:, e:])
+    np.subtract(far.imag, near.imag, out=out[..., :p, e:])
     if m % 2:
         column, row = _SQRT2 * top[..., p:e], _SQRT2 * matrix[..., p:e, :p]
         out[..., :p, p:e] = column.real
@@ -275,42 +372,43 @@ def _real_form(matrix):
     return out
 
 
-def _complex_rows(x, out, sign=1.0):
-    """out = Q x for a real x (..., M, N), or conj(Q) x for sign = -1: undoes _real_form's Q^H.
+def _to_frame(bins):
+    """Q^H r for the bins r (T, S, K, M), laid out (T, K, M, S): one slot a column.
 
-    Row j < M // 2 of Q x is (x_j + i x_{e+j}) / sqrt 2 and row M - 1 - j
-    its conjugate, for e = ceil(M/2); the middle row of an odd M is x's.
-    out may be any view of a complex (..., M, N).
+    Row j < M // 2 of Q^H r is (r_j + r_{M-1-j}) / sqrt 2 and row e + j is
+    -i (r_j - r_{M-1-j}) / sqrt 2, for e = ceil(M/2); the middle row of an
+    odd M is r's. Each slot costs O(K M).
     """
-    m = x.shape[-2]
+    m = bins.shape[-1]
     p, e = m // 2, m - m // 2
-    near, tail = _HALF * x[..., :p, :], (sign * _HALF) * x[..., e:, :]
-    out.real[..., :p, :] = near
-    out.real[..., p:e, :] = x[..., p:e, :]
-    out.real[..., e:, :] = near[..., ::-1, :]
-    out.imag[..., :p, :] = tail
-    out.imag[..., p:e, :] = 0.0
-    np.negative(tail[..., ::-1, :], out=out.imag[..., e:, :])
+    out = np.empty(bins.shape[:1] + bins.shape[2:] + bins.shape[1:2], dtype=complex)
+    # Writes into the transposed view are strided, so each row block takes one.
+    rows = np.moveaxis(out, -1, 1)
+    near, far = _HALF * bins[..., :p], _HALF * bins[..., m - 1 : m - 1 - p : -1]
+    np.add(near, far, out=rows[..., :p])
+    rows[..., p:e] = bins[..., p:e]
+    np.multiply(near - far, -1j, out=rows[..., e:])
     return out
 
 
-def _real_eigenbasis(factor, gain, noise_form):
-    """The PerUserEigenbasis from real forms: S' (T, K, M, M), gains (T, 1, M) and C_n_eff's.
+def _from_frame(x, out):
+    """out (T, S, K, M) = Q x for x (T, K, M, S), undoing _to_frame.
 
-    Q^H diag(a) Q is diag(a_0 .. a_{e-1}, a_0 .. a_{p-1}) for persymmetric a.
+    Row j < M // 2 of Q x is (x_j + i x_{e+j}) / sqrt 2 and row M - 1 - j
+    is (x_j - i x_{e+j}) / sqrt 2; the middle row of an odd M is x's.
     """
-    m = gain.shape[-1]
-    gain = np.concatenate((gain[..., : m - m // 2], gain[..., : m // 2]), axis=-1)
-    basis = _eigenbasis(factor, gain, noise_form)
-    su = _complex_rows(basis.SU, np.empty(basis.SU.shape, dtype=complex))
-    measure = np.empty(basis.G.shape, dtype=complex)
-    # G = G' Q^H, so G^T = conj(Q) G'^T.
-    _complex_rows(np.swapaxes(basis.G, -1, -2), np.swapaxes(measure, -1, -2), sign=-1.0)
-    return replace(basis, G=measure, SU=su)
+    m = x.shape[-2]
+    p, e = m // 2, m - m // 2
+    rows = np.moveaxis(x, -1, 1)
+    near, turned = _HALF * rows[..., :p], (1j * _HALF) * rows[..., e:]
+    np.add(near, turned, out=out[..., :p])
+    out[..., p:e] = rows[..., p:e]
+    np.subtract(near, turned, out=out[..., m - 1 : m - 1 - p : -1])
+    return out
 
 
 def _eigenbasis(factor, gain, noise):
-    """build_eigenbasis's pipeline on factors S, gain rows (..., 1, M) and C_n_eff.
+    """lam, col_norms, G and S U from factors S, gain rows (..., 1, M) and C_n_eff.
 
     The same calls serve the real forms and the complex matrices.
     """
@@ -320,43 +418,47 @@ def _eigenbasis(factor, gain, noise):
         raise np.linalg.LinAlgError(
             "effective noise covariance C_n_eff is not positive definite"
         ) from exc
+    del noise
     inv_chol = inv_lower(chol)
     del chol
     # A stack of this size is fresh memory to a short run, paid for in page
     # faults, so the conjugates and W U reuse the buffers of B and J, and
-    # each stack is dropped once used.
+    # each stack is dropped once used. A real W^T W needs no conjugate, so
+    # there B's buffer goes before J is formed.
     scaled = gain[..., None] * factor
     whitened = inv_chol @ scaled
-    info = np.swapaxes(np.conjugate(whitened, out=scaled), -1, -2) @ whitened
+    adjoint = np.conjugate(whitened, out=scaled) if np.iscomplexobj(whitened) else whitened
+    del scaled
+    info = np.swapaxes(adjoint, -1, -2) @ whitened
+    del adjoint
     lam, u = np.linalg.eigh(info)
     rotated = np.conjugate(np.matmul(whitened, u, out=info), out=info)
-    del scaled, whitened
+    del whitened
     su = factor @ u
     del u
     power = np.abs(su)
     power **= 2
     col_norms = np.sum(power, axis=-2)
     del power
-    return PerUserEigenbasis(
-        lam=lam, G=np.swapaxes(rotated, -1, -2) @ inv_chol, SU=su, col_norms=col_norms
-    )
+    return lam, col_norms, np.swapaxes(rotated, -1, -2) @ inv_chol, su
 
 
 class PerUserKalman:
     """Exact-gain Kalman tracker on the user bins, on a PerUserEigenbasis.
 
-    For per-user coefficients eta (K,), at two batched matrix-vector
-    products per slot. With eta = 0 it is the Bussgang LMMSE estimator
-    R_k D C_r,k^{-1} r_k.
+    For per-user coefficients eta (K,). With eta = 0 it is the Bussgang
+    LMMSE estimator R_k D C_r,k^{-1} r_k.
 
     In the basis's terms every predicted and filtered covariance equals
     (S U) diag(p) (S U)^H. The recursion therefore runs on the vector p, from
     p = 1 (M = R): predict p <- eta^2 p + 1 - eta^2, correct
     p <- p / (1 + lam p). The estimate is h_hat = (S U) y, with
     y <- eta y + p (G r - lam eta y). S^{-1} is never needed, so a singular
-    (learned) correlation works too. An observation that carries measured,
-    the PerUserEigenbasis.measure of its bins on this tracker's basis, is
-    taken at that: the trackers sharing a basis then share one product.
+    (learned) correlation works too. A call measures all its slots in one
+    product (PerUserEigenbasis.measure), runs the two recursions
+    elementwise, slot by slot, and forms all its estimates in one more
+    (PerUserEigenbasis.estimates). Trackers on one basis can share the
+    measurement: estimate takes it as measured.
     """
 
     def __init__(self, basis, eta):
@@ -364,25 +466,36 @@ class PerUserKalman:
         self._eta = np.asarray(eta, dtype=float)[:, None]
         self._y = np.zeros(basis.lam.shape, dtype=complex)
         self._p = np.ones(basis.lam.shape)
-        self.slot = 0
+        self.error_trace = None
 
-    @property
-    def error_trace(self):
-        """trace of the filtered error covariance, sum_k,j p_kj ||(S_k U_k) e_j||^2, per trial."""
-        return np.sum(self._p * self._basis.col_norms, axis=(-2, -1))
+    def estimate(self, bins, out=None, measured=None):
+        """h_hat (..., S, K, M) for the bins (..., S, K, M), into out if given.
 
-    def step(self, obs):
-        """Predict and correct with the slot's user bins; returns h_hat (K, M)."""
-        _check_slot(obs, self.slot)
-        lam = self._basis.lam
-        eta2 = self._eta**2
-        p = eta2 * self._p + (1.0 - eta2)
-        p /= 1.0 + lam * p
-        y = self._eta * self._y
-        measured = self._basis.measure(obs.r) if obs.measured is None else obs.measured
-        y += p * (measured - lam * y)
-        self._p, self._y, self.slot = p, y, obs.slot
-        return _matvec(self._basis.SU, y)
+        measured, when given, is the basis's measure(bins). Afterwards
+        error_trace holds the trace of the filtered error covariance at each
+        slot, sum_k,j p_kj ||(S_k U_k) e_j||^2, (..., S).
+        """
+        if measured is None:
+            measured = self._basis.measure(bins)
+        lam, eta = self._basis.lam, self._eta
+        eta2 = eta**2
+        rest = 1.0 - eta2
+        # The p of every slot, (..., S, K, M), and its y in the columns estimates takes.
+        p_all = np.empty(lam.shape[:-2] + measured.shape[-1:] + lam.shape[-2:])
+        y_all = np.empty(measured.shape, dtype=complex)
+        p, y = self._p, self._y
+        for i in range(measured.shape[-1]):
+            p = np.multiply(eta2, p, out=p_all[..., i, :, :])
+            p += rest
+            p /= 1.0 + lam * p
+            y = np.multiply(eta, y, out=y_all[..., i])
+            y += p * (measured[..., i] - lam * y)
+        self._p, self._y = p.copy(), y.copy()
+        p_all *= self._basis.col_norms[..., None, :, :]
+        self.error_trace = np.sum(p_all, axis=(-2, -1))
+        if out is None:
+            out = np.empty(bins.shape, dtype=complex)
+        return self._basis.estimates(y_all, out)
 
 
 class PerUserTpe:
@@ -391,7 +504,8 @@ class PerUserTpe:
     The Kalman recursion with a truncated polynomial expansion of each
     user's innovation covariance inverse, for per-user coefficients eta (K,).
     The polynomial of the block-diagonal innovation covariance in the DFT
-    domain is the polynomial of each block.
+    domain is the polynomial of each block. estimate steps through its
+    slots one at a time.
 
     The scale is bounded once per trial. While 0 <= M <= R, user k's
     innovation covariance C_n_eff,k + D M_pred D is at most
@@ -404,7 +518,7 @@ class PerUserTpe:
     does not depend on the trial, so that the default filter shows it once.
     Over T trials at once each trial has its own lambda_max and alpha, and
     each clamped trial raises the warning. M_filt (..., K, M, M) is the
-    filtered error covariance.
+    filtered error covariance after the last slot.
     """
 
     def __init__(self, prior, model, eta, gain):
@@ -429,11 +543,17 @@ class PerUserTpe:
         self._eta2 = eta[..., None] ** 2
         self._h = np.zeros(prior.matrix.shape[:-1], dtype=complex)
         self.M_filt = prior.matrix.copy()
-        self.slot = 0
 
-    def step(self, obs):
-        """Predict and correct with the slot's user bins; returns h_hat (K, M)."""
-        _check_slot(obs, self.slot)
+    def estimate(self, bins, out=None):
+        """h_hat (..., S, K, M) for the bins (..., S, K, M), into out if given."""
+        if out is None:
+            out = np.empty(bins.shape, dtype=complex)
+        for i in range(bins.shape[-3]):
+            out[..., i, :, :] = self._step(bins[..., i, :, :])
+        return out
+
+    def _step(self, r):
+        """Predict and correct with one slot's user bins r (..., K, M); returns h_hat."""
         d = self._d
         d_col, d_row = d[..., None], d[..., None, :]
         h_pred = self._eta * self._h
@@ -443,9 +563,9 @@ class PerUserTpe:
         innov_cov = 0.5 * (innov_cov + _adjoint(innov_cov))
         # M_pred is Hermitian, so cross^H = M_pred D.
         gain_mat = (m_pred * d_row) @ tpe_inverse(innov_cov, self._alpha, self._order)
-        h_new = h_pred + _matvec(gain_mat, obs.r - d * h_pred)
+        h_new = h_pred + _matvec(gain_mat, r - d * h_pred)
         m_new = m_pred - gain_mat @ cross
-        self._h, self.M_filt, self.slot = h_new, 0.5 * (m_new + _adjoint(m_new)), obs.slot
+        self._h, self.M_filt = h_new, 0.5 * (m_new + _adjoint(m_new))
         return h_new
 
 

@@ -18,26 +18,30 @@ blocks and builds no n x n array: the channel is a (K, M) stack, and every
 estimator runs on the exact per-user model of
 quantization.build_per_user_model. BLMMSE is the exact-gain tracker with
 eta = 0, so blmmse and kfb share one per-trial estimators.PerUserEigenbasis
-and its one measurement per slot. The slots and the learned-correlation
-probes take one front end (_user_bins) and one LS (estimators.PerUserLs).
+and its one measurement of all the slots. The slots and the learned-
+correlation probes take one front end (_user_bins) and one LS
+(estimators.PerUserLs).
 
 The engine runs the trials in chunks of T, sized so that a (T, K, M, M)
 complex stack stays within _CHUNK_BYTES, and walks the chunks once. A
 chunk's draw stage runs once: each trial draws from its own streams, every
 slot up front, in the order a one-trial loop drew them, its learned-
 correlation probes are kept only as per-point sample Grams, and one pass
-simulates the channels of all slots. Its estimate stage runs once per SNR
-point over the (T, ...) stacks: one call each builds the learned
-correlations, the per-user models, the eigenbasis and the estimators, one
-pass receives, quantizes and takes into the user bins every slot, and each
-slot is estimated once for all T trials. Each trial's numbers come from
-per-matrix LAPACK calls and per-block products of the same shapes at any
-T, and the eigenbasis picks real or complex arithmetic per trial, so the
-CSV does not depend on the chunk size, byte for byte.
+simulates the channels of all slots. With known correlation the chunk then
+chooses each trial's frame for the eigenbasis once (estimators.prior_factors)
+and keeps no complex factor of the correlation. Its estimate stage runs
+once per SNR point over the (T, ...) stacks: one call each builds the
+learned correlations, the per-user models, the eigenbasis and the
+estimators, one pass receives, quantizes and takes into the user bins
+every slot, and each estimator maps the (T, S, K, M) bins of all slots to
+their estimates in one call. Each trial's numbers come from per-matrix
+LAPACK calls and per-block products of the same shapes at any T, and the
+frame is chosen per trial, so the CSV does not depend on the chunk size,
+byte for byte.
 """
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +63,10 @@ from .estimators import (
     TpeGain,
     build_eigenbasis,
     gram_correlation,
+    prior_factors,
     sample_gram,
 )
 from .quantization import (
-    QuantizedObservation,
     build_per_user_model,
     dft_pilots,
     one_bit_quantize,
@@ -157,7 +161,7 @@ def _correlation_probes(cfg, pilots, channels, noise):
     count columns take one pilot product and one bin product.
     """
     bins = _user_bins(pilots, channels, noise.reshape(-1))
-    probes = PerUserLs(pilots).step(QuantizedObservation(slot=0, r=bins))
+    probes = PerUserLs(pilots).estimate(bins)
     return probes.reshape(cfg.K, cfg.M, -1)
 
 
@@ -206,35 +210,39 @@ def _draw_chunk(cfg, points, stats, trials):
     return corr, grams, h_true, _stack(noise)
 
 
-def _estimate_chunk(cfg, pilots, stats, prior, h_true, noise):
+def _estimate_chunk(cfg, pilots, stats, prior, factors, h_true, noise):
     """One SNR point's h_hat (T, E, S, K, M) and kfb_trace (T, S) for a chunk's draws.
 
-    Builds the per-user model of prior (T, K, M, M), the eigenbasis when
-    blmmse or kfb runs, and one estimator per configured name. The slots
-    are received, quantized and taken into their user bins in one pass over
-    (T, S, ...); each estimator then steps through the slots, the exact-gain
-    trackers on one measurement of the basis per slot.
+    Builds the per-user model of prior (T, K, M, M), the eigenbasis (from
+    factors, the chunk's prior_factors, when given) if blmmse or kfb runs,
+    and one estimator per configured name. The slots are received,
+    quantized and taken into their user bins in one pass over (T, S, ...);
+    each estimator then maps those bins to its estimates in one call, the
+    exact-gain trackers on one measurement of the basis.
     """
     model = build_per_user_model(pilots, prior)
     basis = None
     if "blmmse" in cfg.estimators or "kfb" in cfg.estimators:
-        basis = build_eigenbasis(prior, model)
+        basis = build_eigenbasis(prior, model, factors)
     estimators = [_estimator(e, cfg, stats, pilots, prior, model, basis) for e in cfg.estimators]
-    kfb = estimators[cfg.estimators.index("kfb")] if "kfb" in cfg.estimators else None
 
     # (T, S, K, M) user bins, each trial's slots in order.
     bins = _user_bins(pilots, h_true, noise)
     shape = h_true.shape
     h_hat = np.empty((shape[0], len(estimators)) + shape[1:], dtype=complex)
+    trackers = {e: x for e, x in enumerate(estimators) if isinstance(x, PerUserKalman)}
+    for e, estimator in enumerate(estimators):
+        if e not in trackers:
+            estimator.estimate(bins, h_hat[:, e])
+    if trackers:
+        # One measurement for every tracker on the basis. The trackers run last,
+        # so it and their all-slot stacks are not held through TPE's steps.
+        measured = basis.measure(bins)
+        for e, tracker in trackers.items():
+            tracker.estimate(bins, h_hat[:, e], measured)
     kfb_trace = np.zeros(shape[:2])
-    for i in range(cfg.slots):
-        r = bins[:, i]
-        measured = None if basis is None else basis.measure(r)
-        obs = QuantizedObservation(slot=i + 1, r=r, measured=measured)
-        for e, estimator in enumerate(estimators):
-            h_hat[:, e, i] = estimator.step(obs)
-        if kfb is not None:
-            kfb_trace[:, i] = kfb.error_trace
+    if "kfb" in cfg.estimators:
+        kfb_trace = estimators[cfg.estimators.index("kfb")].error_trace
     return h_hat, kfb_trace
 
 
@@ -297,17 +305,25 @@ def _trial_means(cfg, metric):
             break
         trials = range(first, min(first + size, cfg.trials))
         corr, grams, h_true, noise = _draw_chunk(cfg, points[:failed], stats, trials)
+        factors = None
+        if grams is None:
+            # Known correlation: one frame per trial for every point. The complex
+            # factor was the channel draw's alone.
+            factors = prior_factors(corr)
+            corr = replace(corr, sqrt_factor=None)
         for p in range(failed):
             try:
                 prior = corr if grams is None else gram_correlation(grams[p])
-                h_hat, kfb_trace = _estimate_chunk(cfg, points[p], stats, prior, h_true, noise)
+                h_hat, kfb_trace = _estimate_chunk(
+                    cfg, points[p], stats, prior, factors, h_true, noise
+                )
                 chunk = _chunk_metric(cfg, metric, cfg.snr_db[p], trials, h_hat, h_true, kfb_trace)
                 per_trial[p].append(chunk)
             except (ValueError, ArithmeticError) as err:
                 failed, error = p, err
                 break
         # Drop this chunk's arrays before the next draw, so memory holds one chunk at a time.
-        corr = grams = h_true = noise = prior = h_hat = None
+        corr = grams = factors = h_true = noise = prior = h_hat = None
     if error is not None:
         raise error
     for snr_db, values in zip(cfg.snr_db, per_trial):

@@ -69,22 +69,6 @@ class PilotMatrix:
         return np.kron(self.scaled_phi(), np.eye(n_antennas))
 
 
-@dataclass(frozen=True)
-class QuantizedObservation:
-    """One slot of quantized pilots: its (K, M) user bins r, or (T, K, M) over T trials.
-
-    measured may carry PerUserEigenbasis.measure of r, computed once for all
-    the exact-gain trackers on that basis. The dense references take r
-    stacked (tau M,), with the model and phi_tilde it was received under.
-    """
-
-    slot: int
-    r: np.ndarray
-    model: object | None = None
-    phi_tilde: object | None = None
-    measured: np.ndarray | None = None
-
-
 def dft_pilots(tau, n_users):
     """First n_users columns of the tau-point DFT matrix.
 

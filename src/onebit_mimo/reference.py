@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import SpatialCorrelation
 from .estimators import ExactGain, TpeGain, gram_correlation, sample_gram, tpe_inverse
-from .quantization import QuantizedObservation, _arcsine_law, one_bit_quantize, pilot_signal
+from .quantization import _arcsine_law, one_bit_quantize, pilot_signal
 from .rng import complex_normal
 
 # Below this smallest eigenvalue the Cholesky route is considered unsafe.
@@ -23,6 +23,21 @@ _CHOLESKY_FLOOR = 1e-10
 
 # Block size of solve_lower, for the few columns of the Kalman step at n <= 1024.
 _SOLVE_BLOCK = 64
+
+
+@dataclass(frozen=True)
+class QuantizedObservation:
+    """One slot of quantized pilots for the dense forms: r stacked (tau M,).
+
+    With the model and phi_tilde it was received under. The per-user
+    estimators take the user bins of a run's slots as one array instead
+    (PilotMatrix.bins).
+    """
+
+    slot: int
+    r: np.ndarray
+    model: object | None = None
+    phi_tilde: object | None = None
 
 
 def psd_sqrt(matrix):

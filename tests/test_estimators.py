@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from onebit_mimo import (
     ExactGain,
-    PerUserEigenbasis,
     PerUserKalman,
     PerUserLs,
     PerUserModel,
@@ -175,14 +174,6 @@ class TestKalmanFilter:
         obs = quantize_pilot_slot(chan, pilots, model, rng)
         with pytest.raises(ValueError):
             kfb_step(state, obs)
-        prior = stack_correlation([exponential_correlation(4, 0.0, 0.4 * k) for k in range(2)])
-        per_user = build_per_user_model(pilots, prior)
-        for tracker in (
-            PerUserKalman(build_eigenbasis(prior, per_user), stats.eta),
-            PerUserTpe(prior, per_user, stats.eta, TpeGain()),
-        ):
-            with pytest.raises(ValueError):
-                tracker.step(QuantizedObservation(slot=3, r=pilots.bins(obs.r)))
 
     def test_first_slot_error_trace_closed_form(self):
         """White channel, square pilots: trace(M_1) = (1 - beta) M K."""
@@ -346,13 +337,14 @@ def per_user_scene(case):
 
 
 def per_user_slots(scene, slots=10):
-    """Dense and per-user observations of the same quantized slots."""
+    """The dense observations of quantized slots, and their user bins (S, K, M)."""
     rng, corr, stats = scene["rng"], scene["corr"], scene["stats"]
     chan = init_channel(corr, rng)
+    observations = []
     for _ in range(slots):
         chan = evolve_channel(chan, stats, corr, rng)
-        obs = quantize_pilot_slot(chan, scene["pilots"], scene["model"], rng)
-        yield obs, QuantizedObservation(slot=obs.slot, r=scene["pilots"].bins(obs.r))
+        observations.append(quantize_pilot_slot(chan, scene["pilots"], scene["model"], rng))
+    return observations, np.stack([scene["pilots"].bins(obs.r) for obs in observations])
 
 
 def kalman_reference_obs(scene, obs):
@@ -374,21 +366,45 @@ class TestEigenbasisKalman:
 
     @pytest.mark.parametrize("case", sorted(PER_USER_CASES))
     def test_matches_kalman_steps(self, case):
+        """One call over all the slots against kfb_step at each of them."""
         scene = per_user_scene(case)
         corr_est = scene["corr_est"]
         basis = build_eigenbasis(scene["prior"], scene["per_user"])
         tracker = PerUserKalman(basis, scene["stats"].eta)
         state = kfb_init(corr_est, scene["stats"])
-        assert tracker.error_trace == pytest.approx(np.real(np.trace(corr_est.matrix)), rel=1e-12)
-        for obs, user_obs in per_user_slots(scene):
+        # Before any slot p = 1, and the error trace is trace(R).
+        prior_trace = np.real(np.trace(corr_est.matrix))
+        assert np.sum(basis.col_norms) == pytest.approx(prior_trace, rel=1e-12)
+        observations, bins = per_user_slots(scene)
+        h_hat = tracker.estimate(bins)
+        assert h_hat.shape == bins.shape and tracker.error_trace.shape == (len(bins),)
+        for i, obs in enumerate(observations):
             state = kfb_step(state, kalman_reference_obs(scene, obs), ExactGain())
-            h_hat = tracker.step(user_obs)
-            assert h_hat.shape == scene["prior"].matrix.shape[:2]
-            assert tracker.slot == state.slot
-            assert_close_norm(h_hat, state.h_hat)
-            assert_close_norm(tracker.error_trace, np.real(np.trace(state.M_filt)))
+            assert_close_norm(h_hat[i], state.h_hat)
+            assert_close_norm(tracker.error_trace[i], np.real(np.trace(state.M_filt)))
             if np.all(scene["stats"].eta == 0.0):
-                assert_close_norm(h_hat, blmmse_estimate(obs, corr_est))
+                assert_close_norm(h_hat[i], blmmse_estimate(obs, corr_est))
+
+    @pytest.mark.parametrize("case", ["tau_above_users", "rank_deficient_factor"])
+    def test_calls_continue_from_the_last_slot(self, case):
+        """Four slots and then six give the estimates and traces of ten in one call."""
+        scene = per_user_scene(case)
+        prior, model, eta = scene["prior"], scene["per_user"], scene["stats"].eta
+        _, bins = per_user_slots(scene)
+        whole = PerUserKalman(build_eigenbasis(prior, model), eta)
+        split = PerUserKalman(build_eigenbasis(prior, model), eta)
+        h_hat = whole.estimate(bins)
+        first = split.estimate(bins[:4])
+        traces = [split.error_trace]
+        rest = split.estimate(bins[4:])
+        traces.append(split.error_trace)
+        assert_close_norm(np.concatenate((first, rest)), h_hat)
+        assert_close_norm(np.concatenate(traces), whole.error_trace)
+        tpe = [PerUserTpe(prior, model, eta, TpeGain(1, 0.5)) for _ in range(2)]
+        assert_close_norm(
+            np.concatenate((tpe[1].estimate(bins[:4]), tpe[1].estimate(bins[4:]))),
+            tpe[0].estimate(bins),
+        )
 
     @pytest.mark.parametrize(
         "case,dtype",
@@ -396,7 +412,10 @@ class TestEigenbasisKalman:
          ("singular_centro_hermitian", np.complex128)],
     )
     def test_real_arithmetic_for_centro_hermitian_priors(self, monkeypatch, case, dtype):
-        """Exponential priors take the real path; learned and singular ones the complex."""
+        """Exponential priors take the real path and keep G and S U real.
+
+        Learned and singular ones take the complex path.
+        """
         scene = per_user_scene(case)
         eigh, seen = np.linalg.eigh, []
 
@@ -405,11 +424,15 @@ class TestEigenbasisKalman:
             return eigh(matrix)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        build_eigenbasis(scene["prior"], scene["per_user"])
+        basis = build_eigenbasis(scene["prior"], scene["per_user"])
         assert seen == [dtype]
+        assert [(maps.G.dtype, maps.SU.dtype) for maps in basis.maps] == [(dtype, dtype)]
 
     def test_mixed_stack_equals_each_trial(self):
-        """Real- and complex-path trials in one stack: each equals its own build, bit for bit."""
+        """Real- and complex-path trials in one stack: each equals its own, bit for bit.
+
+        The basis and the tracker's measurements, estimates and error traces.
+        """
         rng = np.random.default_rng(3)
         exponential = [exponential_correlation(5, 0.6, 0.7 * k) for k in range(2)]
         learned = learned_rank_deficient_users(5, 2, 3, rng)
@@ -417,11 +440,21 @@ class TestEigenbasisKalman:
         trials = [stack_correlation(u) for u in (exponential, learned, singular, exponential)]
         pilots = dft_pilots(2, 2).with_rho(0.5)
         stacked = stack_correlation(trials)
+        eta = np.array([0.9, 0.5])
+        shape = (len(trials), 3, 2, 5)
+        bins = one_bit_quantize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         whole = build_eigenbasis(stacked, build_per_user_model(pilots, stacked))
+        assert [maps.real for maps in whole.maps] == [True, False]
+        tracker = PerUserKalman(whole, eta)
+        h_hat, measured = tracker.estimate(bins), whole.measure(bins)
         for t, prior in enumerate(trials):
             alone = build_eigenbasis(prior, build_per_user_model(pilots, prior))
-            for field in fields(PerUserEigenbasis):
-                assert np.array_equal(getattr(whole, field.name)[t], getattr(alone, field.name))
+            assert np.array_equal(whole.lam[t], alone.lam)
+            assert np.array_equal(whole.col_norms[t], alone.col_norms)
+            single = PerUserKalman(alone, eta)
+            assert np.array_equal(h_hat[t], single.estimate(bins[t]))
+            assert np.array_equal(tracker.error_trace[t], single.error_trace)
+            assert np.array_equal(measured[t], alone.measure(bins[t]))
 
     def test_non_positive_definite_noise_rejected(self):
         prior = stack_correlation([exponential_correlation(2, 0.0, 0.0)])
@@ -454,13 +487,14 @@ class TestPerUserEstimators:
     @pytest.mark.parametrize("case", sorted(PER_USER_CASES))
     def test_single_shot_matches_dense(self, case):
         scene = per_user_scene(case)
-        ls = PerUserLs(scene["pilots"])
         # BLMMSE is the exact-gain tracker of a memoryless channel.
         eta = np.zeros_like(scene["stats"].eta)
         blmmse = PerUserKalman(build_eigenbasis(scene["prior"], scene["per_user"]), eta)
-        for obs, user_obs in per_user_slots(scene):
-            assert_close_norm(ls.step(user_obs), ls_estimate(obs, scene["pilots"]))
-            assert_close_norm(blmmse.step(user_obs), blmmse_estimate(obs, scene["corr_est"]))
+        observations, bins = per_user_slots(scene)
+        ls_hat, blmmse_hat = PerUserLs(scene["pilots"]).estimate(bins), blmmse.estimate(bins)
+        for i, obs in enumerate(observations):
+            assert_close_norm(ls_hat[i], ls_estimate(obs, scene["pilots"]))
+            assert_close_norm(blmmse_hat[i], blmmse_estimate(obs, scene["corr_est"]))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case", sorted(PER_USER_CASES))
@@ -469,10 +503,11 @@ class TestPerUserEstimators:
         gain = TpeGain(1, 0.5)
         tracker = PerUserTpe(scene["prior"], scene["per_user"], scene["stats"].eta, gain)
         state = kfb_init(scene["corr_est"], scene["stats"])
-        for obs, user_obs in per_user_slots(scene):
+        observations, bins = per_user_slots(scene)
+        h_hat = tracker.estimate(bins)
+        for i, obs in enumerate(observations):
             state = kfb_step(state, kalman_reference_obs(scene, obs), gain)
-            assert_close_norm(tracker.step(user_obs), state.h_hat)
-            assert tracker.slot == state.slot
+            assert_close_norm(h_hat[i], state.h_hat)
 
     def test_non_dft_pilots_rejected(self):
         pilots = dft_pilots(2, 2).with_rho(1.0)
@@ -511,13 +546,20 @@ class TestRealForm:
             assert np.abs(dense.imag).max() <= 1e-14 * np.abs(x).max()
             assert_allclose(estimators._real_form(x), dense.real, rtol=0.0, atol=1e-14)
 
-    @pytest.mark.parametrize("n_antennas", [1, 2, 3, 4, 5, 32])
-    def test_complex_rows_is_q_x(self, n_antennas):
+    @pytest.mark.parametrize("n_antennas", [1, 2, 3, 4, 5, 6, 32])
+    def test_frame_maps_are_q_adjoint_and_q(self, n_antennas):
+        """Bins (T, S, K, M) into the frame as Q^H r columns (T, K, M, S), and Q x back."""
         q = exchange_basis(n_antennas)
-        x = np.random.default_rng(n_antennas).standard_normal((2, n_antennas, 3))
-        for sign, expected in ((1.0, q @ x), (-1.0, q.conj() @ x)):
-            out = estimators._complex_rows(x, np.empty(x.shape, dtype=complex), sign)
-            assert_allclose(out, expected, rtol=0.0, atol=1e-15)
+        rng = np.random.default_rng(n_antennas)
+        shape = (2, 3, 4, n_antennas)
+        bins = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        columns = estimators._to_frame(bins)
+        assert columns.shape == (2, 4, n_antennas, 3)
+        assert_allclose(columns, np.einsum("mn,tskn->tkms", q.conj().T, bins), rtol=0, atol=1e-15)
+        x = rng.standard_normal(columns.shape) + 1j * rng.standard_normal(columns.shape)
+        out = estimators._from_frame(x, np.empty(shape, dtype=complex))
+        assert_allclose(out, np.einsum("mn,tkns->tskm", q, x), rtol=0, atol=1e-15)
+        assert_allclose(estimators._from_frame(columns, np.empty_like(bins)), bins, atol=1e-15)
 
 
 class TestTpeInverse:
@@ -582,9 +624,11 @@ class TestTpeScaleBound:
         assert all(f"tpe.alpha = {alpha} " in str(w.message) for w in caught)
         reference = TpeGain(order, 0.75 * limit / lam_max if clamped else alpha)
         state = kfb_init(scene["corr_est"], scene["stats"])
-        for obs, user_obs in per_user_slots(scene):
+        observations, bins = per_user_slots(scene)
+        h_hat = tracker.estimate(bins)
+        for i, obs in enumerate(observations):
             state = kfb_step(state, obs, reference)
-            assert_close_norm(tracker.step(user_obs), state.h_hat)
+            assert_close_norm(h_hat[i], state.h_hat)
 
     def test_clamp_warns_once_per_run(self):
         """Every trial clamps, with one warning text, so the default filter shows it once."""
@@ -616,7 +660,8 @@ class TestTpeScaleBound:
         for _ in range(cfg.slots):
             chan = evolve_channel(chan, stats, prior, rng)
             r = one_bit_quantize(received_pilot_signal(chan, pilots, rng))
-            tracker.step(QuantizedObservation(slot=chan.slot, r=pilots.bins(r)))
+            # One slot per call: each continues from the last.
+            tracker.estimate(pilots.bins(r)[None])
             assert np.linalg.eigvalsh(tracker.M_filt).min() >= -1e-10
             assert np.linalg.eigvalsh(prior.matrix - tracker.M_filt).min() >= -1e-10
 
