@@ -9,6 +9,7 @@ Monte-Carlo harness with CSV output.
 
 from .channel import (
     ChannelState,
+    ExponentialCorrelation,
     SpatialCorrelation,
     TemporalStats,
     evolve_channel,

@@ -8,10 +8,16 @@ stack of per-user blocks (stack_correlation) and the channel a (K, M) stack,
 user k in row k. An n x n correlation counts as a stack of one block and
 gives an (n,) channel from the same draws.
 
+An exponential correlation is Hermitian Toeplitz, so it is held by its
+2M - 1 lags alone (ExponentialCorrelation): its matrix is a read-only view
+of them, and its AR(1) factor Lambda_k L_0 Lambda_k^H is applied as one
+real product with the L_0 that every user of a run shares.
+
 Only numpy is needed: the exponential model has a closed-form Cholesky
 factor, and the Jakes coefficient J0 is summed directly.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +40,10 @@ class SpatialCorrelation:
 
     matrix: np.ndarray
     sqrt_factor: np.ndarray
+
+    @property
+    def shape(self):
+        return self.matrix.shape
 
 
 @dataclass(frozen=True)
@@ -67,53 +77,123 @@ class ChannelState:
     h: np.ndarray
 
 
-def exponential_correlation(n_antennas, magnitude, phase):
-    """Exponential correlation matrix for one user, with its Cholesky factor.
+def toeplitz_view(by_lag):
+    """The read-only Toeplitz matrices (..., M, M) of lag vectors (..., 2M - 1).
 
-    An array of phases, one per user, gives the users' matrices and factors
-    stacked along its axes, (*phase.shape, M, M).
+    Entry (m, n) is by_lag[..., n - m + M - 1]: row m is the window of M
+    lags from index M - 1 - m, a window sliding back one lag per row. No
+    entry is copied, and the view cannot be written, since one write would
+    change a whole diagonal. (as_strided: sliding_window_view's first call
+    alone costs about 0.3 MB of resident memory.)
+    """
+    n = by_lag.shape[-1] // 2 + 1
+    lag = by_lag.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        by_lag[..., n - 1 :],
+        shape=by_lag.shape[:-1] + (n, n),
+        strides=by_lag.strides[:-1] + (-lag, lag),
+        writeable=False,
+    )
+
+
+@dataclass(frozen=True)
+class ExponentialCorrelation:
+    """Exponential correlations held by their lags (exponential_correlation).
+
+    lags (..., 2M - 1) holds each matrix's entry of lag n - m at index
+    n - m + M - 1; phase (...) holds the phases theta and magnitude the
+    common r of c = r e^{j theta}. matrix is the read-only Toeplitz view of
+    lags. The factor is S = Lambda L_0 Lambda^H, for Lambda =
+    diag(e^{-j theta m}) and the real Cholesky factor L_0 of [r^|n - m|]:
+    apply_sqrt_factor applies it without forming it, and sqrt_factor forms
+    it densely, for the dense reference layer and the tests.
+    """
+
+    lags: np.ndarray
+    magnitude: float
+    phase: np.ndarray
+
+    @property
+    def shape(self):
+        """The shape of matrix, (..., M, M), without building the view."""
+        n = self.lags.shape[-1] // 2 + 1
+        return self.lags.shape[:-1] + (n, n)
+
+    @property
+    def matrix(self):
+        return toeplitz_view(self.lags)
+
+    @property
+    def sqrt_factor(self):
+        return self.matrix * _factor_weights(self.shape[-1], self.magnitude)
+
+
+def _factor_weights(n_antennas, magnitude):
+    """Column weights of the AR(1) factor: 1 in column 0, sqrt(1 - r^2) right of it, lower triangle."""
+    weights = np.tril(np.full((n_antennas, n_antennas), np.sqrt(1.0 - magnitude**2)))
+    weights[:, 0] = 1.0
+    return weights
+
+
+@functools.lru_cache(maxsize=4)
+def _real_factor(n_antennas, magnitude):
+    """L_0, the read-only real Cholesky factor of [magnitude^|n - m|], (M, M)."""
+    powers = magnitude ** np.arange(n_antennas)
+    lags = np.concatenate((powers[:0:-1], powers))
+    factor = toeplitz_view(lags) * _factor_weights(n_antennas, magnitude)
+    factor.flags.writeable = False
+    return factor
+
+
+def exponential_correlation(n_antennas, magnitude, phase):
+    """Exponential correlation matrix for one user, as an ExponentialCorrelation.
+
+    An array of phases, one per user, gives the users' correlations stacked
+    along its axes: lags (*phase.shape, 2M - 1), matrix (*phase.shape, M, M).
 
     Entry (m, n) above the diagonal is c^(n-m) for c = magnitude * e^{j*phase},
     the conjugate below, ones on the diagonal: Hermitian Toeplitz and positive
     definite for magnitude in [0, 1). It is the covariance of the AR(1)
     sequence x_0 = w_0, x_m = conj(c) x_{m-1} + sqrt(1 - |c|^2) w_m, so its
     Cholesky factor is L[m, 0] = conj(c)^m and L[m, j] = conj(c)^(m-j)
-    sqrt(1 - |c|^2) for 1 <= j <= m. Both are indexed from the M powers of c.
+    sqrt(1 - |c|^2) for 1 <= j <= m. Both are indexed from the M powers of c;
+    with conj(c)^(m-j) = e^{-j theta m} |c|^(m-j) e^{j theta j}, L is
+    Lambda L_0 Lambda^H for one real L_0 that depends on magnitude alone.
     """
     if n_antennas < 1:
         raise ValueError("need at least one antenna")
     if not 0.0 <= magnitude < 1.0:
         raise ValueError("correlation magnitude must lie in [0, 1)")
-    c = magnitude * np.exp(1j * np.asarray(phase))
+    phase = np.asarray(phase, dtype=float)
+    c = magnitude * np.exp(1j * phase)
     powers = c[..., None] ** np.arange(n_antennas)
-    # Lags -(M-1) .. M-1 at index lag + M - 1; entry (m, n) has lag n - m, so
-    # row m is the window of M lags from index M - 1 - m: a window sliding
-    # back one lag per row. (as_strided: sliding_window_view's first call
-    # alone costs about 0.3 MB of resident memory.)
+    # Lags -(M-1) .. M-1 at index lag + M - 1.
     by_lag = np.concatenate((powers[..., :0:-1].conj(), powers), axis=-1)
-    lag = by_lag.strides[-1]
-    windows = np.lib.stride_tricks.as_strided(
-        by_lag[..., n_antennas - 1 :],
-        shape=by_lag.shape[:-1] + (n_antennas, n_antennas),
-        strides=by_lag.strides[:-1] + (-lag, lag),
-    )
-    # The copy keeps a stack C-ordered, so each block's products match a single matrix's.
-    matrix = windows.copy()
-    weights = np.tril(np.full((n_antennas, n_antennas), np.sqrt(1.0 - magnitude**2)))
-    weights[:, 0] = 1.0
-    return SpatialCorrelation(matrix=matrix, sqrt_factor=matrix * weights)
+    return ExponentialCorrelation(lags=by_lag, magnitude=float(magnitude), phase=phase)
 
 
 def _stack(arrays):
-    """np.stack, without a copy for a single array (4 MB for a paper-scale correlation)."""
+    """np.stack, without a copy for a single array (a one-trial chunk's draws)."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def stack_correlation(users):
-    """Correlations stacked on a new leading axis: K users' (K, M, M), T trials' (T, K, M, M)."""
+    """Correlations stacked on a new leading axis: K users' (K, M, M), T trials' (T, K, M, M).
+
+    Exponential correlations of one magnitude stack their lags and phases
+    and stay an ExponentialCorrelation; any other mix stacks dense
+    matrices and factors.
+    """
     users = list(users)
     if not users:
         raise ValueError("need at least one user")
+    magnitude = getattr(users[0], "magnitude", None)
+    if all(isinstance(u, ExponentialCorrelation) and u.magnitude == magnitude for u in users):
+        return ExponentialCorrelation(
+            lags=_stack([u.lags for u in users]),
+            magnitude=magnitude,
+            phase=_stack([u.phase for u in users]),
+        )
     return SpatialCorrelation(
         matrix=_stack([u.matrix for u in users]),
         sqrt_factor=_stack([u.sqrt_factor for u in users]),
@@ -166,10 +246,17 @@ def apply_sqrt_factor(corr, g):
 
     corr is a stack of per-user blocks, (K, M, M) (stack_correlation) or
     (T, K, M, M) over T trials with n = T K M; an n x n correlation counts
-    as a stack of one block. The result is factor.shape[:-1] +
+    as a stack of one block. The result is corr.shape[:-1] +
     g.shape[1:]: (K, M) + g.shape[1:] for a stack of users and g.shape for
     one block. Raises ValueError when the blocks' rows differ from n.
+
+    An ExponentialCorrelation's factor is applied as Lambda_k (L_0
+    (Lambda_k^H g)): one batched real product with the L_0 that all its
+    blocks share. Each block's numbers come from a product of the same
+    shape at any trial count.
     """
+    if isinstance(corr, ExponentialCorrelation):
+        return _apply_exponential(corr, g)
     factor = corr.sqrt_factor
     blocks = factor.reshape((-1,) + factor.shape[-2:])
     n_blocks, n_rows = blocks.shape[:2]
@@ -179,9 +266,23 @@ def apply_sqrt_factor(corr, g):
     return out.reshape(factor.shape[:-1] + g.shape[1:])
 
 
+def _apply_exponential(corr, g):
+    """apply_sqrt_factor for an ExponentialCorrelation, with no M x M complex array."""
+    phase, n_rows = corr.phase, corr.shape[-1]
+    if phase.size * n_rows != g.shape[0]:
+        raise ValueError("correlation size does not match the channel vector")
+    # The diagonal of Lambda^H, e^{j theta m}, per block and antenna, as a column.
+    turn = np.exp(1j * np.multiply.outer(phase.reshape(-1), np.arange(n_rows)))[..., None]
+    rotated = np.multiply(g.reshape(turn.shape[:-1] + (-1,)), turn, order="C")
+    # L_0 on the real and imaginary parts of each block's columns, side by side.
+    out = (_real_factor(n_rows, corr.magnitude) @ rotated.view(float)).view(complex)
+    out *= turn.conj()
+    return out.reshape(phase.shape + (n_rows,) + g.shape[1:])
+
+
 def init_channel(corr, rng):
     """Draw the slot-0 channel from the stationary distribution."""
-    n = math.prod(corr.sqrt_factor.shape[:-1])
+    n = math.prod(corr.shape[:-1])
     return ChannelState(slot=0, h=apply_sqrt_factor(corr, complex_normal(rng, n)))
 
 

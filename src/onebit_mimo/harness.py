@@ -27,9 +27,13 @@ complex stack stays within _CHUNK_BYTES, and walks the chunks once. A
 chunk's draw stage runs once: each trial draws from its own streams, every
 slot up front, in the order a one-trial loop drew them, its learned-
 correlation probes are kept only as per-point sample Grams, and one pass
-simulates the channels of all slots. With known correlation the chunk then
-chooses each trial's frame for the eigenbasis once (estimators.prior_factors)
-and keeps no complex factor of the correlation. Its estimate stage runs
+simulates the channels of all slots. The true correlations are
+exponential, so the chunk stacks their (T, K, 2M - 1) lag vectors
+(channel.ExponentialCorrelation) and draws through the shared real AR(1)
+factor; no complex M x M stack of them is formed. With known correlation
+the chunk then chooses each trial's frame for the eigenbasis once
+(estimators.prior_factors), and the per-user models run on those lag
+vectors too. Its estimate stage runs
 once per SNR point over the (T, ...) stacks: one call each builds the
 learned correlations, the per-user models, the eigenbasis and the
 estimators, one pass receives, quantizes and takes into the user bins
@@ -41,7 +45,7 @@ byte for byte.
 """
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -186,7 +190,8 @@ def _draw_chunk(cfg, points, stats, trials):
     Each trial first takes its streams, its correlation, its learned-
     correlation probes and its slot-0 channel, then draws the normals of
     all its slots; trial_streams and init_channel run once per trial, in
-    trial order. corr stacks the true correlations (T, K, M, M). With
+    trial order. corr stacks the true correlations' lag vectors
+    (stack_correlation), (T, K, M, M) as matrices. With
     learned correlation, grams (P, T, K, M, M) holds the probes' sample
     Grams at each point of points (_correlation_grams), else it is None.
     The channels of all slots are one trajectory; noise (T, S, tau M) is
@@ -305,12 +310,8 @@ def _trial_means(cfg, metric):
             break
         trials = range(first, min(first + size, cfg.trials))
         corr, grams, h_true, noise = _draw_chunk(cfg, points[:failed], stats, trials)
-        factors = None
-        if grams is None:
-            # Known correlation: one frame per trial for every point. The complex
-            # factor was the channel draw's alone.
-            factors = prior_factors(corr)
-            corr = replace(corr, sqrt_factor=None)
+        # Known correlation: one frame per trial for every point.
+        factors = prior_factors(corr) if grams is None else None
         for p in range(failed):
             try:
                 prior = corr if grams is None else gram_correlation(grams[p])

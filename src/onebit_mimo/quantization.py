@@ -11,9 +11,11 @@ tau, the arcsine law keeps that block-circulant structure because diag(C_y)
 depends only on the antenna, and A = I_tau kron diag(a). One unitary DFT
 across the pilot slots therefore block-diagonalizes C_y, C_r, C_q and
 C_n_eff at once, and user k sees only DFT bin k. build_per_user_model forms
-this exact per-user model from M x M blocks alone: the gains and the
+this exact per-user model from per-user lags alone: the gains and the
 user-bin blocks of C_n_eff, which is all the per-user estimators read (the
-bin of C_r is D R_k D + C_n_eff,k for D = sqrt(tau rho) diag(a)).
+bin of C_r is D R_k D + C_n_eff,k for D = sqrt(tau rho) diag(a)). A
+learned prior's lags are M x M blocks; an exponential prior's are
+Hermitian Toeplitz, so each is held as its vector of 2M - 1 lags.
 
 Every slot and every learned-correlation probe takes the same front end:
 pilot_signal, one_bit_quantize and PilotMatrix.bins.
@@ -22,6 +24,8 @@ pilot_signal, one_bit_quantize and PilotMatrix.bins.
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .channel import ExponentialCorrelation, toeplitz_view
 
 
 @dataclass(frozen=True)
@@ -114,13 +118,14 @@ def _outer(d):
     return d[..., :, None] * d[..., None, :]
 
 
-def _arcsine_law(c_y, d, out=None):
-    """(2/pi)(arcsin X + j arcsin Y) for c_y or a stack of blocks normalized by outer(d, d).
+def _arcsine_law(c_y, scale, out=None):
+    """(2/pi)(arcsin X + j arcsin Y) for c_y, or a stack of blocks, normalized by scale.
 
-    Each part is normalized, clamped and mapped in place in out (a new array
-    by default), so a stack of blocks takes no temporaries of its size.
+    scale holds d_i d_j for the square roots d of C_y's diagonal, broadcast
+    against c_y. Each part is normalized, clamped and mapped in place in
+    out (a new array by default), so a stack of blocks takes no temporaries
+    of its size.
     """
-    scale = _outer(d)
     out = np.empty(np.shape(c_y), dtype=complex) if out is None else out
     for part, source in ((out.real, np.real(c_y)), (out.imag, np.imag(c_y))):
         np.divide(source, scale, out=part)
@@ -138,7 +143,9 @@ class PerUserModel:
     with gain = sqrt(tau rho) and a the per-antenna Bussgang gain; C_n_eff
     stacks the K per-user covariances of n_k, (K, M, M). The bins beyond K
     carry noise alone, uncorrelated with the user bins, and are dropped. A
-    model of T trials at once has a (T, M) and C_n_eff (T, K, M, M).
+    model of T trials at once has a (T, M) and C_n_eff (T, K, M, M). For an
+    ExponentialCorrelation prior C_n_eff is a read-only Toeplitz view of
+    its lag vectors (channel.toeplitz_view).
     """
 
     a: np.ndarray
@@ -160,33 +167,54 @@ def build_per_user_model(pilots, prior):
     formed for lags 0 .. tau // 2 and the rest are their adjoints. No
     n x n matrix is built. Raises ValueError for pilots other than
     dft_pilots, where the model does not decouple.
+
+    Every block is Hermitian Toeplitz when the R_k are: an
+    ExponentialCorrelation runs the same elementwise arithmetic on its
+    (tau // 2 + 1)(2M - 1) lag entries instead of (tau // 2 + 1) M^2 block
+    entries (its diagonal is one entry, so a is one gain per trial), takes
+    each adjoint as its reversed, conjugated lag vector, and returns
+    C_n_eff as the read-only Toeplitz view of its bins' lag vectors.
     """
     tau, n_users = pilots.phi.shape
     if not np.allclose(pilots.phi, dft_pilots(tau, n_users).phi, rtol=0.0, atol=1e-12):
         raise ValueError("the per-user model needs DFT pilots")
     scaled = pilots.scaled_phi()
-    lead = prior.matrix.shape[:-3]
-    n_antennas = prior.matrix.shape[-1]
+    toeplitz = isinstance(prior, ExponentialCorrelation)
+    n_antennas = prior.shape[-1]
+    # Each user's entries in one flat axis: its lags, or its block's M^2 entries.
+    if toeplitz:
+        entries, diagonal = prior.lags, [n_antennas - 1]
+    else:
+        entries = prior.matrix.reshape(prior.matrix.shape[:-2] + (-1,))
+        diagonal = np.arange(n_antennas) * (n_antennas + 1)
+    lead = entries.shape[:-2]
     half = tau // 2 + 1
-    diagonal = (..., 0, *np.diag_indices(n_antennas))
     # B_l = rho sum_k phi[l, k] conj(phi[0, k]) R_k (+ I at lag 0): one (half, K) weight matrix.
     weights = scaled[:half] * scaled[0].conj()
-    c_y = weights @ prior.matrix.reshape(lead + (n_users, -1))
-    c_y = c_y.reshape(lead + (half, n_antennas, n_antennas))
-    c_y[diagonal] += 1.0
-    d = np.sqrt(np.real(c_y[diagonal]))
+    c_y = weights @ entries
+    c_y[..., 0, diagonal] += 1.0
+    d = np.sqrt(np.real(c_y[..., 0, diagonal]))
     a = np.sqrt(2.0 / np.pi) / d
-    lags = np.empty(lead + (tau, n_antennas, n_antennas), dtype=complex)
+    lags = np.empty(lead + (tau, c_y.shape[-1]), dtype=complex)
     # The C_r lag blocks, then C_n_eff's in their place: C_r - A C_y A + A^2 at lag 0.
-    c_n_eff = _arcsine_law(c_y, d[..., None, :], out=lags[..., :half, :, :])
-    c_n_eff[diagonal] = 1.0
-    c_y *= _outer(a)[..., None, :, :]
+    c_n_eff = _arcsine_law(c_y, _outer(d).reshape(lead + (1, -1)), out=lags[..., :half, :])
+    c_n_eff[..., 0, diagonal] = 1.0
+    c_y *= _outer(a).reshape(lead + (1, -1))
     c_n_eff -= c_y
-    c_n_eff[diagonal] += a**2
+    c_n_eff[..., 0, diagonal] += a**2
     # Lags tau // 2 + 1 .. tau - 1 are the adjoints of lags (tau - 1) // 2 .. 1.
-    mirrored = np.swapaxes(c_n_eff[..., (tau - 1) // 2 : 0 : -1, :, :], -1, -2)
-    np.conjugate(mirrored, out=lags[..., half:, :, :])
-    bins = pilots.phi.conj().T @ lags.reshape(lead + (tau, -1))
+    later = slice((tau - 1) // 2, 0, -1)
+    if toeplitz:
+        mirrored, target = c_n_eff[..., later, ::-1], lags[..., half:, :]
+    else:
+        blocks = lags.reshape(lead + (tau, n_antennas, n_antennas))
+        mirrored, target = np.swapaxes(blocks[..., later, :, :], -1, -2), blocks[..., half:, :, :]
+    np.conjugate(mirrored, out=target)
+    bins = pilots.phi.conj().T @ lags
+    if toeplitz:
+        return PerUserModel(
+            a=np.repeat(a, n_antennas, axis=-1), gain=pilots.gain, C_n_eff=toeplitz_view(bins)
+        )
     return PerUserModel(
         a=a, gain=pilots.gain, C_n_eff=bins.reshape(lead + (n_users, n_antennas, n_antennas))
     )

@@ -177,7 +177,8 @@ def arcsin_covariance(c_y):
     analytic value: near 1 the arcsine slope is unbounded, so leaving the
     normalization roundoff in would cost sqrt(eps) there.
     """
-    out = _arcsine_law(c_y, np.sqrt(np.real(np.diag(c_y))))
+    d = np.sqrt(np.real(np.diag(c_y)))
+    out = _arcsine_law(c_y, np.outer(d, d))
     np.fill_diagonal(out, 1.0)
     return out
 

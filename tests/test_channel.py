@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from onebit_mimo import (
+    SpatialCorrelation,
     TemporalStats,
     aggregate_correlation,
     evolve_channel,
@@ -15,7 +16,7 @@ from onebit_mimo import (
     psd_sqrt,
     stack_correlation,
 )
-from onebit_mimo.channel import channel_trajectory
+from onebit_mimo.channel import apply_sqrt_factor, channel_trajectory
 from onebit_mimo.rng import complex_normal_sequence
 
 
@@ -49,6 +50,31 @@ class TestExponentialCorrelation:
         assert np.all(np.triu(corr.sqrt_factor, 1) == 0.0)
         chol = np.linalg.cholesky(corr.matrix)
         assert np.linalg.norm(corr.sqrt_factor - chol) <= 1e-12 * np.linalg.norm(chol)
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    @pytest.mark.parametrize("users", [(), (3,), (2, 3)])
+    def test_structured_factor_equals_dense_product(self, m, users):
+        """Lambda L_0 Lambda^H g equals sqrt_factor @ g for (n,) and (n, p) draws."""
+        theta = np.random.default_rng(m).uniform(0.0, 2.0 * np.pi, users)
+        corr = exponential_correlation(m, 0.9, theta)
+        factor = corr.sqrt_factor
+        blocks = factor.reshape(-1, m, m)
+        rng = np.random.default_rng(1)
+        for columns in ((), (4,)):
+            g = rng.standard_normal((len(blocks) * m,) + columns) + 1j * rng.standard_normal(
+                (len(blocks) * m,) + columns
+            )
+            expected = (blocks @ g.reshape(len(blocks), m, -1)).reshape(users + (m,) + columns)
+            structured = apply_sqrt_factor(corr, g)
+            assert structured.shape == expected.shape
+            assert np.abs(structured - expected).max() <= 1e-13
+
+    def test_matrix_is_a_read_only_view(self):
+        corr = exponential_correlation(4, 0.5, np.array([0.3, 1.1]))
+        assert corr.shape == corr.matrix.shape == (2, 4, 4)
+        assert np.shares_memory(corr.matrix, corr.lags)
+        with pytest.raises(ValueError, match="read-only"):
+            corr.matrix[0, 1, 2] = 0.0
 
     def test_magnitude_one_rejected(self):
         with pytest.raises(ValueError):
@@ -248,6 +274,21 @@ class TestChannelEvolution:
         stacked, dense = runs
         assert stacked.shape == (11, 3, 4) and dense.shape == (11, 12)
         assert_allclose(stacked.reshape(11, 12), dense, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("trials", [False, True])
+    def test_structured_trajectory_equals_dense_factor(self, trials):
+        """channel_trajectory through the structured factor equals it through the dense factor."""
+        users = [exponential_correlation(6, 0.8, th) for th in (0.3, 1.7, 2.9)]
+        corr = stack_correlation(users)
+        if trials:
+            corr = stack_correlation([corr, stack_correlation(users[::-1])])
+        dense = SpatialCorrelation(matrix=corr.matrix, sqrt_factor=corr.sqrt_factor)
+        stats = TemporalStats(np.array([0.99, 0.7, 0.0]))
+        h = init_channel(dense, np.random.default_rng(3)).h
+        g = complex_normal_sequence(np.random.default_rng(4), 5, h.size)
+        g = np.moveaxis(g.reshape((5,) + h.shape), 0, h.ndim - 2)
+        structured = channel_trajectory(h, stats, corr, g)
+        assert_allclose(structured, channel_trajectory(h, stats, dense, g), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("layout", ["dense", "users", "trials"])
     def test_trajectory_equals_slot_by_slot_evolution(self, layout):

@@ -45,7 +45,7 @@ from onebit_mimo import (
     write_csv,
 )
 from onebit_mimo import harness, linalg, reference
-from onebit_mimo.channel import apply_sqrt_factor
+from onebit_mimo.channel import ExponentialCorrelation, apply_sqrt_factor
 from onebit_mimo.cli import main
 
 REPO = Path(__file__).resolve().parents[1]
@@ -193,7 +193,9 @@ class TestNmseExperiment:
 
         No nmse or rate run calls a dense reference, the dense LS or a
         pseudo-inverse, or takes a square root of a correlation apart from
-        the one its generator or gram_correlation gives.
+        the one its generator or gram_correlation gives. No run forms the
+        dense factor of an exponential correlation: the draw applies it
+        from its lags.
         """
 
         def forbidden(name):
@@ -205,6 +207,9 @@ class TestNmseExperiment:
         for name in self.TRACER_ONLY:
             monkeypatch.setattr(harness, name, forbidden(name))
         monkeypatch.setattr(np.linalg, "pinv", forbidden("np.linalg.pinv"))
+        monkeypatch.setattr(
+            ExponentialCorrelation, "sqrt_factor", property(forbidden("a dense sqrt_factor"))
+        )
         for name in REFERENCE_NAMES:
             monkeypatch.setattr(reference, name, forbidden(name))
         for knowledge in ("true", "sampled(40)"):
@@ -324,6 +329,13 @@ class TestChunkedEngine:
         M=7, K=2, tau=2, slots=3, trials=16, estimators="[blmmse, kfb]",
         correlation_knowledge="true",
     )
+    # Known correlation at tau = 3: Bussgang lag 2 is the mirrored lag 1 (at
+    # tau = 2 no lag is mirrored), and the L_0 products and stacked lag
+    # vectors span chunks.
+    KNOWN_ODD_TAU = dict(
+        M=6, K=2, tau=3, slots=3, trials=16, estimators="[blmmse, kfb, tpe]",
+        correlation_knowledge="true", **{"tpe.alpha": 0.45},
+    )
     # One-bit estimates at M = 4: 7 of the 720 rated members are rank deficient.
     SMALL_M = dict(M=4, K=2, tau=2, slots=3, trials=40, mode="rate", estimators="[blmmse, kfb]")
     # The first-failure cases: 4 trials at two SNR points.
@@ -335,12 +347,15 @@ class TestChunkedEngine:
             return write_csv(run_rate_experiment(cfg), path)
         return write_csv(nmse_csv_rows(run_nmse_experiment(cfg), cfg), path)
 
-    @pytest.mark.parametrize("mode", ["nmse", "rate", "known", "known_trackers", "small_m"])
+    @pytest.mark.parametrize(
+        "mode", ["nmse", "rate", "known", "known_trackers", "known_odd_tau", "small_m"]
+    )
     def test_csv_bytes_do_not_depend_on_chunk_size(self, monkeypatch, tmp_path, mode):
         """Chunks of 1, 7 and all trials write the same CSV text, at three SNR points."""
         shape = {
             "nmse": self.NMSE, "rate": self.RATE, "known": self.KNOWN,
-            "known_trackers": self.KNOWN_TRACKERS, "small_m": self.SMALL_M,
+            "known_trackers": self.KNOWN_TRACKERS, "known_odd_tau": self.KNOWN_ODD_TAU,
+            "small_m": self.SMALL_M,
         }[mode]
         cfg = tiny_config(**dict(shape, snr_db=self.POINTS))
         texts = []
@@ -505,24 +520,26 @@ class TestChunkedEngine:
                 tracemalloc.stop()
         assert peaks[0] - peaks[1] < 1.5e6
 
-    # Ceilings on the traced peak, about 10% and 5% above the 1.749 MB and
-    # 9.79 MB measured with numpy 2.4. Keeping a chunk's arrays through the
-    # next draw raises the first to 2.29 MB; keeping the true correlation's
-    # complex factor through the estimate stage raises the second to 11.89 MB.
-    PEAK_CEILINGS = {"small_sweep_rate": 1.93e6, "paper": 10.3e6}
+    # Ceilings on the traced peak, measured with numpy 2.4: small_sweep_rate's
+    # about 19% above its 1.626 MB (set at 1.749 MB), the paper and fast runs'
+    # about 5% above their 5.665 MB and 0.705 MB. Keeping a chunk's arrays
+    # through the next draw raised the first to 2.29 MB; a dense copy of the
+    # Toeplitz C_n_eff stack raises the others to 7.73 MB and 0.83 MB.
+    PEAK_CEILINGS = {"small_sweep_rate": 1.93e6, "paper": 5.95e6, "fast": 0.74e6}
 
     @pytest.mark.parametrize("run", sorted(PEAK_CEILINGS))
     def test_engine_peak_memory_stays_under_its_ceiling(self, run):
         """The traced peak of a whole run stays under its ceiling.
 
-        The runs: 8 small_sweep_rate trials (two chunks, three points), and
-        one paper-profile nmse trial.
+        The runs: 8 small_sweep_rate trials (two chunks, three points), one
+        paper-profile nmse trial, and 10 fast-profile nmse trials.
 
-        peak_rss_mb is a gated benchmark metric, and both runs reach their
+        peak_rss_mb is a gated benchmark metric, and every run reaches its
         peak in the engine's own arrays.
         """
-        if run == "paper":
-            cfg = parse_config("trials = 1\n", base=default_config(profile="paper"))
+        if run in ("paper", "fast"):
+            trials = 1 if run == "paper" else 10
+            cfg = parse_config(f"trials = {trials}\n", base=default_config(profile=run))
             experiment = run_nmse_experiment
         else:
             cfg = parse_config(

@@ -3,9 +3,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from onebit_mimo import (
+    SpatialCorrelation,
     aggregate_correlation,
     arcsin_covariance,
     build_bussgang_model,
+    build_per_user_model,
     dft_pilots,
     exponential_correlation,
     init_channel,
@@ -13,6 +15,7 @@ from onebit_mimo import (
     one_bit_quantize,
     quantize_pilot_slot,
     received_pilot_signal,
+    stack_correlation,
 )
 from onebit_mimo.quantization import pilot_signal
 from onebit_mimo.reference import ScaledPilotOperator
@@ -202,3 +205,45 @@ class TestQuantizeSlot:
         phi_tilde = model.a_diag[:, None] * pilots.phi_bar(3)
         assert_allclose(obs.phi_tilde @ np.eye(6), phi_tilde, atol=1e-14)
         assert_allclose(obs.phi_tilde.adjoint(np.eye(6)), phi_tilde.conj().T, atol=1e-14)
+
+
+class TestPerUserModelOnLags:
+    """The lag-vector model of exponential priors against the block model of their dense copies."""
+
+    @staticmethod
+    def priors(n_antennas, n_users, trials):
+        """An exponential stack, (K,) or (T, K) users, and a dense C-ordered copy of it."""
+        theta = np.random.default_rng(n_antennas).uniform(0.0, 2.0 * np.pi, (trials or 1, n_users))
+        users = [exponential_correlation(n_antennas, 0.8, row) for row in theta]
+        prior = stack_correlation(users) if trials else users[0]
+        dense = SpatialCorrelation(
+            matrix=np.ascontiguousarray(prior.matrix), sqrt_factor=prior.sqrt_factor
+        )
+        return prior, dense
+
+    @pytest.mark.parametrize("trials", [None, 3])
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("n_antennas", [1, 2, 5, 16])
+    def test_same_model_as_the_dense_blocks(self, n_antennas, extra, trials):
+        """tau = K (even: its middle lag is its own adjoint) and tau = K + 1 (odd)."""
+        n_users = 2
+        pilots = dft_pilots(n_users + extra, n_users).with_rho(10.0 ** 0.5)
+        prior, dense = self.priors(n_antennas, n_users, trials)
+        lagged, blocks = build_per_user_model(pilots, prior), build_per_user_model(pilots, dense)
+        lead = (trials,) if trials else ()
+        assert lagged.a.shape == blocks.a.shape == lead + (n_antennas,)
+        assert lagged.C_n_eff.shape == blocks.C_n_eff.shape
+        assert lagged.gain == blocks.gain
+        assert_allclose(lagged.a, blocks.a, rtol=1e-14, atol=0.0)
+        for k in np.ndindex(blocks.C_n_eff.shape[:-2]):
+            expected = blocks.C_n_eff[k]
+            error = np.abs(lagged.C_n_eff[k] - expected).max()
+            assert error <= 1e-14 * np.abs(expected).max()
+
+    def test_views_cannot_be_written(self):
+        """A write through a Toeplitz view would alias a whole diagonal, so it raises."""
+        prior, _ = self.priors(4, 2, None)
+        model = build_per_user_model(dft_pilots(2, 2).with_rho(1.0), prior)
+        for view in (prior.matrix, model.C_n_eff):
+            with pytest.raises(ValueError, match="read-only"):
+                view[..., 0, 1] = 0.0
