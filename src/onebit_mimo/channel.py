@@ -17,7 +17,6 @@ Only numpy is needed: the exponential model has a closed-form Cholesky
 factor, and the Jakes coefficient J0 is summed directly.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -133,16 +132,6 @@ def _factor_weights(n_antennas, magnitude):
     weights = np.tril(np.full((n_antennas, n_antennas), np.sqrt(1.0 - magnitude**2)))
     weights[:, 0] = 1.0
     return weights
-
-
-@functools.lru_cache(maxsize=4)
-def _real_factor(n_antennas, magnitude):
-    """L_0, the read-only real Cholesky factor of [magnitude^|n - m|], (M, M)."""
-    powers = magnitude ** np.arange(n_antennas)
-    lags = np.concatenate((powers[:0:-1], powers))
-    factor = toeplitz_view(lags) * _factor_weights(n_antennas, magnitude)
-    factor.flags.writeable = False
-    return factor
 
 
 def exponential_correlation(n_antennas, magnitude, phase):
@@ -274,8 +263,11 @@ def _apply_exponential(corr, g):
     # The diagonal of Lambda^H, e^{j theta m}, per block and antenna, as a column.
     turn = np.exp(1j * np.multiply.outer(phase.reshape(-1), np.arange(n_rows)))[..., None]
     rotated = np.multiply(g.reshape(turn.shape[:-1] + (-1,)), turn, order="C")
+    # L_0 is the factor at phase 0, formed as sqrt_factor forms it from the (real) lags.
+    zero = exponential_correlation(n_rows, corr.magnitude, 0.0)
+    real_factor = toeplitz_view(zero.lags.real) * _factor_weights(n_rows, corr.magnitude)
     # L_0 on the real and imaginary parts of each block's columns, side by side.
-    out = (_real_factor(n_rows, corr.magnitude) @ rotated.view(float)).view(complex)
+    out = (real_factor @ rotated.view(float)).view(complex)
     out *= turn.conj()
     return out.reshape(phase.shape + (n_rows,) + g.shape[1:])
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ExponentialCorrelation, SpatialCorrelation
+from .channel import SpatialCorrelation
 from .linalg import inv_lower
 
 _HALF = np.sqrt(0.5)
@@ -147,12 +147,9 @@ def prior_factors(prior):
     A trial takes the real frame when each of its blocks equals
     J conj(block) J exactly and the real forms have a Cholesky factor
     (_real_prior). The choice is per trial, from its own correlations, so a
-    trial's numbers do not depend on the other trials of a stack. The
-    Toeplitz blocks of an ExponentialCorrelation are centro-Hermitian by
-    construction, so only their real forms are checked.
+    trial's numbers do not depend on the other trials of a stack.
     """
-    known = isinstance(prior, ExponentialCorrelation)
-    real, real_factor = _real_prior(_trial_stack(prior.matrix), known)
+    real, real_factor = _real_prior(_trial_stack(prior.matrix))
     factor = None if real.all() else _take(_trial_stack(prior.sqrt_factor), ~real)
     return PriorFactors(real=real, real_factor=real_factor, factor=factor)
 
@@ -312,21 +309,18 @@ def _merge(mask, where, elsewhere):
     return out
 
 
-def _real_prior(matrix, known=False):
+def _real_prior(matrix):
     """The trials (T,) of a (T, K, M, M) stack that take the real path, and their factors S'.
 
-    A trial does when each of its blocks equals J conj(block) J exactly
-    (taken as given when known) and the real forms have a Cholesky
-    factor; those factors are returned, stacked over the selected trials
-    (None if there are none).
+    A trial does when each of its blocks equals J conj(block) J exactly and
+    the real forms have a Cholesky factor; those factors are returned,
+    stacked over the selected trials (None if there are none).
     """
-    real = np.ones(len(matrix), dtype=bool)
-    if not known:
-        # The first ceil(M/2) rows of J conj(X) J against X's: the rest are the same pairs.
-        rows = matrix.shape[-1] - matrix.shape[-1] // 2
-        top, mirror = matrix[..., :rows, :], matrix[..., ::-1, ::-1][..., :rows, :]
-        same = (top.real == mirror.real) & (top.imag == -mirror.imag)
-        real = same.reshape(len(matrix), -1).all(axis=1)
+    # The first ceil(M/2) rows of J conj(X) J against X's: the rest are the same pairs.
+    rows = matrix.shape[-1] - matrix.shape[-1] // 2
+    top, mirror = matrix[..., :rows, :], matrix[..., ::-1, ::-1][..., :rows, :]
+    same = (top.real == mirror.real) & (top.imag == -mirror.imag)
+    real = same.reshape(len(matrix), -1).all(axis=1)
     if not real.any():
         return real, None
     forms = _real_form(_take(matrix, real))
