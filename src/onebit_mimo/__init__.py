@@ -32,10 +32,8 @@ from .estimators import (
     PerUserKalman,
     PerUserLs,
     PerUserTpe,
-    PriorFactors,
     TpeGain,
     build_eigenbasis,
-    prior_factors,
     tpe_inverse,
 )
 from .harness import (

@@ -103,9 +103,10 @@ class ExponentialCorrelation:
     n - m + M - 1; phase (...) holds the phases theta and magnitude the
     common r of c = r e^{j theta}. matrix is the read-only Toeplitz view of
     lags. The factor is S = Lambda L_0 Lambda^H, for Lambda =
-    diag(e^{-j theta m}) and the real Cholesky factor L_0 of [r^|n - m|]:
-    apply_sqrt_factor applies it without forming it, and sqrt_factor forms
-    it densely, for the dense reference layer and the tests.
+    diag(e^{-j theta m}) and the real Cholesky factor L_0 of [r^|n - m|]
+    (base_factor): apply_sqrt_factor applies it without forming it, and
+    sqrt_factor forms it densely, for the dense reference layer and the
+    tests.
     """
 
     lags: np.ndarray
@@ -125,6 +126,12 @@ class ExponentialCorrelation:
     @property
     def sqrt_factor(self):
         return self.matrix * _factor_weights(self.shape[-1], self.magnitude)
+
+    @property
+    def base_factor(self):
+        """L_0 (M, M), the real factor that every block shares: sqrt_factor at phase 0."""
+        zero = exponential_correlation(self.shape[-1], self.magnitude, 0.0)
+        return toeplitz_view(zero.lags.real) * _factor_weights(self.shape[-1], self.magnitude)
 
 
 def _factor_weights(n_antennas, magnitude):
@@ -263,11 +270,8 @@ def _apply_exponential(corr, g):
     # The diagonal of Lambda^H, e^{j theta m}, per block and antenna, as a column.
     turn = np.exp(1j * np.multiply.outer(phase.reshape(-1), np.arange(n_rows)))[..., None]
     rotated = np.multiply(g.reshape(turn.shape[:-1] + (-1,)), turn, order="C")
-    # L_0 is the factor at phase 0, formed as sqrt_factor forms it from the (real) lags.
-    zero = exponential_correlation(n_rows, corr.magnitude, 0.0)
-    real_factor = toeplitz_view(zero.lags.real) * _factor_weights(n_rows, corr.magnitude)
     # L_0 on the real and imaginary parts of each block's columns, side by side.
-    out = (real_factor @ rotated.view(float)).view(complex)
+    out = (corr.base_factor @ rotated.view(float)).view(complex)
     out *= turn.conj()
     return out.reshape(phase.shape + (n_rows,) + g.shape[1:])
 

@@ -16,13 +16,13 @@ of its last call.
 The exact-gain tracker for a memoryless channel (eta = 0) is the Bussgang
 LMMSE estimator, so both run as PerUserKalman on one PerUserEigenbasis, the
 per-trial factorization of the whitened measurement information, which does
-not depend on eta. A trial whose correlations are all centro-Hermitian
-(J conj(R_k) J = R_k, as for the exponential model's Hermitian Toeplitz
-R_k) has a real problem: a fixed unitary Q makes R_k, C_n_eff,k and the
-basis real. Such a trial's basis is built and kept in real arithmetic, in
-the Q frame: the bins enter it as Q^H r and the estimates leave it as Q y'.
-Other trials, and centro-Hermitian ones whose real prior form has no
-Cholesky factor, take complex arithmetic.
+not depend on eta. The prior's type chooses the basis's arithmetic. The
+exponential model's R_k (channel.ExponentialCorrelation) are Hermitian
+Toeplitz, so centro-Hermitian (J conj(R_k) J = R_k), and a fixed unitary Q
+makes R_k, C_n_eff,k and the basis real: such a basis is built, from a
+closed-form real factor of Q^H R_k Q, and kept in real arithmetic, in the
+Q frame. The bins enter it as Q^H r and the estimates leave it as Q y'. A
+learned correlation (channel.SpatialCorrelation) takes complex arithmetic.
 
 Every estimator also runs T independent trials at once: given a model of T
 trials (quantization.build_per_user_model on (T, K, M, M) correlations),
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SpatialCorrelation
+from .channel import ExponentialCorrelation, SpatialCorrelation
 from .linalg import inv_lower
 
 _HALF = np.sqrt(0.5)
@@ -127,47 +127,6 @@ class PerUserLs:
 
 
 @dataclass(frozen=True)
-class PriorFactors:
-    """What build_eigenbasis reads of a prior: each trial's frame and its factor of R.
-
-    real (T,) marks the trials of a (T, K, M, M) stack that take the real
-    frame (prior_factors); real_factor stacks their Cholesky factors S' of
-    Q^H R Q, float (T_real, K, M, M), and factor the complex factors S of
-    the other trials. Each is None when it has no trials.
-    """
-
-    real: np.ndarray
-    real_factor: np.ndarray | None
-    factor: np.ndarray | None
-
-
-def prior_factors(prior):
-    """The PriorFactors of per-user correlations (K, M, M) or (T, K, M, M).
-
-    A trial takes the real frame when each of its blocks equals
-    J conj(block) J exactly and the real forms have a Cholesky factor
-    (_real_prior). The choice is per trial, from its own correlations, so a
-    trial's numbers do not depend on the other trials of a stack.
-    """
-    real, real_factor = _real_prior(_trial_stack(prior.matrix))
-    factor = None if real.all() else _take(_trial_stack(prior.sqrt_factor), ~real)
-    return PriorFactors(real=real, real_factor=real_factor, factor=factor)
-
-
-@dataclass(frozen=True)
-class _Maps:
-    """G and S U of the trials marked by trials (T,): real, in the Q frame, or complex."""
-
-    trials: np.ndarray
-    G: np.ndarray
-    SU: np.ndarray
-
-    @property
-    def real(self):
-        return not np.iscomplexobj(self.G)
-
-
-@dataclass(frozen=True)
 class PerUserEigenbasis:
     """Per-trial eigenbasis of each user's whitened measurement information.
 
@@ -178,47 +137,40 @@ class PerUserEigenbasis:
     basis serves every exact-gain tracker of a trial: measure takes G r for
     all the slots of a call in one product, which the trackers share, and
     estimates forms a tracker's S U y for all of them in one more. A basis
-    of T trials at once has a leading trial axis on lam and col_norms.
+    of T trials at once has a leading trial axis on lam and col_norms; G
+    and SU have one, (T, K, M, M), also for a single trial.
 
-    Any factor S of R gives the same G r, S U y, lam and norms. A trial
-    whose correlations are all exactly centro-Hermitian keeps G' = G Q and
-    (S U)' = Q^H S U, both real, for S = Q S' with the Cholesky factor S' of
-    the real form Q^H R Q: measure takes its bins into that frame once,
-    as Q^H r (G r = G' Q^H r), and estimates takes them out once, as
-    Q (S U)' y. Every other trial keeps the complex G and S U of
-    S = prior.sqrt_factor. maps holds one _Maps per frame present.
+    Any factor S of R gives the same G r, S U y, lam and norms. A basis of
+    exponential correlations keeps G' = G Q and (S U)' = Q^H S U, both real,
+    for S = Q S' with the real factor S' of Q^H R Q (_real_factor): measure
+    takes its bins into that frame once, as Q^H r (G r = G' Q^H r), and
+    estimates takes them out once, as Q (S U)' y. Any other keeps the
+    complex G and S U of S = prior.sqrt_factor.
     """
 
     lam: np.ndarray
     col_norms: np.ndarray
-    maps: tuple
+    G: np.ndarray
+    SU: np.ndarray
 
     def measure(self, bins):
         """G r for the bins r (..., S, K, M) of S slots, as (..., K, M, S): one slot a column."""
-        stack, parts = _trial_axis(bins), []
-        for m in self.maps:
-            part = _take(stack, m.trials)
-            # (T, K, M, S) columns: Q^H r for the real frame. A copy, not a strided
-            # view: BLAS on the transposed view raised a run's peak RSS.
-            columns = _to_frame(part) if m.real else np.moveaxis(part, 1, -1).copy()
-            parts.append(_apply(m.G, columns))
-        measured = _join(self.maps[0].trials, parts)
+        stack = _trial_axis(bins)
+        if np.iscomplexobj(self.G):
+            # A copy, not a strided view: BLAS on the transposed view raised a run's peak RSS.
+            columns = np.moveaxis(stack, 1, -1).copy()
+        else:
+            columns = _to_frame(stack)
+        measured = _apply(self.G, columns)
         return measured if bins.ndim == 4 else measured[0]
 
     def estimates(self, y, out):
         """S U y for eigen-coordinates y (..., K, M, S), written into out (..., S, K, M)."""
-        y, target = _trial_axis(y), _trial_axis(out)
-        for m in self.maps:
-            part_y = _take(y, m.trials)
-            whole = m.trials.all()
-            part = target if whole else np.empty((len(part_y),) + target.shape[1:], dtype=complex)
-            h = _apply(m.SU, part_y)
-            if m.real:
-                _from_frame(h, part)
-            else:
-                part[...] = np.moveaxis(h, -1, 1)
-            if not whole:
-                target[m.trials] = part
+        h, target = _apply(self.SU, _trial_axis(y)), _trial_axis(out)
+        if np.iscomplexobj(self.SU):
+            target[...] = np.moveaxis(h, -1, 1)
+        else:
+            _from_frame(h, target)
         return out
 
 
@@ -233,12 +185,7 @@ def _apply(maps, columns):
     return (maps @ columns.view(float)).view(complex)
 
 
-def _join(mask, parts):
-    """One (T, ...) stack of one part, or of two: the first on the trials of mask."""
-    return parts[0] if len(parts) == 1 else _merge(mask, *parts)
-
-
-def build_eigenbasis(prior, model, factors=None):
+def build_eigenbasis(prior, model):
     """The PerUserEigenbasis of per-user correlations and a PerUserModel.
 
     One batched Cholesky factor of C_n_eff, its inverse and one batched
@@ -246,49 +193,39 @@ def build_eigenbasis(prior, model, factors=None):
     times slower at M = 128 than the block rows of linalg.inv_lower, which
     skip the zero upper triangle. Raises LinAlgError if C_n_eff is not
     positive definite. prior is one trial's (K, M, M) or T trials'
-    (T, K, M, M); factors, its prior_factors if the caller has them, saves
-    their selection, and prior.sqrt_factor is then not read.
+    (T, K, M, M).
 
-    A trial whose K correlations are all exactly centro-Hermitian,
-    J conj(R_k) J = R_k for the exchange matrix J, runs in real arithmetic.
-    Hermitian Toeplitz matrices, such as the exponential model's, are
-    centro-Hermitian. With DFT pilots the arcsine law keeps the symmetry, so
-    every C_n_eff,k of such a trial is centro-Hermitian too, to rounding
-    (its real form is read from its first rows), and its gains a are
-    persymmetric. The fixed unitary Q of _real_form then makes
-    R' = Q^H R_k Q and Q^H C_n_eff,k Q real symmetric and Q^H D Q real
-    diagonal, and the same pipeline runs on them, with the Cholesky factor
-    S' of R' for S, at about half the cost in LAPACK and BLAS. Its G' and
-    (S U)' stay real and in that frame; lam and the norms carry over, Q
-    being unitary. Every other trial takes complex arithmetic with
-    S = prior.sqrt_factor, and so does a centro-Hermitian one whose R' has
-    no Cholesky factor (a singular learned correlation, such as [[0]] at
-    M = 1).
+    The prior's type chooses the arithmetic. An ExponentialCorrelation runs
+    in real arithmetic: its R_k are Hermitian Toeplitz, so centro-Hermitian,
+    J conj(R_k) J = R_k for the exchange matrix J. With DFT pilots the
+    arcsine law keeps the symmetry, so every C_n_eff,k is centro-Hermitian
+    too, to rounding (its real form is read from its first rows), and the
+    gains a are persymmetric. The fixed unitary Q of _real_form then makes
+    Q^H C_n_eff,k Q real symmetric and Q^H D Q real diagonal, and the same
+    pipeline runs on them, with the closed-form real factor S' of
+    Q^H R_k Q (_real_factor) for S, at about half the cost in LAPACK and
+    BLAS. Its G' and (S U)' stay real and in that frame; lam and the norms
+    carry over, Q being unitary. Any other correlation, such as a learned
+    one, takes complex arithmetic with S = prior.sqrt_factor.
     """
     lead = prior.shape[:-3]
     noise = _trial_stack(model.C_n_eff)
     gain = np.reshape(model.gain * model.a, (len(noise), 1, -1))
-    if factors is None:
-        factors = prior_factors(prior)
-    real = factors.real
-    parts = []
-    if real.any():
+    if isinstance(prior, ExponentialCorrelation):
         # Q^H diag(a) Q is diag(a_0 .. a_{e-1}, a_0 .. a_{p-1}) for persymmetric a.
         m = gain.shape[-1]
-        real_gain = np.concatenate((gain[..., : m - m // 2], gain[..., : m // 2]), axis=-1)
+        gain = np.concatenate((gain[..., : m - m // 2], gain[..., : m // 2]), axis=-1)
         # The real form of C_n_eff is passed on unnamed, so it goes once factored.
-        basis = _eigenbasis(
-            factors.real_factor, _take(real_gain, real), _real_form(_take(noise, real))
+        lam, col_norms, G, SU = _eigenbasis(
+            _trial_stack(_real_factor(prior)), gain, _real_form(noise)
         )
-        parts.append((real, basis))
-    if not real.all():
-        other = ~real
-        parts.append((other, _eigenbasis(factors.factor, _take(gain, other), _take(noise, other))))
-    lam, col_norms = (_join(real, [arrays[i] for _, arrays in parts]) for i in (0, 1))
+    else:
+        lam, col_norms, G, SU = _eigenbasis(_trial_stack(prior.sqrt_factor), gain, noise)
     return PerUserEigenbasis(
         lam=lam.reshape(lead + lam.shape[1:]),
         col_norms=col_norms.reshape(lead + col_norms.shape[1:]),
-        maps=tuple(_Maps(trials, G, SU) for trials, (_, _, G, SU) in parts),
+        G=G,
+        SU=SU,
     )
 
 
@@ -297,46 +234,38 @@ def _trial_stack(x):
     return np.reshape(x, (-1,) + x.shape[-3:])
 
 
-def _take(stack, mask):
-    """The trials of stack (T, ...) where mask (T,) holds, without a copy when it holds for all."""
-    return stack if mask.all() else stack[mask]
+def _real_factor(prior):
+    """S' (..., K, M, M), real, with S' S'^T = Q^H R_k Q for an ExponentialCorrelation.
 
-
-def _merge(mask, where, elsewhere):
-    """One (T, ...) stack of where on the trials of mask (T,) and elsewhere on the rest."""
-    out = np.empty(mask.shape + where.shape[1:], dtype=where.dtype)
-    out[mask], out[~mask] = where, elsewhere
-    return out
-
-
-def _real_prior(matrix):
-    """The trials (T,) of a (T, K, M, M) stack that take the real path, and their factors S'.
-
-    A trial does when each of its blocks equals J conj(block) J exactly and
-    the real forms have a Cholesky factor; those factors are returned,
-    stacked over the selected trials (None if there are none).
+    For c = (M - 1) / 2 and Lambda_k = diag(e^{-j theta_k (m - c)}), R_k is
+    Lambda_k T_0 Lambda_k^H with T_0 = [r^|n - m|] = L_0 L_0^T
+    (ExponentialCorrelation.base_factor). Q^H T_0 Q = V^T T_0 V, and
+    O_k = Q^H Lambda_k Q is real orthogonal: a rotation by
+    phi_j = theta_k (c - j) on rows (j, e + j) for j < p = M // 2 and
+    e = ceil(M/2), and 1 on the middle row of an odd M. So S' = O_k V^T L_0,
+    from the one L_0 that all users share: elementwise, with no LAPACK
+    call, and defined even where Q^H R_k Q is numerically singular and has
+    no Cholesky factor (r near 1). It is not triangular; the basis takes
+    any factor of R.
     """
-    # The first ceil(M/2) rows of J conj(X) J against X's: the rest are the same pairs.
-    rows = matrix.shape[-1] - matrix.shape[-1] // 2
-    top, mirror = matrix[..., :rows, :], matrix[..., ::-1, ::-1][..., :rows, :]
-    same = (top.real == mirror.real) & (top.imag == -mirror.imag)
-    real = same.reshape(len(matrix), -1).all(axis=1)
-    if not real.any():
-        return real, None
-    forms = _real_form(_take(matrix, real))
-    try:
-        return real, np.linalg.cholesky(forms)
-    except np.linalg.LinAlgError:
-        pass
-    # Rare: a singular R', say a learned [[0]] at M = 1. Find its trials.
-    definite = np.ones(len(forms), dtype=bool)
-    for t, form in enumerate(forms):
-        try:
-            np.linalg.cholesky(form)
-        except np.linalg.LinAlgError:
-            definite[t] = False
-    real[real] = definite
-    return real, np.linalg.cholesky(forms[definite]) if definite.any() else None
+    m = prior.shape[-1]
+    p, e = m // 2, m - m // 2
+    base = prior.base_factor
+    # Rows j and e + j of V^T L_0.
+    near, far = base[:p], base[m - 1 : m - 1 - p : -1]
+    plus, minus = _HALF * (near + far), _HALF * (near - far)
+    angle = np.multiply.outer(prior.phase, (m - 1) / 2 - np.arange(p))[..., None]
+    cos, sin = np.cos(angle), np.sin(angle)
+    out = np.empty(prior.shape)
+    top, bottom = out[..., :p, :], out[..., e:, :]
+    # Each rotated row pair into its place, through one scratch stack: every
+    # (..., K, M // 2, M) temporary is fresh pages to a short run.
+    scratch = np.multiply(sin, minus)
+    np.subtract(np.multiply(cos, plus, out=top), scratch, out=top)
+    np.multiply(cos, minus, out=scratch)
+    np.add(np.multiply(sin, plus, out=bottom), scratch, out=bottom)
+    out[..., p:e, :] = base[p:e]
+    return out
 
 
 def _real_form(matrix):

@@ -31,17 +31,16 @@ simulates the channels of all slots. The true correlations are
 exponential, so the chunk stacks their (T, K, 2M - 1) lag vectors
 (channel.ExponentialCorrelation) and draws through the shared real AR(1)
 factor; no complex M x M stack of them is formed. With known correlation
-the chunk then chooses each trial's frame for the eigenbasis once
-(estimators.prior_factors), and the per-user models run on those lag
-vectors too. Its estimate stage runs
+the per-user models and the eigenbasis run on those lag vectors too, the
+basis in the real frame that their type selects. Its estimate stage runs
 once per SNR point over the (T, ...) stacks: one call each builds the
 learned correlations, the per-user models, the eigenbasis and the
 estimators, one pass receives, quantizes and takes into the user bins
 every slot, and each estimator maps the (T, S, K, M) bins of all slots to
-their estimates in one call. Each trial's numbers come from per-matrix
-LAPACK calls and per-block products of the same shapes at any T, and the
-frame is chosen per trial, so the CSV does not depend on the chunk size,
-byte for byte.
+their estimates in one call. Each trial's numbers come from elementwise
+arithmetic, per-matrix LAPACK calls and per-block products of the same
+shapes at any T, so the CSV does not depend on the chunk size, byte for
+byte.
 """
 
 import sys
@@ -67,7 +66,6 @@ from .estimators import (
     TpeGain,
     build_eigenbasis,
     gram_correlation,
-    prior_factors,
     sample_gram,
 )
 from .quantization import (
@@ -215,20 +213,19 @@ def _draw_chunk(cfg, points, stats, trials):
     return corr, grams, h_true, _stack(noise)
 
 
-def _estimate_chunk(cfg, pilots, stats, prior, factors, h_true, noise):
+def _estimate_chunk(cfg, pilots, stats, prior, h_true, noise):
     """One SNR point's h_hat (T, E, S, K, M) and kfb_trace (T, S) for a chunk's draws.
 
-    Builds the per-user model of prior (T, K, M, M), the eigenbasis (from
-    factors, the chunk's prior_factors, when given) if blmmse or kfb runs,
-    and one estimator per configured name. The slots are received,
-    quantized and taken into their user bins in one pass over (T, S, ...);
-    each estimator then maps those bins to its estimates in one call, the
-    exact-gain trackers on one measurement of the basis.
+    Builds the per-user model of prior (T, K, M, M), the eigenbasis if
+    blmmse or kfb runs, and one estimator per configured name. The slots
+    are received, quantized and taken into their user bins in one pass over
+    (T, S, ...); each estimator then maps those bins to its estimates in one
+    call, the exact-gain trackers on one measurement of the basis.
     """
     model = build_per_user_model(pilots, prior)
     basis = None
     if "blmmse" in cfg.estimators or "kfb" in cfg.estimators:
-        basis = build_eigenbasis(prior, model, factors)
+        basis = build_eigenbasis(prior, model)
     estimators = [_estimator(e, cfg, stats, pilots, prior, model, basis) for e in cfg.estimators]
 
     # (T, S, K, M) user bins, each trial's slots in order.
@@ -310,21 +307,17 @@ def _trial_means(cfg, metric):
             break
         trials = range(first, min(first + size, cfg.trials))
         corr, grams, h_true, noise = _draw_chunk(cfg, points[:failed], stats, trials)
-        # Known correlation: one frame per trial for every point.
-        factors = prior_factors(corr) if grams is None else None
         for p in range(failed):
             try:
                 prior = corr if grams is None else gram_correlation(grams[p])
-                h_hat, kfb_trace = _estimate_chunk(
-                    cfg, points[p], stats, prior, factors, h_true, noise
-                )
+                h_hat, kfb_trace = _estimate_chunk(cfg, points[p], stats, prior, h_true, noise)
                 chunk = _chunk_metric(cfg, metric, cfg.snr_db[p], trials, h_hat, h_true, kfb_trace)
                 per_trial[p].append(chunk)
             except (ValueError, ArithmeticError) as err:
                 failed, error = p, err
                 break
         # Drop this chunk's arrays before the next draw, so memory holds one chunk at a time.
-        corr = grams = factors = h_true = noise = prior = h_hat = None
+        corr = grams = h_true = noise = prior = h_hat = None
     if error is not None:
         raise error
     for snr_db, values in zip(cfg.snr_db, per_trial):

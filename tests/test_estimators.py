@@ -293,6 +293,10 @@ PER_USER_CASES = {
     "singular_centro_hermitian": dict(
         n_antennas=5, n_users=2, tau=2, eta=[0.9, 0.5], samples=1, forward_backward=True
     ),
+    # Learned, full rank and exactly centro-Hermitian.
+    "centro_hermitian_learned": dict(
+        n_antennas=5, n_users=2, tau=3, eta=[0.8, 0.4], samples=3, forward_backward=True
+    ),
 }
 
 
@@ -318,8 +322,9 @@ def per_user_scene(case):
         rank = params["samples"]
         if params.get("forward_backward"):
             users_est, rank = [forward_backward(u) for u in users_est], 2 * rank
+        rank = min(rank, n_antennas)
         ranks = [np.linalg.matrix_rank(u.matrix, hermitian=True) for u in users_est]
-        assert ranks == [rank] * n_users and rank < n_antennas
+        assert ranks == [rank] * n_users
     corr_est = aggregate_correlation(users_est)
     pilots = dft_pilots(params["tau"], n_users).with_rho(0.5)
     prior = stack_correlation(users_est)
@@ -409,12 +414,14 @@ class TestEigenbasisKalman:
     @pytest.mark.parametrize(
         "case,dtype",
         [("tau_above_users", np.float64), ("rank_deficient_factor", np.complex128),
-         ("singular_centro_hermitian", np.complex128)],
+         ("singular_centro_hermitian", np.complex128),
+         ("centro_hermitian_learned", np.complex128)],
     )
     def test_real_arithmetic_for_centro_hermitian_priors(self, monkeypatch, case, dtype):
         """Exponential priors take the real path and keep G and S U real.
 
-        Learned and singular ones take the complex path.
+        Learned ones take the complex path, also when they are exactly
+        centro-Hermitian: the type of the prior chooses the frame.
         """
         scene = per_user_scene(case)
         eigh, seen = np.linalg.eigh, []
@@ -426,25 +433,33 @@ class TestEigenbasisKalman:
         monkeypatch.setattr(np.linalg, "eigh", spy)
         basis = build_eigenbasis(scene["prior"], scene["per_user"])
         assert seen == [dtype]
-        assert [(maps.G.dtype, maps.SU.dtype) for maps in basis.maps] == [(dtype, dtype)]
+        assert (basis.G.dtype, basis.SU.dtype) == (dtype, dtype)
 
-    def test_mixed_stack_equals_each_trial(self):
-        """Real- and complex-path trials in one stack: each equals its own, bit for bit.
+    @pytest.mark.parametrize("kind", ["exponential", "learned"])
+    def test_stacked_trials_equal_each_trial(self, kind):
+        """Each trial of a stack equals its own basis and tracker, bit for bit.
 
-        The basis and the tracker's measurements, estimates and error traces.
+        The basis and the tracker's measurements, estimates and error traces,
+        in the real frame of exponential priors and the complex one of
+        learned priors.
         """
         rng = np.random.default_rng(3)
-        exponential = [exponential_correlation(5, 0.6, 0.7 * k) for k in range(2)]
-        learned = learned_rank_deficient_users(5, 2, 3, rng)
-        singular = [forward_backward(u) for u in learned_rank_deficient_users(5, 2, 1, rng)]
-        trials = [stack_correlation(u) for u in (exponential, learned, singular, exponential)]
+        if kind == "exponential":
+            users = [[exponential_correlation(5, 0.6, 0.7 * k + t) for k in range(2)]
+                     for t in range(4)]
+        else:
+            users = [learned_rank_deficient_users(5, 2, 3, rng),
+                     [forward_backward(u) for u in learned_rank_deficient_users(5, 2, 1, rng)],
+                     [forward_backward(u) for u in learned_rank_deficient_users(5, 2, 4, rng)],
+                     learned_rank_deficient_users(5, 2, 6, rng)]
+        trials = [stack_correlation(u) for u in users]
         pilots = dft_pilots(2, 2).with_rho(0.5)
         stacked = stack_correlation(trials)
         eta = np.array([0.9, 0.5])
         shape = (len(trials), 3, 2, 5)
         bins = one_bit_quantize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         whole = build_eigenbasis(stacked, build_per_user_model(pilots, stacked))
-        assert [maps.real for maps in whole.maps] == [True, False]
+        assert np.iscomplexobj(whole.G) == (kind == "learned")
         tracker = PerUserKalman(whole, eta)
         h_hat, measured = tracker.estimate(bins), whole.measure(bins)
         for t, prior in enumerate(trials):
@@ -560,6 +575,58 @@ class TestRealForm:
         out = estimators._from_frame(x, np.empty(shape, dtype=complex))
         assert_allclose(out, np.einsum("mn,tkns->tskm", q, x), rtol=0, atol=1e-15)
         assert_allclose(estimators._from_frame(columns, np.empty_like(bins)), bins, atol=1e-15)
+
+
+class TestClosedFormRealFactor:
+    """The real factor S' of an exponential prior, from the shared L_0 alone."""
+
+    # Two trials of three users, at phases that span the circle.
+    PHASES = np.array([[0.0, 0.3, 2.9], [4.1, 5.5, 6.2]])
+
+    @pytest.mark.parametrize("magnitude", [0.0, 0.8, 1 - 1e-15])
+    @pytest.mark.parametrize("n_antennas", [1, 2, 5, 16, 128])
+    def test_factor_of_the_real_form(self, n_antennas, magnitude):
+        """S' S'^T is _real_form(R) and the dense Q^H R Q, also where R' has no Cholesky factor."""
+        prior = exponential_correlation(n_antennas, magnitude, self.PHASES)
+        factor = estimators._real_factor(prior)
+        assert factor.dtype == np.float64 and factor.shape == prior.shape
+        product = factor @ np.swapaxes(factor, -1, -2)
+        form = estimators._real_form(prior.matrix)
+        # The rounding of M-term products: 2.3e-13 at M = 128, where 8.6e-14 is measured.
+        atol = 4 * n_antennas * np.finfo(float).eps * np.abs(form).max()
+        assert_allclose(product, form, rtol=0, atol=atol)
+        q = exchange_basis(n_antennas)
+        assert_allclose(product, (q.conj().T @ prior.matrix @ q).real, rtol=0, atol=atol)
+        if magnitude > 0.9 and n_antennas >= 16:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(form)
+
+    @pytest.mark.parametrize("magnitude", [0.0, 0.8, 1 - 1e-15])
+    @pytest.mark.parametrize("n_antennas", [1, 2, 5, 16, 128])
+    def test_basis_matches_the_complex_path(self, n_antennas, magnitude):
+        """The real-frame basis against the same matrices held as a dense SpatialCorrelation.
+
+        lam, the column norms, S U G r (measure, then estimates) and the
+        tracker's estimates and error traces, within 1e-12 norm-relative.
+        """
+        prior = exponential_correlation(n_antennas, magnitude, self.PHASES)
+        dense = SpatialCorrelation(matrix=np.array(prior.matrix), sqrt_factor=prior.sqrt_factor)
+        model = build_per_user_model(dft_pilots(3, 3).with_rho(1.0), prior)
+        real, other = build_eigenbasis(prior, model), build_eigenbasis(dense, model)
+        assert real.G.dtype == real.SU.dtype == np.float64
+        assert other.G.dtype == other.SU.dtype == np.complex128
+        assert_close_norm(real.lam, other.lam)
+        assert_close_norm(real.col_norms, other.col_norms)
+        rng = np.random.default_rng(n_antennas)
+        shape = (2, 4, 3, n_antennas)
+        bins = one_bit_quantize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        # S U G r = R D C_n_eff^{-1} r does not depend on the factor or the eigenvectors.
+        mapped = [b.estimates(b.measure(bins), np.empty_like(bins)) for b in (real, other)]
+        assert_close_norm(*mapped)
+        eta = np.array([0.9, 0.5, 0.0])
+        trackers = [PerUserKalman(b, eta) for b in (real, other)]
+        assert_close_norm(*[t.estimate(bins) for t in trackers])
+        assert_close_norm(*[t.error_trace for t in trackers])
 
 
 class TestTpeInverse:

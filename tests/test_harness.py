@@ -138,9 +138,9 @@ class TestNmseExperiment:
         """
         covered = []
 
-        def counting(prior, model, factors=None):
+        def counting(prior, model):
             covered.append(prior.matrix.shape[0])
-            return build_eigenbasis(prior, model, factors)
+            return build_eigenbasis(prior, model)
 
         monkeypatch.setattr(harness, "build_eigenbasis", counting)
         run_nmse_experiment(tiny_nmse_config(estimators=estimators))
@@ -336,6 +336,12 @@ class TestChunkedEngine:
         M=6, K=2, tau=3, slots=3, trials=16, estimators="[blmmse, kfb, tpe]",
         correlation_knowledge="true", **{"tpe.alpha": 0.45},
     )
+    # Known correlation so near 1 that the real form Q^H R Q has no Cholesky
+    # factor: the eigenbasis takes the closed-form real factor.
+    NEAR_SINGULAR = dict(
+        M=32, K=2, tau=2, slots=3, trials=16, estimators="[blmmse, kfb]",
+        correlation_knowledge="true", r_spatial=0.999999999999999,
+    )
     # One-bit estimates at M = 4: 7 of the 720 rated members are rank deficient.
     SMALL_M = dict(M=4, K=2, tau=2, slots=3, trials=40, mode="rate", estimators="[blmmse, kfb]")
     # The first-failure cases: 4 trials at two SNR points.
@@ -348,14 +354,15 @@ class TestChunkedEngine:
         return write_csv(nmse_csv_rows(run_nmse_experiment(cfg), cfg), path)
 
     @pytest.mark.parametrize(
-        "mode", ["nmse", "rate", "known", "known_trackers", "known_odd_tau", "small_m"]
+        "mode",
+        ["nmse", "rate", "known", "known_trackers", "known_odd_tau", "near_singular", "small_m"],
     )
     def test_csv_bytes_do_not_depend_on_chunk_size(self, monkeypatch, tmp_path, mode):
         """Chunks of 1, 7 and all trials write the same CSV text, at three SNR points."""
         shape = {
             "nmse": self.NMSE, "rate": self.RATE, "known": self.KNOWN,
             "known_trackers": self.KNOWN_TRACKERS, "known_odd_tau": self.KNOWN_ODD_TAU,
-            "small_m": self.SMALL_M,
+            "near_singular": self.NEAR_SINGULAR, "small_m": self.SMALL_M,
         }[mode]
         cfg = tiny_config(**dict(shape, snr_db=self.POINTS))
         texts = []
@@ -799,6 +806,26 @@ class TestCli:
                 rows = list(csv.DictReader(handle))
             assert len(rows) == 2 * 3 * 3 * 2
             assert all(np.isfinite(float(r["value"])) for r in rows)
+
+    def test_near_singular_known_correlation_runs(self, tmp_path):
+        """r_spatial = 1 - 1e-15 at M = 32: exit 0 and finite rows.
+
+        The real form of such an R has no Cholesky factor; the eigenbasis
+        takes the closed-form real factor instead.
+        """
+        cfg = tmp_path / "near.cfg"
+        cfg.write_text(
+            "M = 32\nK = 2\ntau = 2\nslots = 3\nsnr_db = [0, 10]\n"
+            "estimators = [ls, blmmse, kfb]\nr_spatial = 0.999999999999999\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.csv"
+        code = main(["nmse", "--config", str(cfg), "--trials", "4", "--out", str(out)])
+        assert code == 0
+        with out.open(encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 2 * 3 * 4 * 2
+        assert all(np.isfinite(float(r[key])) for r in rows for key in ("value", "stderr"))
 
     def test_command_is_required(self):
         with pytest.raises(SystemExit):
