@@ -35,7 +35,11 @@ _HANKEL_TERMS = 20
 
 @dataclass(frozen=True)
 class SpatialCorrelation:
-    """Correlation matrix with a factor S satisfying S @ S^H = matrix."""
+    """Correlation matrix with a factor S satisfying S @ S^H = matrix.
+
+    A learned correlation (estimators.gram_correlation) has sqrt_factor
+    None: no program path factors it.
+    """
 
     matrix: np.ndarray
     sqrt_factor: np.ndarray
@@ -178,7 +182,7 @@ def stack_correlation(users):
 
     Exponential correlations of one magnitude stack their lags and phases
     and stay an ExponentialCorrelation; any other mix stacks dense
-    matrices and factors.
+    matrices and factors, and has no factor if one of them has none.
     """
     users = list(users)
     if not users:
@@ -190,9 +194,10 @@ def stack_correlation(users):
             magnitude=magnitude,
             phase=_stack([u.phase for u in users]),
         )
+    factors = [u.sqrt_factor for u in users]
     return SpatialCorrelation(
         matrix=_stack([u.matrix for u in users]),
-        sqrt_factor=_stack([u.sqrt_factor for u in users]),
+        sqrt_factor=None if any(f is None for f in factors) else _stack(factors),
     )
 
 

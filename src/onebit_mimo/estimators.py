@@ -15,14 +15,14 @@ of its last call.
 
 The exact-gain tracker for a memoryless channel (eta = 0) is the Bussgang
 LMMSE estimator, so both run as PerUserKalman on one PerUserEigenbasis, the
-per-trial factorization of the whitened measurement information, which does
-not depend on eta. The prior's type chooses the basis's arithmetic. The
+per-trial eigendecomposition of the whitened prior W R W^H, which does not
+depend on eta. The prior's type chooses the basis's arithmetic. The
 exponential model's R_k (channel.ExponentialCorrelation) are Hermitian
 Toeplitz, so centro-Hermitian (J conj(R_k) J = R_k), and a fixed unitary Q
-makes R_k, C_n_eff,k and the basis real: such a basis is built, from a
-closed-form real factor of Q^H R_k Q, and kept in real arithmetic, in the
-Q frame. The bins enter it as Q^H r and the estimates leave it as Q y'. A
-learned correlation (channel.SpatialCorrelation) takes complex arithmetic.
+makes R_k, C_n_eff,k and the basis real: such a basis is built from the
+real forms Q^H R_k Q and Q^H C_n_eff,k Q and kept in real arithmetic, in
+the Q frame. The bins enter it as Q^H r and the estimates leave it through Q.
+A learned correlation (channel.SpatialCorrelation) takes complex arithmetic.
 
 Every estimator also runs T independent trials at once: given a model of T
 trials (quantization.build_per_user_model on (T, K, M, M) correlations),
@@ -76,19 +76,14 @@ def gram_correlation(gram):
 
     Symmetrizes the average and rescales the diagonal back to one (one-bit
     front ends shrink the apparent power, so the raw scale is off).
-    Diagonal entries at numerical zero are left untouched. The average is
-    PSD; its factor is S = diag(scale) U diag(sqrt(max(w, 0))) from its
-    eigh, U diag(w) U^H, where max(w, 0) drops the rounding-level negative
-    eigenvalues of a rank-deficient average (fewer samples than antennas).
-    Each matrix of a stack (..., M, M) is factored on its own.
+    Diagonal entries at numerical zero are left untouched. Each matrix of a
+    stack (..., M, M) is scaled on its own. No program path factors a
+    learned correlation, so its sqrt_factor is None.
     """
     est = 0.5 * (gram + _adjoint(gram))
-    w, u = np.linalg.eigh(est)
-    root = u * np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     d = np.real(np.diagonal(est, axis1=-2, axis2=-1))
     scale = np.where(d > 1e-12, 1.0 / np.sqrt(np.where(d > 1e-12, d, 1.0)), 1.0)[..., :, None]
-    matrix = scale * est * np.swapaxes(scale, -1, -2)
-    return SpatialCorrelation(matrix=matrix, sqrt_factor=scale * root)
+    return SpatialCorrelation(matrix=scale * est * np.swapaxes(scale, -1, -2), sqrt_factor=None)
 
 
 def _adjoint(stack):
@@ -128,30 +123,30 @@ class PerUserLs:
 
 @dataclass(frozen=True)
 class PerUserEigenbasis:
-    """Per-trial eigenbasis of each user's whitened measurement information.
+    """Per-trial eigenbasis of each user's whitened prior.
 
-    Per user, with R = S S^H, B = D S for D = gain diag(a), C_n_eff = L L^H
-    and the whitened information J = (L^{-1} B)^H L^{-1} B = U diag(lam) U^H:
-    lam (K, M), the measurement map G = U^H B^H C_n_eff^{-1}, the basis S U
-    and its squared column norms (K, M). None of it depends on eta, so one
-    basis serves every exact-gain tracker of a trial: measure takes G r for
-    all the slots of a call in one product, which the trackers share, and
-    estimates forms a tracker's S U y for all of them in one more. A basis
-    of T trials at once has a leading trial axis on lam and col_norms; G
-    and SU have one, (T, K, M, M), also for a single trial.
+    Per user, with D = gain diag(a), C_n_eff = L L^H, W = L^{-1} D and the
+    whitened prior W R W^H = V diag(lam) V^H: lam (K, M), the
+    measurement map G = V^H L^{-1}, the estimate map H = (W R)^H V and the
+    squared column norms of H (K, M), and trace, the sum of the users'
+    tr R_k. None of it depends on eta, so one basis serves every exact-gain
+    tracker of a trial: measure takes G r for all the slots of a call in
+    one product, which the trackers share, and estimates forms a tracker's
+    H z for all of them in one more. A basis of T trials at once has a
+    leading trial axis on lam, norms and trace; G and H have one,
+    (T, K, M, M), also for a single trial.
 
-    Any factor S of R gives the same G r, S U y, lam and norms. A basis of
-    exponential correlations keeps G' = G Q and (S U)' = Q^H S U, both real,
-    for S = Q S' with the real factor S' of Q^H R Q (_real_factor): measure
-    takes its bins into that frame once, as Q^H r (G r = G' Q^H r), and
-    estimates takes them out once, as Q (S U)' y. Any other keeps the
-    complex G and S U of S = prior.sqrt_factor.
+    A basis of exponential correlations keeps G' = G Q and H' = Q^H H, both
+    real, from the real forms of R and C_n_eff (_real_form): measure takes
+    its bins into that frame once, as Q^H r (G r = G' Q^H r), and estimates
+    takes them out once, as Q H' z. Any other keeps the complex G and H.
     """
 
     lam: np.ndarray
-    col_norms: np.ndarray
+    norms: np.ndarray
+    trace: np.ndarray
     G: np.ndarray
-    SU: np.ndarray
+    H: np.ndarray
 
     def measure(self, bins):
         """G r for the bins r (..., S, K, M) of S slots, as (..., K, M, S): one slot a column."""
@@ -164,10 +159,10 @@ class PerUserEigenbasis:
         measured = _apply(self.G, columns)
         return measured if bins.ndim == 4 else measured[0]
 
-    def estimates(self, y, out):
-        """S U y for eigen-coordinates y (..., K, M, S), written into out (..., S, K, M)."""
-        h, target = _apply(self.SU, _trial_axis(y)), _trial_axis(out)
-        if np.iscomplexobj(self.SU):
+    def estimates(self, z, out):
+        """H z for eigen-coordinates z (..., K, M, S), written into out (..., S, K, M)."""
+        h, target = _apply(self.H, _trial_axis(z)), _trial_axis(out)
+        if np.iscomplexobj(self.H):
             target[...] = np.moveaxis(h, -1, 1)
         else:
             _from_frame(h, target)
@@ -201,71 +196,35 @@ def build_eigenbasis(prior, model):
     arcsine law keeps the symmetry, so every C_n_eff,k is centro-Hermitian
     too, to rounding (its real form is read from its first rows), and the
     gains a are persymmetric. The fixed unitary Q of _real_form then makes
-    Q^H C_n_eff,k Q real symmetric and Q^H D Q real diagonal, and the same
-    pipeline runs on them, with the closed-form real factor S' of
-    Q^H R_k Q (_real_factor) for S, at about half the cost in LAPACK and
-    BLAS. Its G' and (S U)' stay real and in that frame; lam and the norms
-    carry over, Q being unitary. Any other correlation, such as a learned
-    one, takes complex arithmetic with S = prior.sqrt_factor.
+    Q^H R_k Q and Q^H C_n_eff,k Q real symmetric and Q^H D Q real diagonal,
+    and the same pipeline runs on them at about half the cost in LAPACK and
+    BLAS. Its G' and H' stay real and in that frame; lam, the norms and the
+    trace carry over, Q being unitary. Any other correlation, such as a
+    learned one, takes complex arithmetic.
     """
     lead = prior.shape[:-3]
     noise = _trial_stack(model.C_n_eff)
     gain = np.reshape(model.gain * model.a, (len(noise), 1, -1))
+    form = np.asarray
     if isinstance(prior, ExponentialCorrelation):
         # Q^H diag(a) Q is diag(a_0 .. a_{e-1}, a_0 .. a_{p-1}) for persymmetric a.
         m = gain.shape[-1]
         gain = np.concatenate((gain[..., : m - m // 2], gain[..., : m // 2]), axis=-1)
-        # The real form of C_n_eff is passed on unnamed, so it goes once factored.
-        lam, col_norms, G, SU = _eigenbasis(
-            _trial_stack(_real_factor(prior)), gain, _real_form(noise)
-        )
-    else:
-        lam, col_norms, G, SU = _eigenbasis(_trial_stack(prior.sqrt_factor), gain, noise)
+        form = _real_form
+    # The real forms are passed on unnamed, so each goes once used.
+    lam, norms, trace, G, H = _eigenbasis(form(_trial_stack(prior.matrix)), gain, form(noise))
     return PerUserEigenbasis(
         lam=lam.reshape(lead + lam.shape[1:]),
-        col_norms=col_norms.reshape(lead + col_norms.shape[1:]),
+        norms=norms.reshape(lead + norms.shape[1:]),
+        trace=trace.reshape(lead),
         G=G,
-        SU=SU,
+        H=H,
     )
 
 
 def _trial_stack(x):
     """One trial axis, (T, K, M, M), also for a single trial's (K, M, M)."""
     return np.reshape(x, (-1,) + x.shape[-3:])
-
-
-def _real_factor(prior):
-    """S' (..., K, M, M), real, with S' S'^T = Q^H R_k Q for an ExponentialCorrelation.
-
-    For c = (M - 1) / 2 and Lambda_k = diag(e^{-j theta_k (m - c)}), R_k is
-    Lambda_k T_0 Lambda_k^H with T_0 = [r^|n - m|] = L_0 L_0^T
-    (ExponentialCorrelation.base_factor). Q^H T_0 Q = V^T T_0 V, and
-    O_k = Q^H Lambda_k Q is real orthogonal: a rotation by
-    phi_j = theta_k (c - j) on rows (j, e + j) for j < p = M // 2 and
-    e = ceil(M/2), and 1 on the middle row of an odd M. So S' = O_k V^T L_0,
-    from the one L_0 that all users share: elementwise, with no LAPACK
-    call, and defined even where Q^H R_k Q is numerically singular and has
-    no Cholesky factor (r near 1). It is not triangular; the basis takes
-    any factor of R.
-    """
-    m = prior.shape[-1]
-    p, e = m // 2, m - m // 2
-    base = prior.base_factor
-    # Rows j and e + j of V^T L_0.
-    near, far = base[:p], base[m - 1 : m - 1 - p : -1]
-    plus, minus = _HALF * (near + far), _HALF * (near - far)
-    angle = np.multiply.outer(prior.phase, (m - 1) / 2 - np.arange(p))[..., None]
-    cos, sin = np.cos(angle), np.sin(angle)
-    out = np.empty(prior.shape)
-    top, bottom = out[..., :p, :], out[..., e:, :]
-    # Each rotated row pair into its place, through one scratch stack: every
-    # (..., K, M // 2, M) temporary is fresh pages to a short run.
-    scratch = np.multiply(sin, minus)
-    np.subtract(np.multiply(cos, plus, out=top), scratch, out=top)
-    np.multiply(cos, minus, out=scratch)
-    np.add(np.multiply(sin, plus, out=bottom), scratch, out=bottom)
-    out[..., p:e, :] = base[p:e]
-    return out
 
 
 def _real_form(matrix):
@@ -336,10 +295,11 @@ def _from_frame(x, out):
     return out
 
 
-def _eigenbasis(factor, gain, noise):
-    """lam, col_norms, G and S U from factors S, gain rows (..., 1, M) and C_n_eff.
+def _eigenbasis(corr, gain, noise):
+    """lam, norms, trace, G and H from correlations R, gain rows (..., 1, M) and C_n_eff.
 
-    The same calls serve the real forms and the complex matrices.
+    The same calls serve the real forms and the complex matrices. Nothing
+    divides by lam: a direction with lam = 0 has H e_j = R W^H v_j = 0.
     """
     try:
         chol = np.linalg.cholesky(noise)
@@ -349,27 +309,28 @@ def _eigenbasis(factor, gain, noise):
         ) from exc
     del noise
     inv_chol = inv_lower(chol)
-    del chol
     # A stack of this size is fresh memory to a short run, paid for in page
-    # faults, so the conjugates and W U reuse the buffers of B and J, and
-    # each stack is dropped once used. A real W^T W needs no conjugate, so
-    # there B's buffer goes before J is formed.
-    scaled = gain[..., None] * factor
-    whitened = inv_chol @ scaled
-    adjoint = np.conjugate(whitened, out=scaled) if np.iscomplexobj(whitened) else whitened
-    del scaled
-    info = np.swapaxes(adjoint, -1, -2) @ whitened
+    # faults, so W takes the factor's buffer, and H and G those of W and W R W^H.
+    whiten = np.multiply(inv_chol, gain[..., None, :], out=chol)
+    # conj(W R), whose transpose is (W R)^H = R W^H.
+    adjoint = _conjugate(whiten @ corr)
+    trace = np.sum(np.real(np.trace(corr, axis1=-2, axis2=-1)), axis=-1)
+    del corr
+    info = whiten @ np.swapaxes(adjoint, -1, -2)
+    lam, v = np.linalg.eigh(info)
+    H = np.matmul(np.swapaxes(adjoint, -1, -2), v, out=whiten)
     del adjoint
-    lam, u = np.linalg.eigh(info)
-    rotated = np.conjugate(np.matmul(whitened, u, out=info), out=info)
-    del whitened
-    su = factor @ u
-    del u
-    power = np.abs(su)
-    power **= 2
-    col_norms = np.sum(power, axis=-2)
-    del power
-    return lam, col_norms, np.swapaxes(rotated, -1, -2) @ inv_chol, su
+    G = np.matmul(np.swapaxes(_conjugate(v), -1, -2), inv_chol, out=info)
+    # |H|^2 down each column: the squares of the real view, where a complex
+    # entry's parts sit side by side, summed down the rows and then in pairs.
+    power = np.square(H.view(float), out=inv_chol.view(float)).sum(axis=-2)
+    norms = power.reshape(H.shape[:-1] + (-1,)).sum(axis=-1)
+    return lam, norms, trace, G, H
+
+
+def _conjugate(stack):
+    """stack conjugated in place if complex; a real stack as it is."""
+    return np.conjugate(stack, out=stack) if np.iscomplexobj(stack) else stack
 
 
 class PerUserKalman:
@@ -379,22 +340,24 @@ class PerUserKalman:
     LMMSE estimator R_k D C_r,k^{-1} r_k.
 
     In the basis's terms every predicted and filtered covariance equals
-    (S U) diag(p) (S U)^H. The recursion therefore runs on the vector p, from
-    p = 1 (M = R): predict p <- eta^2 p + 1 - eta^2, correct
-    p <- p / (1 + lam p). The estimate is h_hat = (S U) y, with
-    y <- eta y + p (G r - lam eta y). S^{-1} is never needed, so a singular
-    (learned) correlation works too. A call measures all its slots in one
-    product (PerUserEigenbasis.measure), runs the two recursions
-    elementwise, slot by slot, and forms all its estimates in one more
-    (PerUserEigenbasis.estimates). Trackers on one basis can share the
-    measurement: estimate takes it as measured.
+    R - H diag(q) H^H, with q = (1 - p) / lam for the p of the whitened
+    prior's directions. The recursion therefore runs on the vectors p and
+    q, from p = 1 and q = 0 (M = R): predict p <- eta^2 p + 1 - eta^2 and
+    q <- eta^2 q + p, correct both by 1 / (1 + lam p). The estimate is
+    h_hat = H z, with z <- eta z + p (G r - lam eta z). Neither R^{-1} nor
+    1 / lam is needed, so a singular (learned) correlation works too. A call
+    measures all its slots in one product (PerUserEigenbasis.measure), runs
+    the recursions elementwise, slot by slot, and forms all its estimates in
+    one more (PerUserEigenbasis.estimates). Trackers on one basis can share
+    the measurement: estimate takes it as measured.
     """
 
     def __init__(self, basis, eta):
         self._basis = basis
         self._eta = np.asarray(eta, dtype=float)[:, None]
-        self._y = np.zeros(basis.lam.shape, dtype=complex)
+        self._z = np.zeros(basis.lam.shape, dtype=complex)
         self._p = np.ones(basis.lam.shape)
+        self._q = np.zeros(basis.lam.shape)
         self.error_trace = None
 
     def estimate(self, bins, out=None, measured=None):
@@ -402,29 +365,33 @@ class PerUserKalman:
 
         measured, when given, is the basis's measure(bins). Afterwards
         error_trace holds the trace of the filtered error covariance at each
-        slot, sum_k,j p_kj ||(S_k U_k) e_j||^2, (..., S).
+        slot, tr R - sum_k,j q_kj ||H_k e_j||^2, (..., S).
         """
         if measured is None:
             measured = self._basis.measure(bins)
         lam, eta = self._basis.lam, self._eta
         eta2 = eta**2
         rest = 1.0 - eta2
-        # The p of every slot, (..., S, K, M), and its y in the columns estimates takes.
-        p_all = np.empty(lam.shape[:-2] + measured.shape[-1:] + lam.shape[-2:])
-        y_all = np.empty(measured.shape, dtype=complex)
-        p, y = self._p, self._y
+        # The q of every slot, (..., S, K, M), and its z in the columns estimates takes.
+        q_all = np.empty(lam.shape[:-2] + measured.shape[-1:] + lam.shape[-2:])
+        z_all = np.empty(measured.shape, dtype=complex)
+        p, q, z = self._p, self._q, self._z
         for i in range(measured.shape[-1]):
-            p = np.multiply(eta2, p, out=p_all[..., i, :, :])
+            p = eta2 * p
             p += rest
-            p /= 1.0 + lam * p
-            y = np.multiply(eta, y, out=y_all[..., i])
-            y += p * (measured[..., i] - lam * y)
-        self._p, self._y = p.copy(), y.copy()
-        p_all *= self._basis.col_norms[..., None, :, :]
-        self.error_trace = np.sum(p_all, axis=(-2, -1))
+            q = np.multiply(eta2, q, out=q_all[..., i, :, :])
+            q += p
+            scale = 1.0 + lam * p
+            p /= scale
+            q /= scale
+            z = np.multiply(eta, z, out=z_all[..., i])
+            z += p * (measured[..., i] - lam * z)
+        self._p, self._q, self._z = p, q.copy(), z.copy()
+        q_all *= self._basis.norms[..., None, :, :]
+        self.error_trace = self._basis.trace[..., None] - np.sum(q_all, axis=(-2, -1))
         if out is None:
             out = np.empty(bins.shape, dtype=complex)
-        return self._basis.estimates(y_all, out)
+        return self._basis.estimates(z_all, out)
 
 
 class PerUserTpe:

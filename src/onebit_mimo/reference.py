@@ -46,8 +46,9 @@ def psd_sqrt(matrix):
     Uses Cholesky where a matrix is comfortably positive definite and falls
     back to an eigendecomposition with negative eigenvalues clamped to zero,
     which tolerates the rank-deficient limit. Each matrix of a stack takes
-    its own route, so its factor does not depend on the others. A run's
-    factors come from exponential_correlation and gram_correlation.
+    its own route, so its factor does not depend on the others. No run
+    takes it: the draw applies exponential_correlation's closed-form
+    factor, and the eigenbasis needs no factor of R.
     """
     matrix = np.asarray(matrix)
     definite = np.linalg.eigvalsh(matrix)[..., 0] > _CHOLESKY_FLOOR
@@ -78,14 +79,16 @@ def aggregate_correlation(users):
     The dense form of channel.stack_correlation. The channel generator
     takes it as a stack of one block and gives an (n,) channel from the
     same draws. The square-root factor is assembled block-wise, which is
-    itself a valid factor of the block-diagonal matrix.
+    itself a valid factor of the block-diagonal matrix; there is none if a
+    user's correlation has none.
     """
     users = list(users)
     if not users:
         raise ValueError("need at least one user")
+    factors = [u.sqrt_factor for u in users]
     return SpatialCorrelation(
         matrix=_block_diag([u.matrix for u in users]),
-        sqrt_factor=_block_diag([u.sqrt_factor for u in users]),
+        sqrt_factor=None if any(f is None for f in factors) else _block_diag(factors),
     )
 
 

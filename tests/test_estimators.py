@@ -107,18 +107,22 @@ class TestSampleCorrelation:
 
     @pytest.mark.parametrize("count", [3, 20])
     def test_factor_of_each_matrix_in_a_stack(self, count):
-        """S S^H = R per (trial, user) matrix, also rank deficient (count < M) and clamped."""
-        # At count = 3 this seed's stack has 5 of its 6 matrices clamped.
+        """Each (trial, user) matrix is its own call's, Hermitian and PSD to rounding.
+
+        Also rank deficient (count < M), where rounding leaves some of the
+        raw averages' eigenvalues negative.
+        """
+        # At count = 3, 5 of this seed's 6 raw averages have a negative eigenvalue.
         rng = np.random.default_rng(2)
         shape = (2, 3, count, 6)
         samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         est = sample_correlation(samples)
-        assert est.sqrt_factor.shape == (2, 3, 6, 6)
-        factor = est.sqrt_factor
-        assert_allclose(factor @ np.swapaxes(factor, -1, -2).conj(), est.matrix, atol=1e-12)
+        assert est.matrix.shape == (2, 3, 6, 6) and est.sqrt_factor is None
         for t, k in np.ndindex(2, 3):
-            alone = sample_correlation(samples[t, k])
-            assert_allclose(est.matrix[t, k], alone.matrix, atol=1e-12)
+            matrix = est.matrix[t, k]
+            assert_allclose(matrix, sample_correlation(samples[t, k]).matrix, rtol=0, atol=1e-12)
+            assert_allclose(matrix, matrix.conj().T, rtol=0, atol=1e-15)
+            assert np.linalg.eigvalsh(matrix)[0] >= -1e-12 * np.linalg.norm(matrix)
         if count < 6:
             raw = np.swapaxes(samples, -1, -2) @ samples.conj() / count
             clamped = np.linalg.eigvalsh(0.5 * (raw + np.swapaxes(raw, -1, -2).conj()))[..., 0] < 0
@@ -268,7 +272,7 @@ class TestKalmanFilter:
 
 
 def learned_rank_deficient_users(n_antennas, n_users, samples, rng):
-    """Per-user sample correlations from fewer samples than antennas."""
+    """Per-user sample correlations from fewer samples than antennas, with no factor."""
     users = []
     for k in range(n_users):
         shape = (samples, n_antennas)
@@ -289,6 +293,8 @@ PER_USER_CASES = {
     # Lags 5, 6 and 7 are the adjoints of lags 3, 2 and 1 in build_per_user_model.
     "three_mirrored_lags": dict(n_antennas=3, n_users=3, tau=8, eta=[0.9, 0.6, 0.2]),
     "single_pilot_slot": dict(n_antennas=4, n_users=1, tau=1, eta=[0.8]),
+    # Learned from a single probe sample: rank one, M - 1 directions with lam = 0.
+    "rank_one_learned": dict(n_antennas=5, n_users=2, tau=3, eta=[0.9, 0.3], samples=1),
     # Centro-Hermitian but of rank 2: its real form has no Cholesky factor.
     "singular_centro_hermitian": dict(
         n_antennas=5, n_users=2, tau=2, eta=[0.9, 0.5], samples=1, forward_backward=True
@@ -377,9 +383,9 @@ class TestEigenbasisKalman:
         basis = build_eigenbasis(scene["prior"], scene["per_user"])
         tracker = PerUserKalman(basis, scene["stats"].eta)
         state = kfb_init(corr_est, scene["stats"])
-        # Before any slot p = 1, and the error trace is trace(R).
+        # Before any slot q = 0, and the error trace is trace(R).
         prior_trace = np.real(np.trace(corr_est.matrix))
-        assert np.sum(basis.col_norms) == pytest.approx(prior_trace, rel=1e-12)
+        assert basis.trace == pytest.approx(prior_trace, rel=1e-12)
         observations, bins = per_user_slots(scene)
         h_hat = tracker.estimate(bins)
         assert h_hat.shape == bins.shape and tracker.error_trace.shape == (len(bins),)
@@ -418,7 +424,7 @@ class TestEigenbasisKalman:
          ("centro_hermitian_learned", np.complex128)],
     )
     def test_real_arithmetic_for_centro_hermitian_priors(self, monkeypatch, case, dtype):
-        """Exponential priors take the real path and keep G and S U real.
+        """Exponential priors take the real path and keep G and H real.
 
         Learned ones take the complex path, also when they are exactly
         centro-Hermitian: the type of the prior chooses the frame.
@@ -433,7 +439,7 @@ class TestEigenbasisKalman:
         monkeypatch.setattr(np.linalg, "eigh", spy)
         basis = build_eigenbasis(scene["prior"], scene["per_user"])
         assert seen == [dtype]
-        assert (basis.G.dtype, basis.SU.dtype) == (dtype, dtype)
+        assert (basis.G.dtype, basis.H.dtype) == (dtype, dtype)
 
     @pytest.mark.parametrize("kind", ["exponential", "learned"])
     def test_stacked_trials_equal_each_trial(self, kind):
@@ -465,7 +471,8 @@ class TestEigenbasisKalman:
         for t, prior in enumerate(trials):
             alone = build_eigenbasis(prior, build_per_user_model(pilots, prior))
             assert np.array_equal(whole.lam[t], alone.lam)
-            assert np.array_equal(whole.col_norms[t], alone.col_norms)
+            assert np.array_equal(whole.norms[t], alone.norms)
+            assert np.array_equal(whole.trace[t], alone.trace)
             single = PerUserKalman(alone, eta)
             assert np.array_equal(h_hat[t], single.estimate(bins[t]))
             assert np.array_equal(tracker.error_trace[t], single.error_trace)
@@ -578,49 +585,37 @@ class TestRealForm:
 
 
 class TestClosedFormRealFactor:
-    """The real factor S' of an exponential prior, from the shared L_0 alone."""
+    """The real-frame basis of an exponential prior against the complex path."""
 
     # Two trials of three users, at phases that span the circle.
     PHASES = np.array([[0.0, 0.3, 2.9], [4.1, 5.5, 6.2]])
 
     @pytest.mark.parametrize("magnitude", [0.0, 0.8, 1 - 1e-15])
     @pytest.mark.parametrize("n_antennas", [1, 2, 5, 16, 128])
-    def test_factor_of_the_real_form(self, n_antennas, magnitude):
-        """S' S'^T is _real_form(R) and the dense Q^H R Q, also where R' has no Cholesky factor."""
-        prior = exponential_correlation(n_antennas, magnitude, self.PHASES)
-        factor = estimators._real_factor(prior)
-        assert factor.dtype == np.float64 and factor.shape == prior.shape
-        product = factor @ np.swapaxes(factor, -1, -2)
-        form = estimators._real_form(prior.matrix)
-        # The rounding of M-term products: 2.3e-13 at M = 128, where 8.6e-14 is measured.
-        atol = 4 * n_antennas * np.finfo(float).eps * np.abs(form).max()
-        assert_allclose(product, form, rtol=0, atol=atol)
-        q = exchange_basis(n_antennas)
-        assert_allclose(product, (q.conj().T @ prior.matrix @ q).real, rtol=0, atol=atol)
-        if magnitude > 0.9 and n_antennas >= 16:
-            with pytest.raises(np.linalg.LinAlgError):
-                np.linalg.cholesky(form)
-
-    @pytest.mark.parametrize("magnitude", [0.0, 0.8, 1 - 1e-15])
-    @pytest.mark.parametrize("n_antennas", [1, 2, 5, 16, 128])
     def test_basis_matches_the_complex_path(self, n_antennas, magnitude):
         """The real-frame basis against the same matrices held as a dense SpatialCorrelation.
 
-        lam, the column norms, S U G r (measure, then estimates) and the
-        tracker's estimates and error traces, within 1e-12 norm-relative.
+        lam, the error-trace terms (the squared column norms of H and
+        trace), H G r (measure, then estimates) and the tracker's estimates
+        and error traces, within 1e-12 norm-relative. At r = 1 - 1e-15 the
+        real form of R has no Cholesky factor.
         """
         prior = exponential_correlation(n_antennas, magnitude, self.PHASES)
-        dense = SpatialCorrelation(matrix=np.array(prior.matrix), sqrt_factor=prior.sqrt_factor)
+        dense = SpatialCorrelation(matrix=np.array(prior.matrix), sqrt_factor=None)
         model = build_per_user_model(dft_pilots(3, 3).with_rho(1.0), prior)
         real, other = build_eigenbasis(prior, model), build_eigenbasis(dense, model)
-        assert real.G.dtype == real.SU.dtype == np.float64
-        assert other.G.dtype == other.SU.dtype == np.complex128
+        assert real.G.dtype == real.H.dtype == np.float64
+        assert other.G.dtype == other.H.dtype == np.complex128
         assert_close_norm(real.lam, other.lam)
-        assert_close_norm(real.col_norms, other.col_norms)
+        assert_close_norm(real.norms, other.norms)
+        assert_close_norm(real.trace, other.trace)
+        if magnitude > 0.9 and n_antennas >= 16:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(estimators._real_form(prior.matrix))
         rng = np.random.default_rng(n_antennas)
         shape = (2, 4, 3, n_antennas)
         bins = one_bit_quantize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        # S U G r = R D C_n_eff^{-1} r does not depend on the factor or the eigenvectors.
+        # H G r = R D C_n_eff^{-1} r does not depend on the eigenvectors.
         mapped = [b.estimates(b.measure(bins), np.empty_like(bins)) for b in (real, other)]
         assert_close_norm(*mapped)
         eta = np.array([0.9, 0.5, 0.0])

@@ -193,9 +193,8 @@ class TestNmseExperiment:
 
         No nmse or rate run calls a dense reference, the dense LS or a
         pseudo-inverse, or takes a square root of a correlation apart from
-        the one its generator or gram_correlation gives. No run forms the
-        dense factor of an exponential correlation: the draw applies it
-        from its lags.
+        the one its generator applies. No run forms the dense factor of an
+        exponential correlation: the draw applies it from its lags.
         """
 
         def forbidden(name):
@@ -221,6 +220,24 @@ class TestNmseExperiment:
             assert all(np.isfinite(s.nmse_db) for s in series)
             rows = run_rate_experiment(tiny_config(**shape, mode="rate"))
             assert all(np.isfinite(r.value) for r in rows)
+
+    @pytest.mark.parametrize("knowledge", ["true", "sampled(40)"])
+    def test_one_eigh_per_chunk_and_point(self, monkeypatch, knowledge):
+        """The eigenbasis is a run's only eigh: gram_correlation factors nothing.
+
+        Five trials in chunks of 2, 2 and 1 at two SNR points take six.
+        """
+        cfg = tiny_config(
+            M=4, K=2, tau=2, slots=2, trials=5, snr_db="[0, 10]",
+            estimators="[ls, blmmse, kfb, tpe]", correlation_knowledge=knowledge,
+        )
+        chunk_trials(monkeypatch, cfg, 2)
+        calls = []
+        monkeypatch.setattr(
+            np.linalg, "eigh", TestChunkedEngine.recording(np.linalg.eigh, calls)
+        )
+        run_nmse_experiment(cfg)
+        assert len(calls) == 3 * len(cfg.snr_db)
 
     def test_correlation_probes_equal_dense_ls(self, monkeypatch):
         """The user-bin probes are ls_estimate of the same quantized block."""
