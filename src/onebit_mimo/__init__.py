@@ -51,6 +51,7 @@ from .quantization import (
     PerUserModel,
     PilotMatrix,
     build_per_user_model,
+    bussgang_gain,
     dft_pilots,
     one_bit_quantize,
     pilot_signal,
@@ -72,7 +73,7 @@ from .reference import (
     received_pilot_signal,
     sample_correlation,
 )
-from .rate import RateBreakdown, achievable_rates, data_bussgang_gain, zf_combiner
+from .rate import RateBreakdown, achievable_rates, zf_combiner
 from .rng import complex_normal, stream_rng, trial_streams
 from .theory import (
     TheoryParams,

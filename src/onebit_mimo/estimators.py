@@ -74,16 +74,21 @@ def sample_gram(samples):
 def gram_correlation(gram):
     """The spatial correlation of a sample average gram of h h^H, or a stack of them.
 
-    Symmetrizes the average and rescales the diagonal back to one (one-bit
-    front ends shrink the apparent power, so the raw scale is off).
-    Diagonal entries at numerical zero are left untouched. Each matrix of a
-    stack (..., M, M) is scaled on its own. No program path factors a
-    learned correlation, so its sqrt_factor is None.
+    Symmetrizes the average and rescales it to a diagonal of exactly one
+    (one-bit front ends shrink the apparent power, so the raw scale is off),
+    which build_per_user_model requires. An antenna whose average power is
+    at numerical zero keeps its row and column unscaled and gets the unit
+    variance of the channel model; that adds (1 - R_mm) e_m e_m^T >= 0, so
+    the matrix stays PSD. Each matrix of a stack (..., M, M) is scaled on
+    its own. No program path factors a learned correlation, so its
+    sqrt_factor is None.
     """
     est = 0.5 * (gram + _adjoint(gram))
     d = np.real(np.diagonal(est, axis1=-2, axis2=-1))
     scale = np.where(d > 1e-12, 1.0 / np.sqrt(np.where(d > 1e-12, d, 1.0)), 1.0)[..., :, None]
-    return SpatialCorrelation(matrix=scale * est * np.swapaxes(scale, -1, -2), sqrt_factor=None)
+    matrix = scale * est * np.swapaxes(scale, -1, -2)
+    np.einsum("...ii->...i", matrix)[...] = 1.0
+    return SpatialCorrelation(matrix=matrix, sqrt_factor=None)
 
 
 def _adjoint(stack):
@@ -93,11 +98,6 @@ def _adjoint(stack):
 def _matvec(stack, vectors):
     """Per-user products stack[k] @ vectors[k] for a (K, M, M) and a (K, M) stack."""
     return (stack @ vectors[..., None])[..., 0]
-
-
-def _gain_row(model):
-    """The diagonal of D = gain diag(a), shaped (..., 1, M) to broadcast over (..., K, M)."""
-    return (model.gain * model.a)[..., None, :]
 
 
 def _trial_axis(x):
@@ -125,7 +125,7 @@ class PerUserLs:
 class PerUserEigenbasis:
     """Per-trial eigenbasis of each user's whitened prior.
 
-    Per user, with D = gain diag(a), C_n_eff = L L^H, W = L^{-1} D and the
+    Per user, with the scalar D = gain, C_n_eff = L L^H, W = D L^{-1} and the
     whitened prior W R W^H = V diag(lam) V^H: lam (K, M), the
     measurement map G = V^H L^{-1}, the estimate map H = (W R)^H V and the
     squared column norms of H (K, M), and trace, the sum of the users'
@@ -183,36 +183,31 @@ def _apply(maps, columns):
 def build_eigenbasis(prior, model):
     """The PerUserEigenbasis of per-user correlations and a PerUserModel.
 
-    One batched Cholesky factor of C_n_eff, its inverse and one batched
-    eigh. numpy has no triangular inverse, and its general LU one is several
-    times slower at M = 128 than the block rows of linalg.inv_lower, which
-    skip the zero upper triangle. Raises LinAlgError if C_n_eff is not
-    positive definite. prior is one trial's (K, M, M) or T trials'
-    (T, K, M, M).
+    One batched Cholesky factor of C_n_eff, its inverse scaled by the
+    scalar gain D and one batched eigh. numpy has no triangular inverse,
+    and its general LU one is several times slower at M = 128 than the
+    block rows of linalg.inv_lower, which skip the zero upper triangle.
+    Raises LinAlgError if C_n_eff is not positive definite. prior is one
+    trial's (K, M, M) or T trials' (T, K, M, M).
 
     The prior's type chooses the arithmetic. An ExponentialCorrelation runs
     in real arithmetic: its R_k are Hermitian Toeplitz, so centro-Hermitian,
     J conj(R_k) J = R_k for the exchange matrix J. With DFT pilots the
     arcsine law keeps the symmetry, so every C_n_eff,k is centro-Hermitian
-    too, to rounding (its real form is read from its first rows), and the
-    gains a are persymmetric. The fixed unitary Q of _real_form then makes
-    Q^H R_k Q and Q^H C_n_eff,k Q real symmetric and Q^H D Q real diagonal,
-    and the same pipeline runs on them at about half the cost in LAPACK and
-    BLAS. Its G' and H' stay real and in that frame; lam, the norms and the
-    trace carry over, Q being unitary. Any other correlation, such as a
-    learned one, takes complex arithmetic.
+    too, to rounding (its real form is read from its first rows). The fixed
+    unitary Q of _real_form then makes Q^H R_k Q and Q^H C_n_eff,k Q real
+    symmetric, the scalar D commutes with it, and the same pipeline runs on
+    them at about half the cost in LAPACK and BLAS. Its G' and H' stay real
+    and in that frame; lam, the norms and the trace carry over, Q being
+    unitary. Any other correlation, such as a learned one, takes complex
+    arithmetic.
     """
     lead = prior.shape[:-3]
-    noise = _trial_stack(model.C_n_eff)
-    gain = np.reshape(model.gain * model.a, (len(noise), 1, -1))
-    form = np.asarray
-    if isinstance(prior, ExponentialCorrelation):
-        # Q^H diag(a) Q is diag(a_0 .. a_{e-1}, a_0 .. a_{p-1}) for persymmetric a.
-        m = gain.shape[-1]
-        gain = np.concatenate((gain[..., : m - m // 2], gain[..., : m // 2]), axis=-1)
-        form = _real_form
+    form = _real_form if isinstance(prior, ExponentialCorrelation) else np.asarray
     # The real forms are passed on unnamed, so each goes once used.
-    lam, norms, trace, G, H = _eigenbasis(form(_trial_stack(prior.matrix)), gain, form(noise))
+    lam, norms, trace, G, H = _eigenbasis(
+        form(_trial_stack(prior.matrix)), model.gain, form(_trial_stack(model.C_n_eff))
+    )
     return PerUserEigenbasis(
         lam=lam.reshape(lead + lam.shape[1:]),
         norms=norms.reshape(lead + norms.shape[1:]),
@@ -296,7 +291,7 @@ def _from_frame(x, out):
 
 
 def _eigenbasis(corr, gain, noise):
-    """lam, norms, trace, G and H from correlations R, gain rows (..., 1, M) and C_n_eff.
+    """lam, norms, trace, G and H from correlations R, the scalar gain D and C_n_eff.
 
     The same calls serve the real forms and the complex matrices. Nothing
     divides by lam: a direction with lam = 0 has H e_j = R W^H v_j = 0.
@@ -311,7 +306,7 @@ def _eigenbasis(corr, gain, noise):
     inv_chol = inv_lower(chol)
     # A stack of this size is fresh memory to a short run, paid for in page
     # faults, so W takes the factor's buffer, and H and G those of W and W R W^H.
-    whiten = np.multiply(inv_chol, gain[..., None, :], out=chol)
+    whiten = np.multiply(inv_chol, gain, out=chol)
     # conj(W R), whose transpose is (W R)^H = R W^H.
     adjoint = _conjugate(whiten @ corr)
     trace = np.sum(np.real(np.trace(corr, axis1=-2, axis2=-1)), axis=-1)
@@ -420,9 +415,8 @@ class PerUserTpe:
     def __init__(self, prior, model, eta, gain):
         self._corr = prior.matrix
         self._noise = model.C_n_eff
-        self._d = _gain_row(model)
-        d_col, d_row = self._d[..., None], self._d[..., None, :]
-        lam_max = np.linalg.eigvalsh(self._noise + d_col * prior.matrix * d_row).max(axis=(-2, -1))
+        self._d = model.gain
+        lam_max = np.linalg.eigvalsh(self._noise + self._d**2 * prior.matrix).max(axis=(-2, -1))
         limit = 2.0 if gain.order % 2 else 1.0
         clamped = gain.alpha * lam_max > limit
         alpha = np.where(clamped, 0.75 * limit / lam_max, gain.alpha)
@@ -451,14 +445,13 @@ class PerUserTpe:
     def _step(self, r):
         """Predict and correct with one slot's user bins r (..., K, M); returns h_hat."""
         d = self._d
-        d_col, d_row = d[..., None], d[..., None, :]
         h_pred = self._eta * self._h
         m_pred = self._eta2 * self.M_filt + (1.0 - self._eta2) * self._corr
-        cross = d_col * m_pred
-        innov_cov = self._noise + cross * d_row
+        # D M_pred and M_pred D for the scalar D.
+        cross = d * m_pred
+        innov_cov = self._noise + d * cross
         innov_cov = 0.5 * (innov_cov + _adjoint(innov_cov))
-        # M_pred is Hermitian, so cross^H = M_pred D.
-        gain_mat = (m_pred * d_row) @ tpe_inverse(innov_cov, self._alpha, self._order)
+        gain_mat = cross @ tpe_inverse(innov_cov, self._alpha, self._order)
         h_new = h_pred + _matvec(gain_mat, r - d * h_pred)
         m_new = m_pred - gain_mat @ cross
         self._h, self.M_filt = h_new, 0.5 * (m_new + _adjoint(m_new))

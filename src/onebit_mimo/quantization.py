@@ -6,16 +6,17 @@ statistics of r follow the arcsine law, which is everything the linear
 estimators downstream need.
 
 With DFT pilots and a block-diagonal channel correlation (one block per
-user) the model decouples: block (t, t') of C_y depends only on t - t' mod
-tau, the arcsine law keeps that block-circulant structure because diag(C_y)
-depends only on the antenna, and A = I_tau kron diag(a). One unitary DFT
-across the pilot slots therefore block-diagonalizes C_y, C_r, C_q and
-C_n_eff at once, and user k sees only DFT bin k. build_per_user_model forms
-this exact per-user model from per-user lags alone: the gains and the
-user-bin blocks of C_n_eff, which is all the per-user estimators read (the
-bin of C_r is D R_k D + C_n_eff,k for D = sqrt(tau rho) diag(a)). A
-learned prior's lags are M x M blocks; an exponential prior's are
-Hermitian Toeplitz, so each is held as its vector of 2M - 1 lags.
+user) of unit diagonal the model decouples: block (t, t') of C_y depends
+only on t - t' mod tau, every antenna's diag(C_y) is 1 + K rho, so the
+arcsine law keeps that block-circulant structure and A = a I for the one
+scalar a = bussgang_gain(K, rho). One unitary DFT across the pilot slots
+therefore block-diagonalizes C_y, C_r, C_q and C_n_eff at once, and user k
+sees only DFT bin k. build_per_user_model forms this exact per-user model
+from per-user lags alone: the gain D = sqrt(tau rho) a and the user-bin
+blocks of C_n_eff, which is all the per-user estimators read (the bin of
+C_r is D^2 R_k + C_n_eff,k). A learned prior's lags are M x M blocks; an
+exponential prior's are Hermitian Toeplitz, so each is held as its vector
+of 2M - 1 lags.
 
 Every slot and every learned-correlation probe takes the same front end:
 pilot_signal, one_bit_quantize and PilotMatrix.bins.
@@ -102,6 +103,20 @@ def one_bit_quantize(y):
     return out
 
 
+def bussgang_gain(n_users, rho):
+    """Scalar Bussgang gain sqrt((2/pi) / (K rho + 1)) of one-bit inputs of power K rho + 1.
+
+    That is every antenna's input power in the pilot phase, with DFT pilots
+    of power rho and unit-diagonal correlations, and in the data phase
+    under channel hardening.
+    """
+    if n_users < 1:
+        raise ValueError("need at least one user")
+    if rho < 0:
+        raise ValueError("transmit power must be non-negative")
+    return float(np.sqrt((2.0 / np.pi) / (n_users * rho + 1.0)))
+
+
 def pilot_signal(h, pilots, noise):
     """Phi_bar h + noise, one pilot product per row of noise (..., tau L) and K L entries of h.
 
@@ -113,18 +128,12 @@ def pilot_signal(h, pilots, noise):
     return (pilots.scaled_phi() @ h).reshape(noise.shape) + noise
 
 
-def _outer(d):
-    """outer(d, d) for a vector d, or for each row of a stack of them."""
-    return d[..., :, None] * d[..., None, :]
-
-
 def _arcsine_law(c_y, scale, out=None):
     """(2/pi)(arcsin X + j arcsin Y) for c_y, or a stack of blocks, normalized by scale.
 
-    scale holds d_i d_j for the square roots d of C_y's diagonal, broadcast
-    against c_y. Each part is normalized, clamped and mapped in place in
-    out (a new array by default), so a stack of blocks takes no temporaries
-    of its size.
+    scale is the common diagonal entry of C_y. Each part is normalized,
+    clamped and mapped in place in out (a new array by default), so a stack
+    of blocks takes no temporaries of its size.
     """
     out = np.empty(np.shape(c_y), dtype=complex) if out is None else out
     for part, source in ((out.real, np.real(c_y)), (out.imag, np.imag(c_y))):
@@ -139,16 +148,16 @@ def _arcsine_law(c_y, scale, out=None):
 class PerUserModel:
     """The linearized pilot observation of each user in its own DFT bin.
 
-    In bin k (PilotMatrix.bins) the model is r_k = gain diag(a) h_k + n_k,
-    with gain = sqrt(tau rho) and a the per-antenna Bussgang gain; C_n_eff
-    stacks the K per-user covariances of n_k, (K, M, M). The bins beyond K
-    carry noise alone, uncorrelated with the user bins, and are dropped. A
-    model of T trials at once has a (T, M) and C_n_eff (T, K, M, M). For an
-    ExponentialCorrelation prior C_n_eff is a read-only Toeplitz view of
-    its lag vectors (channel.toeplitz_view).
+    In bin k (PilotMatrix.bins) the model is r_k = gain h_k + n_k, with
+    the scalar gain D = sqrt(tau rho) a for the Bussgang gain a
+    (bussgang_gain); C_n_eff stacks the K per-user covariances of n_k,
+    (K, M, M). The bins beyond K carry noise alone, uncorrelated with the
+    user bins, and are dropped. A model of T trials at once has C_n_eff
+    (T, K, M, M) and the same gain. For an ExponentialCorrelation prior
+    C_n_eff is a read-only Toeplitz view of its lag vectors
+    (channel.toeplitz_view).
     """
 
-    a: np.ndarray
     gain: float
     C_n_eff: np.ndarray
 
@@ -158,22 +167,22 @@ def build_per_user_model(pilots, prior):
 
     prior is a SpatialCorrelation whose matrix stacks R_1 .. R_K, or the
     stacks of T trials, (T, K, M, M), for a model of each. Only lag blocks
-    of the analog covariance are formed, B_l = block (l, 0) of
-    C_y = rho sum_k phi[l, k] R_k + delta_l0 I, then their arcsine and
+    of the analog covariance are formed, B_l = rho sum_k phi[l, k] R_k, the
+    block (l, 0) of C_y = B_l + delta_l0 I, then their arcsine and
     effective-noise blocks X_l, and from those the user bins
     sum_l conj(phi[l, k]) X_l. For DFT pilots phi[tau - l, k] = conj(phi[l, k]),
     so with Hermitian R_k, B_{tau-l} = B_l^H. The arcsine law is odd and
     its normalization symmetric, so X_{tau-l} = X_l^H too: the blocks are
     formed for lags 0 .. tau // 2 and the rest are their adjoints. No
     n x n matrix is built. Raises ValueError for pilots other than
-    dft_pilots, where the model does not decouple.
+    dft_pilots, where the model does not decouple, and for an R_k whose
+    diagonal is not exactly 1, where A is not a I.
 
     Every block is Hermitian Toeplitz when the R_k are: an
     ExponentialCorrelation runs the same elementwise arithmetic on its
     (tau // 2 + 1)(2M - 1) lag entries instead of (tau // 2 + 1) M^2 block
-    entries (its diagonal is one entry, so a is one gain per trial), takes
-    each adjoint as its reversed, conjugated lag vector, and returns
-    C_n_eff as the read-only Toeplitz view of its bins' lag vectors.
+    entries, takes each adjoint as its reversed, conjugated lag vector, and
+    returns C_n_eff as the read-only Toeplitz view of its bins' lag vectors.
     """
     tau, n_users = pilots.phi.shape
     if not np.allclose(pilots.phi, dft_pilots(tau, n_users).phi, rtol=0.0, atol=1e-12):
@@ -187,21 +196,21 @@ def build_per_user_model(pilots, prior):
     else:
         entries = prior.matrix.reshape(prior.matrix.shape[:-2] + (-1,))
         diagonal = np.arange(n_antennas) * (n_antennas + 1)
+    if np.any(entries[..., diagonal] != 1.0):
+        raise ValueError("the per-user model needs correlations of unit diagonal")
     lead = entries.shape[:-2]
     half = tau // 2 + 1
-    # B_l = rho sum_k phi[l, k] conj(phi[0, k]) R_k (+ I at lag 0): one (half, K) weight matrix.
+    # B_l = rho sum_k phi[l, k] conj(phi[0, k]) R_k: one (half, K) weight matrix.
     weights = scaled[:half] * scaled[0].conj()
-    c_y = weights @ entries
-    c_y[..., 0, diagonal] += 1.0
-    d = np.sqrt(np.real(c_y[..., 0, diagonal]))
-    a = np.sqrt(2.0 / np.pi) / d
-    lags = np.empty(lead + (tau, c_y.shape[-1]), dtype=complex)
-    # The C_r lag blocks, then C_n_eff's in their place: C_r - A C_y A + A^2 at lag 0.
-    c_n_eff = _arcsine_law(c_y, _outer(d).reshape(lead + (1, -1)), out=lags[..., :half, :])
+    b = weights @ entries
+    a = bussgang_gain(n_users, pilots.rho)
+    lags = np.empty(lead + (tau, b.shape[-1]), dtype=complex)
+    # The C_r lag blocks, then C_n_eff's in their place: C_r - a^2 B_l, since
+    # the I of C_y and the a^2 I of C_n_eff at lag 0 cancel. diag(C_r) is 1.
+    c_n_eff = _arcsine_law(b, n_users * pilots.rho + 1.0, out=lags[..., :half, :])
     c_n_eff[..., 0, diagonal] = 1.0
-    c_y *= _outer(a).reshape(lead + (1, -1))
-    c_n_eff -= c_y
-    c_n_eff[..., 0, diagonal] += a**2
+    b *= a * a
+    c_n_eff -= b
     # Lags tau // 2 + 1 .. tau - 1 are the adjoints of lags (tau - 1) // 2 .. 1.
     later = slice((tau - 1) // 2, 0, -1)
     if toeplitz:
@@ -211,10 +220,6 @@ def build_per_user_model(pilots, prior):
         mirrored, target = np.swapaxes(blocks[..., later, :, :], -1, -2), blocks[..., half:, :, :]
     np.conjugate(mirrored, out=target)
     bins = pilots.phi.conj().T @ lags
-    if toeplitz:
-        return PerUserModel(
-            a=np.repeat(a, n_antennas, axis=-1), gain=pilots.gain, C_n_eff=toeplitz_view(bins)
-        )
-    return PerUserModel(
-        a=a, gain=pilots.gain, C_n_eff=bins.reshape(lead + (n_users, n_antennas, n_antennas))
-    )
+    shape = lead + (n_users, n_antennas, n_antennas)
+    c_n_eff = toeplitz_view(bins) if toeplitz else bins.reshape(shape)
+    return PerUserModel(gain=pilots.gain * a, C_n_eff=c_n_eff)

@@ -2,9 +2,10 @@
 
 The data phase passes through the same one-bit front end as the pilots, so
 the combiner sees a Bussgang-scaled signal plus quantizer distortion. Under
-channel hardening the data-phase Bussgang gain collapses to a scalar and the
-distortion covariance to (1 - 2/pi) I, which keeps the per-user rate in
-closed form given the channel and its estimate.
+channel hardening the data-phase Bussgang gain collapses to the pilots'
+scalar (quantization.bussgang_gain) and the distortion covariance to
+(1 - 2/pi) I, which keeps the per-user rate in closed form given the
+channel and its estimate.
 
 The combiner is the Moore-Penrose inverse of the estimate, which is the
 zero-forcing combiner on every full-rank estimate. One-bit estimates at
@@ -16,6 +17,8 @@ a finite rate, and a user whose combiner row is zero gets rate 0.
 from dataclasses import dataclass
 
 import numpy as np
+
+from .quantization import bussgang_gain
 
 
 @dataclass(frozen=True)
@@ -32,15 +35,6 @@ class RateBreakdown:
     noise: np.ndarray
     per_user: np.ndarray
     sum_rate: float | np.ndarray
-
-
-def data_bussgang_gain(n_users, rho_d):
-    """Scalar Bussgang gain of the data phase under channel hardening."""
-    if n_users < 1:
-        raise ValueError("need at least one user")
-    if rho_d < 0:
-        raise ValueError("data power must be non-negative")
-    return float(np.sqrt((2.0 / np.pi) / (n_users * rho_d + 1.0)))
 
 
 def zf_combiner(h_est):
@@ -75,7 +69,7 @@ def achievable_rates(h_true, h_est, rho_d):
     if h_true.shape != h_est.shape:
         raise ValueError("true and estimated channels must share a shape")
     n_users = h_est.shape[-1]
-    a_d = data_bussgang_gain(n_users, rho_d)
+    a_d = bussgang_gain(n_users, rho_d)
     w = zf_combiner(h_est)
 
     coupling = w @ h_est

@@ -87,9 +87,12 @@ class TestLeastSquares:
 
 class TestSampleCorrelation:
     def test_single_sample_outer_product(self):
+        """Antennas 2 and 3 saw no power: they get the channel model's unit variance."""
         sample = np.array([[1.0 + 0j, 0.0, 0.0]])
         est = sample_correlation(sample)
-        assert_allclose(est.matrix, np.outer(sample[0], sample[0].conj()), atol=1e-14)
+        expected = np.outer(sample[0], sample[0].conj())
+        np.fill_diagonal(expected, 1.0)
+        assert_allclose(est.matrix, expected, atol=1e-14)
 
     def test_consistency_with_known_correlation(self):
         corr = exponential_correlation(4, 0.6, 0.9)
@@ -100,10 +103,14 @@ class TestSampleCorrelation:
         assert np.max(np.abs(est.matrix - corr.matrix)) < 0.05
 
     def test_diagonal_rescaling(self):
+        """The diagonal is exactly 1, also at an antenna whose every sample is zero."""
         rng = np.random.default_rng(2)
         g = (rng.standard_normal((5000, 3)) + 1j * rng.standard_normal((5000, 3))) / np.sqrt(2)
-        scaled = sample_correlation(0.2 * g)
-        assert_allclose(np.real(np.diag(scaled.matrix)), 1.0, atol=1e-12)
+        silent = g.copy()
+        silent[:, 1] = 0.0
+        for samples in (g, silent):
+            scaled = sample_correlation(0.2 * samples)
+            assert np.all(np.diag(scaled.matrix) == 1.0)
 
     @pytest.mark.parametrize("count", [3, 20])
     def test_factor_of_each_matrix_in_a_stack(self, count):
@@ -362,7 +369,7 @@ def kalman_reference_obs(scene, obs):
     """The observation for the kfb_step reference, with a dense phi_tilde if the case asks."""
     if not scene["dense"]:
         return obs
-    phi_bar = scene["pilots"].phi_bar(scene["per_user"].a.size)
+    phi_bar = scene["pilots"].phi_bar(scene["prior"].shape[-1])
     return replace(obs, phi_tilde=scene["model"].a_diag[:, None] * phi_bar)
 
 
@@ -480,7 +487,7 @@ class TestEigenbasisKalman:
 
     def test_non_positive_definite_noise_rejected(self):
         prior = stack_correlation([exponential_correlation(2, 0.0, 0.0)])
-        degenerate = PerUserModel(a=np.zeros(2), gain=1.0, C_n_eff=np.zeros((1, 2, 2)))
+        degenerate = PerUserModel(gain=1.0, C_n_eff=np.zeros((1, 2, 2)))
         with pytest.raises(np.linalg.LinAlgError, match="C_n_eff"):
             build_eigenbasis(prior, degenerate)
 
@@ -493,10 +500,11 @@ class TestPerUserEstimators:
         scene = per_user_scene(case)
         pilots, model, per_user = scene["pilots"], scene["model"], scene["per_user"]
         tau, n_users = pilots.phi.shape
-        n_antennas = per_user.a.size
+        n_antennas = scene["prior"].shape[-1]
         # Unitary DFT across the pilot slots; its first K rows are the user bins.
         dft = np.kron(dft_pilots(tau, tau).phi.conj().T / np.sqrt(tau), np.eye(n_antennas))
-        assert_allclose(np.tile(per_user.a, tau), model.a_diag, rtol=1e-14)
+        assert isinstance(per_user.gain, float)
+        assert_allclose(pilots.gain * model.a_diag, per_user.gain, rtol=1e-14)
         # C_n_eff is built from the C_r lag blocks, so an arcsine error shows here too.
         blocks = (dft @ model.C_n_eff @ dft.conj().T).reshape(tau, n_antennas, tau, n_antennas)
         for k in range(tau):
@@ -537,6 +545,15 @@ class TestPerUserEstimators:
         prior = stack_correlation([exponential_correlation(3, 0.5, 0.0) for _ in range(2)])
         with pytest.raises(ValueError, match="DFT pilots"):
             build_per_user_model(swapped, prior)
+
+    def test_non_unit_diagonal_rejected(self):
+        """A diagonal off 1 by one rounding step is rejected: the gain would not be a scalar."""
+        pilots = dft_pilots(2, 2).with_rho(1.0)
+        matrix = np.stack([exponential_correlation(3, 0.5, 0.0).matrix for _ in range(2)])
+        build_per_user_model(pilots, SpatialCorrelation(matrix=matrix, sqrt_factor=None))
+        matrix[1, 2, 2] = np.nextafter(1.0, 2.0)
+        with pytest.raises(ValueError, match="unit diagonal"):
+            build_per_user_model(pilots, SpatialCorrelation(matrix=matrix, sqrt_factor=None))
 
 
 def exchange_basis(n_antennas):
@@ -661,9 +678,9 @@ class TestTpeInverse:
 def c_r_lambda_max(scene):
     """Largest eigenvalue over the users of C_r,k = D R_k D + C_n_eff,k."""
     per_user = scene["per_user"]
-    d = np.diag(per_user.gain * per_user.a)
+    d = per_user.gain
     blocks = zip(scene["prior"].matrix, per_user.C_n_eff)
-    return max(np.linalg.eigvalsh(d @ r @ d + c).max() for r, c in blocks)
+    return max(np.linalg.eigvalsh(d * d * r + c).max() for r, c in blocks)
 
 
 class TestTpeScaleBound:

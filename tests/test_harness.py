@@ -806,11 +806,18 @@ class TestCli:
         assert code == 0
         self.finite_rate_rows(out, 2 * 3 * 2)
 
-    def test_singular_learned_priors_run(self, tmp_path):
-        """M = 1 from one probe: some learned priors are [[0]], singular but centro-Hermitian."""
+    @pytest.mark.parametrize("n_antennas", [1, 4])
+    def test_singular_learned_priors_run(self, tmp_path, n_antennas):
+        """Priors learned from one probe: exit 0 and finite rows.
+
+        At M = 1 a probe that saw no power gives [[1]], the unit variance of
+        the channel model (estimators.gram_correlation), not a singular
+        [[0]]. At M = 4, 177 of the 192 priors these runs learn are rank
+        deficient.
+        """
         cfg = tmp_path / "single.cfg"
         cfg.write_text(
-            "M = 1\nK = 2\ntau = 2\nslots = 3\nsnr_db = [0, 10]\n"
+            f"M = {n_antennas}\nK = 2\ntau = 2\nslots = 3\nsnr_db = [0, 10]\n"
             "estimators = [blmmse, kfb]\ncorrelation_knowledge = sampled(1)\n",
             encoding="utf-8",
         )
@@ -827,8 +834,8 @@ class TestCli:
     def test_near_singular_known_correlation_runs(self, tmp_path):
         """r_spatial = 1 - 1e-15 at M = 32: exit 0 and finite rows.
 
-        The real form of such an R has no Cholesky factor; the eigenbasis
-        takes the closed-form real factor instead.
+        Such an R is singular to rounding, and so is its real form. The
+        eigenbasis factors only C_n_eff, never R.
         """
         cfg = tmp_path / "near.cfg"
         cfg.write_text(

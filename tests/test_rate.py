@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from onebit_mimo import (
     RateBreakdown,
     achievable_rates,
-    data_bussgang_gain,
+    bussgang_gain,
     default_config,
     parse_config,
     run_rate_experiment,
@@ -24,16 +24,16 @@ def random_channel(rng, n_antennas, n_users, stack=()):
 class TestDataGain:
     def test_reference_value(self):
         # sqrt((2/pi) / (K rho_d + 1)) at K = 4, rho_d = 1
-        assert_allclose(data_bussgang_gain(4, 1.0), 0.3568248232305542, rtol=1e-14)
+        assert_allclose(bussgang_gain(4, 1.0), 0.3568248232305542, rtol=1e-14)
 
     def test_no_data_power_limit(self):
-        assert_allclose(data_bussgang_gain(4, 0.0), np.sqrt(2.0 / np.pi), rtol=1e-14)
+        assert_allclose(bussgang_gain(4, 0.0), np.sqrt(2.0 / np.pi), rtol=1e-14)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            data_bussgang_gain(0, 1.0)
+            bussgang_gain(0, 1.0)
         with pytest.raises(ValueError):
-            data_bussgang_gain(4, -0.5)
+            bussgang_gain(4, -0.5)
 
 
 class TestZfCombiner:
