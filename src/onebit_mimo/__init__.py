@@ -35,6 +35,7 @@ from .estimators import (
     TpeGain,
     build_eigenbasis,
     tpe_inverse,
+    user_frame,
 )
 from .harness import (
     CSV_HEADER,

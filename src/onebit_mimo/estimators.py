@@ -16,18 +16,22 @@ of its last call.
 The exact-gain tracker for a memoryless channel (eta = 0) is the Bussgang
 LMMSE estimator, so both run as PerUserKalman on one PerUserEigenbasis, the
 per-trial eigendecomposition of the whitened prior W R W^H, which does not
-depend on eta. The prior's type chooses the basis's arithmetic. The
-exponential model's R_k (channel.ExponentialCorrelation) are Hermitian
-Toeplitz, so centro-Hermitian (J conj(R_k) J = R_k), and a fixed unitary Q
-makes R_k, C_n_eff,k and the basis real: such a basis is built from the
-real forms Q^H R_k Q and Q^H C_n_eff,k Q and kept in real arithmetic, in
-the Q frame. The bins enter it as Q^H r and the estimates leave it through Q.
-A learned correlation (channel.SpatialCorrelation) takes complex arithmetic.
+depend on eta.
 
-Every estimator also runs T independent trials at once: given a model of T
-trials (quantization.build_per_user_model on (T, K, M, M) correlations),
-it takes and gives (T, S, K, M) stacks, and each trial's numbers are those
-of its own estimator.
+A trial picks its frame once, by its prior's type (user_frame), and every
+estimator takes its matrices and bins in that frame. The exponential
+model's R_k (channel.ExponentialCorrelation) are Hermitian Toeplitz, so
+centro-Hermitian (J conj(R_k) J = R_k), and a fixed unitary Q makes R_k,
+C_n_eff,k and every matrix of the trackers real: such a trial runs on the
+real forms Q^H R_k Q and Q^H C_n_eff,k Q, with its bins taken in as Q^H r.
+A learned correlation (channel.SpatialCorrelation) runs on the complex
+matrices as they are. Q is one unitary map on the antenna axis, so the
+estimates stay in the frame: the NMSE and the zero-forcing rates read them
+there, against the true channels taken in by the same map.
+
+Every estimator also runs T independent trials at once: given the
+matrices of T trials, (T, K, M, M), it takes and gives (T, S, K, M)
+stacks, and each trial's numbers are those of its own estimator.
 """
 
 import warnings
@@ -95,22 +99,12 @@ def _adjoint(stack):
     return np.swapaxes(stack, -1, -2).conj()
 
 
-def _matvec(stack, vectors):
-    """Per-user products stack[k] @ vectors[k] for a (K, M, M) and a (K, M) stack."""
-    return (stack @ vectors[..., None])[..., 0]
-
-
-def _trial_axis(x):
-    """A single trial's (S, K, M) or (K, M, S) stack as a view with a trial axis; (T, ...) as is."""
-    return x if x.ndim == 4 else x[None]
-
-
 class PerUserLs:
     """Least squares on the user bins: r_k / sqrt(tau rho), pinv(Phi_bar) r for DFT pilots.
 
     It depends on the pilots alone (pinv(phi) = phi^H / tau), so the
     learned-correlation probes take it too. It is elementwise, so it takes
-    bins of any shape.
+    bins of any shape, in either frame (user_frame).
     """
 
     def __init__(self, pilots):
@@ -121,9 +115,33 @@ class PerUserLs:
         return np.multiply(bins, self._scale, out=out)
 
 
+def user_frame(prior):
+    """The frame of a trial's estimators, (form, into), chosen once by the prior's type.
+
+    form maps the per-user matrices (..., M, M) of the trial, R and
+    C_n_eff, into the frame, and into maps vectors (..., M) there, such as
+    the trial's bins and its true channels. An ExponentialCorrelation takes
+    the real frame: its R_k are Hermitian Toeplitz, so centro-Hermitian,
+    J conj(R_k) J = R_k for the exchange matrix J. With DFT pilots the
+    arcsine law keeps the symmetry, so every C_n_eff,k is centro-Hermitian
+    too, to rounding (its real form is read from its first rows). The fixed
+    unitary Q of _real_form then makes Q^H R_k Q and Q^H C_n_eff,k Q real
+    symmetric, the scalar D commutes with it, and the estimators run on
+    them at about half the cost in LAPACK and BLAS. Any other correlation,
+    such as a learned one, keeps the antenna frame and complex arithmetic.
+
+    Q is one unitary map on the antenna axis, the same for every user, so
+    ||h_hat - h||^2 and the zero-forcing rates of a pair in the frame equal
+    those in the antenna frame: nothing maps back.
+    """
+    if isinstance(prior, ExponentialCorrelation):
+        return _real_form, _to_frame
+    return np.asarray, np.asarray
+
+
 @dataclass(frozen=True)
 class PerUserEigenbasis:
-    """Per-trial eigenbasis of each user's whitened prior.
+    """Per-trial eigenbasis of each user's whitened prior, in the trial's frame.
 
     Per user, with the scalar D = gain, C_n_eff = L L^H, W = D L^{-1} and the
     whitened prior W R W^H = V diag(lam) V^H: lam (K, M), the
@@ -133,13 +151,12 @@ class PerUserEigenbasis:
     tracker of a trial: measure takes G r for all the slots of a call in
     one product, which the trackers share, and estimates forms a tracker's
     H z for all of them in one more. A basis of T trials at once has a
-    leading trial axis on lam, norms and trace; G and H have one,
-    (T, K, M, M), also for a single trial.
+    leading trial axis on all of them.
 
-    A basis of exponential correlations keeps G' = G Q and H' = Q^H H, both
-    real, from the real forms of R and C_n_eff (_real_form): measure takes
-    its bins into that frame once, as Q^H r (G r = G' Q^H r), and estimates
-    takes them out once, as Q H' z. Any other keeps the complex G and H.
+    Built from real forms (user_frame), G and H are real and take the
+    complex bins and eigen-coordinates as the real columns of their parts
+    (_apply); lam, the norms and the trace are those of the antenna frame,
+    Q being unitary.
     """
 
     lam: np.ndarray
@@ -150,27 +167,17 @@ class PerUserEigenbasis:
 
     def measure(self, bins):
         """G r for the bins r (..., S, K, M) of S slots, as (..., K, M, S): one slot a column."""
-        stack = _trial_axis(bins)
-        if np.iscomplexobj(self.G):
-            # A copy, not a strided view: BLAS on the transposed view raised a run's peak RSS.
-            columns = np.moveaxis(stack, 1, -1).copy()
-        else:
-            columns = _to_frame(stack)
-        measured = _apply(self.G, columns)
-        return measured if bins.ndim == 4 else measured[0]
+        # A copy, not a strided view: BLAS on the transposed view raised a run's peak RSS.
+        return _apply(self.G, np.moveaxis(bins, -3, -1).copy())
 
     def estimates(self, z, out):
         """H z for eigen-coordinates z (..., K, M, S), written into out (..., S, K, M)."""
-        h, target = _apply(self.H, _trial_axis(z)), _trial_axis(out)
-        if np.iscomplexobj(self.H):
-            target[...] = np.moveaxis(h, -1, 1)
-        else:
-            _from_frame(h, target)
+        out[...] = np.moveaxis(_apply(self.H, z), -1, -3)
         return out
 
 
 def _apply(maps, columns):
-    """maps (T, K, M, M), real or complex, times the complex columns (T, K, M, S).
+    """maps (..., M, M), real or complex, times the complex columns (..., M, S).
 
     A real map takes the real and imaginary parts of the columns as adjacent
     real columns, so the product stays real.
@@ -178,48 +185,6 @@ def _apply(maps, columns):
     if np.iscomplexobj(maps):
         return maps @ columns
     return (maps @ columns.view(float)).view(complex)
-
-
-def build_eigenbasis(prior, model):
-    """The PerUserEigenbasis of per-user correlations and a PerUserModel.
-
-    One batched Cholesky factor of C_n_eff, its inverse scaled by the
-    scalar gain D and one batched eigh. numpy has no triangular inverse,
-    and its general LU one is several times slower at M = 128 than the
-    block rows of linalg.inv_lower, which skip the zero upper triangle.
-    Raises LinAlgError if C_n_eff is not positive definite. prior is one
-    trial's (K, M, M) or T trials' (T, K, M, M).
-
-    The prior's type chooses the arithmetic. An ExponentialCorrelation runs
-    in real arithmetic: its R_k are Hermitian Toeplitz, so centro-Hermitian,
-    J conj(R_k) J = R_k for the exchange matrix J. With DFT pilots the
-    arcsine law keeps the symmetry, so every C_n_eff,k is centro-Hermitian
-    too, to rounding (its real form is read from its first rows). The fixed
-    unitary Q of _real_form then makes Q^H R_k Q and Q^H C_n_eff,k Q real
-    symmetric, the scalar D commutes with it, and the same pipeline runs on
-    them at about half the cost in LAPACK and BLAS. Its G' and H' stay real
-    and in that frame; lam, the norms and the trace carry over, Q being
-    unitary. Any other correlation, such as a learned one, takes complex
-    arithmetic.
-    """
-    lead = prior.shape[:-3]
-    form = _real_form if isinstance(prior, ExponentialCorrelation) else np.asarray
-    # The real forms are passed on unnamed, so each goes once used.
-    lam, norms, trace, G, H = _eigenbasis(
-        form(_trial_stack(prior.matrix)), model.gain, form(_trial_stack(model.C_n_eff))
-    )
-    return PerUserEigenbasis(
-        lam=lam.reshape(lead + lam.shape[1:]),
-        norms=norms.reshape(lead + norms.shape[1:]),
-        trace=trace.reshape(lead),
-        G=G,
-        H=H,
-    )
-
-
-def _trial_stack(x):
-    """One trial axis, (T, K, M, M), also for a single trial's (K, M, M)."""
-    return np.reshape(x, (-1,) + x.shape[-3:])
 
 
 def _real_form(matrix):
@@ -255,46 +220,34 @@ def _real_form(matrix):
     return out
 
 
-def _to_frame(bins):
-    """Q^H r for the bins r (T, S, K, M), laid out (T, K, M, S): one slot a column.
+def _to_frame(x):
+    """Q^H x for vectors x (..., M), such as a trial's bins or channels (T, S, K, M).
 
-    Row j < M // 2 of Q^H r is (r_j + r_{M-1-j}) / sqrt 2 and row e + j is
-    -i (r_j - r_{M-1-j}) / sqrt 2, for e = ceil(M/2); the middle row of an
-    odd M is r's. Each slot costs O(K M).
+    Row j < M // 2 of Q^H x is (x_j + x_{M-1-j}) / sqrt 2 and row e + j is
+    -i (x_j - x_{M-1-j}) / sqrt 2, for e = ceil(M/2); the middle row of an
+    odd M is x's. Each vector costs O(M).
     """
-    m = bins.shape[-1]
+    m = x.shape[-1]
     p, e = m // 2, m - m // 2
-    out = np.empty(bins.shape[:1] + bins.shape[2:] + bins.shape[1:2], dtype=complex)
-    # Writes into the transposed view are strided, so each row block takes one.
-    rows = np.moveaxis(out, -1, 1)
-    near, far = _HALF * bins[..., :p], _HALF * bins[..., m - 1 : m - 1 - p : -1]
-    np.add(near, far, out=rows[..., :p])
-    rows[..., p:e] = bins[..., p:e]
-    np.multiply(near - far, -1j, out=rows[..., e:])
+    out = np.empty(x.shape, dtype=complex)
+    near, far = _HALF * x[..., :p], _HALF * x[..., m - 1 : m - 1 - p : -1]
+    np.add(near, far, out=out[..., :p])
+    out[..., p:e] = x[..., p:e]
+    np.multiply(near - far, -1j, out=out[..., e:])
     return out
 
 
-def _from_frame(x, out):
-    """out (T, S, K, M) = Q x for x (T, K, M, S), undoing _to_frame.
+def build_eigenbasis(corr, gain, noise):
+    """The PerUserEigenbasis of correlations R, the scalar gain D and C_n_eff.
 
-    Row j < M // 2 of Q x is (x_j + i x_{e+j}) / sqrt 2 and row M - 1 - j
-    is (x_j - i x_{e+j}) / sqrt 2; the middle row of an odd M is x's.
-    """
-    m = x.shape[-2]
-    p, e = m // 2, m - m // 2
-    rows = np.moveaxis(x, -1, 1)
-    near, turned = _HALF * rows[..., :p], (1j * _HALF) * rows[..., e:]
-    np.add(near, turned, out=out[..., :p])
-    out[..., p:e] = rows[..., p:e]
-    np.subtract(near, turned, out=out[..., m - 1 : m - 1 - p : -1])
-    return out
-
-
-def _eigenbasis(corr, gain, noise):
-    """lam, norms, trace, G and H from correlations R, the scalar gain D and C_n_eff.
-
-    The same calls serve the real forms and the complex matrices. Nothing
-    divides by lam: a direction with lam = 0 has H e_j = R W^H v_j = 0.
+    corr and noise are per-user matrices (..., K, M, M) in the trial's
+    frame (user_frame), real forms or complex, with any leading axes. One
+    batched Cholesky factor of C_n_eff, its inverse scaled by D and one
+    batched eigh. numpy has no triangular inverse, and its general LU one
+    is several times slower at M = 128 than the block rows of
+    linalg.inv_lower, which skip the zero upper triangle. Nothing divides
+    by lam: a direction with lam = 0 has H e_j = R W^H v_j = 0. Raises
+    LinAlgError if C_n_eff is not positive definite.
     """
     try:
         chol = np.linalg.cholesky(noise)
@@ -320,7 +273,7 @@ def _eigenbasis(corr, gain, noise):
     # entry's parts sit side by side, summed down the rows and then in pairs.
     power = np.square(H.view(float), out=inv_chol.view(float)).sum(axis=-2)
     norms = power.reshape(H.shape[:-1] + (-1,)).sum(axis=-1)
-    return lam, norms, trace, G, H
+    return PerUserEigenbasis(lam=lam, norms=norms, trace=trace, G=G, H=H)
 
 
 def _conjugate(stack):
@@ -329,7 +282,7 @@ def _conjugate(stack):
 
 
 class PerUserKalman:
-    """Exact-gain Kalman tracker on the user bins, on a PerUserEigenbasis.
+    """Exact-gain Kalman tracker on the user bins, on a PerUserEigenbasis in their frame.
 
     For per-user coefficients eta (K,). With eta = 0 it is the Bussgang
     LMMSE estimator R_k D C_r,k^{-1} r_k.
@@ -393,10 +346,13 @@ class PerUserTpe:
     """Kalman tracker with a TpeGain on the user bins.
 
     The Kalman recursion with a truncated polynomial expansion of each
-    user's innovation covariance inverse, for per-user coefficients eta (K,).
-    The polynomial of the block-diagonal innovation covariance in the DFT
-    domain is the polynomial of each block. estimate steps through its
-    slots one at a time.
+    user's innovation covariance inverse, for correlations R (..., K, M, M),
+    the scalar gain D, C_n_eff (..., K, M, M) and per-user coefficients eta
+    (K,). The polynomial of the block-diagonal innovation covariance in the
+    DFT domain is the polynomial of each block. estimate steps through its
+    slots one at a time. The matrices and the bins are in the trial's frame
+    (user_frame), so on real forms every matrix of the recursion stays real:
+    sums and products of centro-Hermitian matrices stay centro-Hermitian.
 
     The scale is bounded once per trial. While 0 <= M <= R, user k's
     innovation covariance C_n_eff,k + D M_pred D is at most
@@ -409,30 +365,28 @@ class PerUserTpe:
     does not depend on the trial, so that the default filter shows it once.
     Over T trials at once each trial has its own lambda_max and alpha, and
     each clamped trial raises the warning. M_filt (..., K, M, M) is the
-    filtered error covariance after the last slot.
+    filtered error covariance after the last slot, in the trial's frame.
     """
 
-    def __init__(self, prior, model, eta, gain):
-        self._corr = prior.matrix
-        self._noise = model.C_n_eff
-        self._d = model.gain
-        lam_max = np.linalg.eigvalsh(self._noise + self._d**2 * prior.matrix).max(axis=(-2, -1))
-        limit = 2.0 if gain.order % 2 else 1.0
-        clamped = gain.alpha * lam_max > limit
-        alpha = np.where(clamped, 0.75 * limit / lam_max, gain.alpha)
-        self._alpha, self._order = alpha[..., None, None, None], gain.order
+    def __init__(self, corr, gain, noise, eta, expansion):
+        self._corr, self._d, self._noise = corr, gain, noise
+        lam_max = np.linalg.eigvalsh(noise + gain**2 * corr).max(axis=(-2, -1))
+        limit = 2.0 if expansion.order % 2 else 1.0
+        clamped = expansion.alpha * lam_max > limit
+        alpha = np.where(clamped, 0.75 * limit / lam_max, expansion.alpha)
+        self._alpha, self._order = alpha[..., None, None, None], expansion.order
         for _ in range(np.count_nonzero(clamped)):
             warnings.warn(
-                f"tpe.alpha = {gain.alpha} is above {limit:g} / lambda_max(C_r) for order"
-                f" {gain.order}; such trials use alpha = {0.75 * limit:g} / lambda_max(C_r)",
+                f"tpe.alpha = {expansion.alpha} is above {limit:g} / lambda_max(C_r) for order"
+                f" {expansion.order}; such trials use alpha = {0.75 * limit:g} / lambda_max(C_r)",
                 RuntimeWarning,
                 stacklevel=2,
             )
         eta = np.asarray(eta, dtype=float)[:, None]
         self._eta = eta
         self._eta2 = eta[..., None] ** 2
-        self._h = np.zeros(prior.matrix.shape[:-1], dtype=complex)
-        self.M_filt = prior.matrix.copy()
+        self._h = np.zeros(corr.shape[:-1], dtype=complex)
+        self.M_filt = corr
 
     def estimate(self, bins, out=None):
         """h_hat (..., S, K, M) for the bins (..., S, K, M), into out if given."""
@@ -452,7 +406,7 @@ class PerUserTpe:
         innov_cov = self._noise + d * cross
         innov_cov = 0.5 * (innov_cov + _adjoint(innov_cov))
         gain_mat = cross @ tpe_inverse(innov_cov, self._alpha, self._order)
-        h_new = h_pred + _matvec(gain_mat, r - d * h_pred)
+        h_new = h_pred + _apply(gain_mat, (r - d * h_pred)[..., None])[..., 0]
         m_new = m_pred - gain_mat @ cross
         self._h, self.M_filt = h_new, 0.5 * (m_new + _adjoint(m_new))
         return h_new

@@ -10,7 +10,11 @@ estimates (_estimate_chunk), which gives each trial's estimates as one
 (estimators, slots, K, M) array with the true channels and the Kalman
 tracker's error traces. NMSE and zero-forcing sum rates are array
 reductions over a trial, and one mean and standard error over the trials
-of a point gives the rows of both.
+of a point gives the rows of both. A trial picks its frame once, from its
+prior (estimators.user_frame): the estimators, their bins and the true
+channels of the metrics are all in it, and nothing maps back, since the
+frame's map Q is unitary on the antenna axis and both metrics are
+invariant under it.
 
 The pilots are always dft_pilots and the channel correlation is
 block-diagonal over the users, so the whole trial works on per-user M x M
@@ -31,13 +35,14 @@ simulates the channels of all slots. The true correlations are
 exponential, so the chunk stacks their (T, K, 2M - 1) lag vectors
 (channel.ExponentialCorrelation) and draws through the shared real AR(1)
 factor; no complex M x M stack of them is formed. With known correlation
-the per-user models and the eigenbasis run on those lag vectors too, the
-basis in the real frame that their type selects. Its estimate stage runs
+the per-user models run on those lag vectors too, and the estimators in
+the real frame that their type selects. Its estimate stage runs
 once per SNR point over the (T, ...) stacks: one call each builds the
 learned correlations, the per-user models, the eigenbasis and the
 estimators, one pass receives, quantizes and takes into the user bins
-every slot, and each estimator maps the (T, S, K, M) bins of all slots to
-their estimates in one call. Each trial's numbers come from elementwise
+every slot, the bins and the true channels enter the frame once, and each
+estimator maps the (T, S, K, M) bins of all slots to their estimates in
+one call. Each trial's numbers come from elementwise
 arithmetic, per-matrix LAPACK calls and per-block products of the same
 shapes at any T, so the CSV does not depend on the chunk size, byte for
 byte.
@@ -67,6 +72,7 @@ from .estimators import (
     build_eigenbasis,
     gram_correlation,
     sample_gram,
+    user_frame,
 )
 from .quantization import (
     build_per_user_model,
@@ -172,14 +178,15 @@ def _user_bins(pilots, h, noise):
     return pilots.bins(one_bit_quantize(pilot_signal(h, pilots, noise)))
 
 
-def _estimator(name, cfg, stats, pilots, prior, model, basis):
+def _estimator(name, cfg, stats, pilots, form, prior, model, basis):
     if name == "ls":
         return PerUserLs(pilots)
     if name == "blmmse":
         return PerUserKalman(basis, np.zeros_like(stats.eta))
     if name == "kfb":
         return PerUserKalman(basis, stats.eta)
-    return PerUserTpe(prior, model, stats.eta, TpeGain(cfg.tpe_order, cfg.tpe_alpha))
+    tpe = TpeGain(cfg.tpe_order, cfg.tpe_alpha)
+    return PerUserTpe(form(prior.matrix), model.gain, form(model.C_n_eff), stats.eta, tpe)
 
 
 def _draw_chunk(cfg, points, stats, trials):
@@ -214,22 +221,29 @@ def _draw_chunk(cfg, points, stats, trials):
 
 
 def _estimate_chunk(cfg, pilots, stats, prior, h_true, noise):
-    """One SNR point's h_hat (T, E, S, K, M) and kfb_trace (T, S) for a chunk's draws.
+    """One SNR point's h_hat (T, E, S, K, M), h_true and kfb_trace (T, S), in the trial's frame.
 
-    Builds the per-user model of prior (T, K, M, M), the eigenbasis if
-    blmmse or kfb runs, and one estimator per configured name. The slots
-    are received, quantized and taken into their user bins in one pass over
-    (T, S, ...); each estimator then maps those bins to its estimates in one
-    call, the exact-gain trackers on one measurement of the basis.
+    Takes the frame of prior (T, K, M, M) once (estimators.user_frame),
+    builds the per-user model, the eigenbasis if blmmse or kfb runs, and
+    one estimator per configured name, all in that frame. The slots are
+    received, quantized and taken into their user bins in one pass over
+    (T, S, ...), and into the frame once; each estimator then maps those
+    bins to its estimates in one call, the exact-gain trackers on one
+    measurement of the basis. The true channels h_true are taken into the
+    frame too and returned with the estimates: the metrics read both there.
     """
+    form, into = user_frame(prior)
     model = build_per_user_model(pilots, prior)
     basis = None
     if "blmmse" in cfg.estimators or "kfb" in cfg.estimators:
-        basis = build_eigenbasis(prior, model)
-    estimators = [_estimator(e, cfg, stats, pilots, prior, model, basis) for e in cfg.estimators]
+        # The forms are passed on unnamed, so each goes once used.
+        basis = build_eigenbasis(form(prior.matrix), model.gain, form(model.C_n_eff))
+    estimators = [
+        _estimator(e, cfg, stats, pilots, form, prior, model, basis) for e in cfg.estimators
+    ]
 
     # (T, S, K, M) user bins, each trial's slots in order.
-    bins = _user_bins(pilots, h_true, noise)
+    bins = into(_user_bins(pilots, h_true, noise))
     shape = h_true.shape
     h_hat = np.empty((shape[0], len(estimators)) + shape[1:], dtype=complex)
     trackers = {e: x for e, x in enumerate(estimators) if isinstance(x, PerUserKalman)}
@@ -245,7 +259,8 @@ def _estimate_chunk(cfg, pilots, stats, prior, h_true, noise):
     kfb_trace = np.zeros(shape[:2])
     if "kfb" in cfg.estimators:
         kfb_trace = estimators[cfg.estimators.index("kfb")].error_trace
-    return h_hat, kfb_trace
+    # The truth enters the frame last, so it is not held through the trackers' stacks.
+    return h_hat, into(h_true), kfb_trace
 
 
 def _nmse(cfg, snr_db, h_hat, h_true, kfb_trace):
@@ -284,8 +299,8 @@ def _trial_means(cfg, metric):
 
     Each chunk of trials is drawn once (_draw_chunk) and estimated at each
     point in order (_estimate_chunk). metric(cfg, snr_db, h_hat, h_true,
-    kfb_trace) maps the chunk's trials at one point to a (T, labels, S)
-    array; mean and stderr are (labels, S).
+    kfb_trace) maps the chunk's trials at one point, h_hat and h_true in
+    their frame, to a (T, labels, S) array; mean and stderr are (labels, S).
 
     A point fails on a non-finite estimate (_chunk_metric) or a LinAlgError
     of the estimate stage. Errors are reported as a point-by-point loop
@@ -310,14 +325,14 @@ def _trial_means(cfg, metric):
         for p in range(failed):
             try:
                 prior = corr if grams is None else gram_correlation(grams[p])
-                h_hat, kfb_trace = _estimate_chunk(cfg, points[p], stats, prior, h_true, noise)
-                chunk = _chunk_metric(cfg, metric, cfg.snr_db[p], trials, h_hat, h_true, kfb_trace)
+                estimated = _estimate_chunk(cfg, points[p], stats, prior, h_true, noise)
+                chunk = _chunk_metric(cfg, metric, cfg.snr_db[p], trials, *estimated)
                 per_trial[p].append(chunk)
             except (ValueError, ArithmeticError) as err:
                 failed, error = p, err
                 break
         # Drop this chunk's arrays before the next draw, so memory holds one chunk at a time.
-        corr = grams = h_true = noise = prior = h_hat = None
+        corr = grams = h_true = noise = prior = estimated = None
     if error is not None:
         raise error
     for snr_db, values in zip(cfg.snr_db, per_trial):

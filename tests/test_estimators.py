@@ -9,7 +9,6 @@ from onebit_mimo import (
     ExactGain,
     PerUserKalman,
     PerUserLs,
-    PerUserModel,
     PerUserTpe,
     QuantizedObservation,
     SpatialCorrelation,
@@ -41,6 +40,7 @@ from onebit_mimo import (
     sample_correlation,
     stack_correlation,
     tpe_inverse,
+    user_frame,
 )
 from onebit_mimo import estimators
 from onebit_mimo.reference import BussgangModel
@@ -341,6 +341,7 @@ def per_user_scene(case):
     corr_est = aggregate_correlation(users_est)
     pilots = dft_pilots(params["tau"], n_users).with_rho(0.5)
     prior = stack_correlation(users_est)
+    per_user = build_per_user_model(pilots, prior)
     return dict(
         rng=rng,
         corr=aggregate_correlation(users),
@@ -348,21 +349,34 @@ def per_user_scene(case):
         prior=prior,
         pilots=pilots,
         model=build_bussgang_model(pilots, corr_est),
-        per_user=build_per_user_model(pilots, prior),
+        per_user=per_user,
         stats=TemporalStats(np.array(params["eta"])),
         dense=params.get("dense", False),
+        **frame_inputs(prior, per_user),
     )
 
 
+def frame_inputs(prior, model):
+    """The trial's frame (user_frame): its into map, and R, D and C_n_eff in it."""
+    form, into = user_frame(prior)
+    return dict(into=into, matrices=(form(prior.matrix), model.gain, form(model.C_n_eff)))
+
+
+def into_frame(scene, h):
+    """A dense reference estimate h (n,) as the scene's (K, M) stack, in its frame."""
+    return scene["into"](np.reshape(h, (-1, scene["prior"].shape[-1])))
+
+
 def per_user_slots(scene, slots=10):
-    """The dense observations of quantized slots, and their user bins (S, K, M)."""
+    """The dense observations of quantized slots, and their user bins (S, K, M) in the frame."""
     rng, corr, stats = scene["rng"], scene["corr"], scene["stats"]
     chan = init_channel(corr, rng)
     observations = []
     for _ in range(slots):
         chan = evolve_channel(chan, stats, corr, rng)
         observations.append(quantize_pilot_slot(chan, scene["pilots"], scene["model"], rng))
-    return observations, np.stack([scene["pilots"].bins(obs.r) for obs in observations])
+    bins = np.stack([scene["pilots"].bins(obs.r) for obs in observations])
+    return observations, scene["into"](bins)
 
 
 def kalman_reference_obs(scene, obs):
@@ -380,14 +394,18 @@ def assert_close_norm(estimate, reference):
 
 
 class TestEigenbasisKalman:
-    """The per-user eigenbasis tracker reproduces a kfb_step loop slot by slot."""
+    """PerUserKalman on its eigenbasis reproduces a kfb_step loop slot by slot.
+
+    Both trackers take the trial's frame (user_frame), and PerUserTpe's
+    arithmetic follows it.
+    """
 
     @pytest.mark.parametrize("case", sorted(PER_USER_CASES))
     def test_matches_kalman_steps(self, case):
         """One call over all the slots against kfb_step at each of them."""
         scene = per_user_scene(case)
         corr_est = scene["corr_est"]
-        basis = build_eigenbasis(scene["prior"], scene["per_user"])
+        basis = build_eigenbasis(*scene["matrices"])
         tracker = PerUserKalman(basis, scene["stats"].eta)
         state = kfb_init(corr_est, scene["stats"])
         # Before any slot q = 0, and the error trace is trace(R).
@@ -398,19 +416,19 @@ class TestEigenbasisKalman:
         assert h_hat.shape == bins.shape and tracker.error_trace.shape == (len(bins),)
         for i, obs in enumerate(observations):
             state = kfb_step(state, kalman_reference_obs(scene, obs), ExactGain())
-            assert_close_norm(h_hat[i], state.h_hat)
+            assert_close_norm(h_hat[i], into_frame(scene, state.h_hat))
             assert_close_norm(tracker.error_trace[i], np.real(np.trace(state.M_filt)))
             if np.all(scene["stats"].eta == 0.0):
-                assert_close_norm(h_hat[i], blmmse_estimate(obs, corr_est))
+                assert_close_norm(h_hat[i], into_frame(scene, blmmse_estimate(obs, corr_est)))
 
     @pytest.mark.parametrize("case", ["tau_above_users", "rank_deficient_factor"])
     def test_calls_continue_from_the_last_slot(self, case):
         """Four slots and then six give the estimates and traces of ten in one call."""
         scene = per_user_scene(case)
-        prior, model, eta = scene["prior"], scene["per_user"], scene["stats"].eta
+        matrices, eta = scene["matrices"], scene["stats"].eta
         _, bins = per_user_slots(scene)
-        whole = PerUserKalman(build_eigenbasis(prior, model), eta)
-        split = PerUserKalman(build_eigenbasis(prior, model), eta)
+        whole = PerUserKalman(build_eigenbasis(*matrices), eta)
+        split = PerUserKalman(build_eigenbasis(*matrices), eta)
         h_hat = whole.estimate(bins)
         first = split.estimate(bins[:4])
         traces = [split.error_trace]
@@ -418,7 +436,7 @@ class TestEigenbasisKalman:
         traces.append(split.error_trace)
         assert_close_norm(np.concatenate((first, rest)), h_hat)
         assert_close_norm(np.concatenate(traces), whole.error_trace)
-        tpe = [PerUserTpe(prior, model, eta, TpeGain(1, 0.5)) for _ in range(2)]
+        tpe = [PerUserTpe(*matrices, eta, TpeGain(1, 0.5)) for _ in range(2)]
         assert_close_norm(
             np.concatenate((tpe[1].estimate(bins[:4]), tpe[1].estimate(bins[4:]))),
             tpe[0].estimate(bins),
@@ -444,9 +462,47 @@ class TestEigenbasisKalman:
             return eigh(matrix)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        basis = build_eigenbasis(scene["prior"], scene["per_user"])
+        basis = build_eigenbasis(*scene["matrices"])
         assert seen == [dtype]
         assert (basis.G.dtype, basis.H.dtype) == (dtype, dtype)
+
+    @pytest.mark.parametrize(
+        "case,dtype",
+        [("tau_above_users", np.float64), ("three_mirrored_lags", np.float64),
+         ("rank_deficient_factor", np.complex128), ("centro_hermitian_learned", np.complex128)],
+    )
+    def test_tpe_arithmetic_follows_the_frame(self, monkeypatch, case, dtype):
+        """PerUserTpe runs its bound and its covariance products in the frame's dtype.
+
+        On an exponential prior the eigvalsh of its bound, the innovation
+        covariance and polynomial of every slot, the gain of its mat-vec
+        and M_filt are float64; on a learned prior, complex128. The state
+        and the estimates stay complex.
+        """
+        scene = per_user_scene(case)
+        _, bins = per_user_slots(scene, slots=3)
+        eigvalsh, expand, apply = np.linalg.eigvalsh, estimators.tpe_inverse, estimators._apply
+        seen = {"eigvalsh": [], "tpe_inverse": [], "_apply": []}
+
+        def spying(name, fn):
+            """fn, recording the dtypes of its first argument and of its result."""
+
+            def call(*args):
+                result = fn(*args)
+                seen[name].append((args[0].dtype, result.dtype))
+                return result
+
+            return call
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spying("eigvalsh", eigvalsh))
+        monkeypatch.setattr(estimators, "tpe_inverse", spying("tpe_inverse", expand))
+        monkeypatch.setattr(estimators, "_apply", spying("_apply", apply))
+        tracker = PerUserTpe(*scene["matrices"], scene["stats"].eta, TpeGain(1, 0.5))
+        h_hat = tracker.estimate(bins)
+        assert seen["eigvalsh"] == [(dtype, np.float64)]
+        assert seen["tpe_inverse"] == [(dtype, dtype)] * 3
+        assert seen["_apply"] == [(dtype, np.complex128)] * 3
+        assert tracker.M_filt.dtype == dtype and h_hat.dtype == np.complex128
 
     @pytest.mark.parametrize("kind", ["exponential", "learned"])
     def test_stacked_trials_equal_each_trial(self, kind):
@@ -470,13 +526,17 @@ class TestEigenbasisKalman:
         stacked = stack_correlation(trials)
         eta = np.array([0.9, 0.5])
         shape = (len(trials), 3, 2, 5)
+        frame = frame_inputs(stacked, build_per_user_model(pilots, stacked))
         bins = one_bit_quantize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        whole = build_eigenbasis(stacked, build_per_user_model(pilots, stacked))
+        bins = frame["into"](bins)
+        whole = build_eigenbasis(*frame["matrices"])
         assert np.iscomplexobj(whole.G) == (kind == "learned")
         tracker = PerUserKalman(whole, eta)
         h_hat, measured = tracker.estimate(bins), whole.measure(bins)
         for t, prior in enumerate(trials):
-            alone = build_eigenbasis(prior, build_per_user_model(pilots, prior))
+            alone = build_eigenbasis(
+                *frame_inputs(prior, build_per_user_model(pilots, prior))["matrices"]
+            )
             assert np.array_equal(whole.lam[t], alone.lam)
             assert np.array_equal(whole.norms[t], alone.norms)
             assert np.array_equal(whole.trace[t], alone.trace)
@@ -486,10 +546,8 @@ class TestEigenbasisKalman:
             assert np.array_equal(measured[t], alone.measure(bins[t]))
 
     def test_non_positive_definite_noise_rejected(self):
-        prior = stack_correlation([exponential_correlation(2, 0.0, 0.0)])
-        degenerate = PerUserModel(gain=1.0, C_n_eff=np.zeros((1, 2, 2)))
         with pytest.raises(np.linalg.LinAlgError, match="C_n_eff"):
-            build_eigenbasis(prior, degenerate)
+            build_eigenbasis(np.eye(2)[None], 1.0, np.zeros((1, 2, 2)))
 
 
 class TestPerUserEstimators:
@@ -519,25 +577,26 @@ class TestPerUserEstimators:
         scene = per_user_scene(case)
         # BLMMSE is the exact-gain tracker of a memoryless channel.
         eta = np.zeros_like(scene["stats"].eta)
-        blmmse = PerUserKalman(build_eigenbasis(scene["prior"], scene["per_user"]), eta)
+        blmmse = PerUserKalman(build_eigenbasis(*scene["matrices"]), eta)
         observations, bins = per_user_slots(scene)
         ls_hat, blmmse_hat = PerUserLs(scene["pilots"]).estimate(bins), blmmse.estimate(bins)
         for i, obs in enumerate(observations):
-            assert_close_norm(ls_hat[i], ls_estimate(obs, scene["pilots"]))
-            assert_close_norm(blmmse_hat[i], blmmse_estimate(obs, scene["corr_est"]))
+            assert_close_norm(ls_hat[i], into_frame(scene, ls_estimate(obs, scene["pilots"])))
+            dense = blmmse_estimate(obs, scene["corr_est"])
+            assert_close_norm(blmmse_hat[i], into_frame(scene, dense))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case", sorted(PER_USER_CASES))
     def test_tpe_matches_kalman_steps(self, case):
         scene = per_user_scene(case)
         gain = TpeGain(1, 0.5)
-        tracker = PerUserTpe(scene["prior"], scene["per_user"], scene["stats"].eta, gain)
+        tracker = PerUserTpe(*scene["matrices"], scene["stats"].eta, gain)
         state = kfb_init(scene["corr_est"], scene["stats"])
         observations, bins = per_user_slots(scene)
         h_hat = tracker.estimate(bins)
         for i, obs in enumerate(observations):
             state = kfb_step(state, kalman_reference_obs(scene, obs), gain)
-            assert_close_norm(h_hat[i], state.h_hat)
+            assert_close_norm(h_hat[i], into_frame(scene, state.h_hat))
 
     def test_non_dft_pilots_rejected(self):
         pilots = dft_pilots(2, 2).with_rho(1.0)
@@ -587,22 +646,26 @@ class TestRealForm:
 
     @pytest.mark.parametrize("n_antennas", [1, 2, 3, 4, 5, 6, 32])
     def test_frame_maps_are_q_adjoint_and_q(self, n_antennas):
-        """Bins (T, S, K, M) into the frame as Q^H r columns (T, K, M, S), and Q x back."""
+        """Vectors (T, S, K, M), such as bins or channels, into the frame as Q^H x.
+
+        No program map takes them back; the dense Q does, Q being unitary.
+        """
         q = exchange_basis(n_antennas)
         rng = np.random.default_rng(n_antennas)
         shape = (2, 3, 4, n_antennas)
-        bins = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        columns = estimators._to_frame(bins)
-        assert columns.shape == (2, 4, n_antennas, 3)
-        assert_allclose(columns, np.einsum("mn,tskn->tkms", q.conj().T, bins), rtol=0, atol=1e-15)
-        x = rng.standard_normal(columns.shape) + 1j * rng.standard_normal(columns.shape)
-        out = estimators._from_frame(x, np.empty(shape, dtype=complex))
-        assert_allclose(out, np.einsum("mn,tkns->tskm", q, x), rtol=0, atol=1e-15)
-        assert_allclose(estimators._from_frame(columns, np.empty_like(bins)), bins, atol=1e-15)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        framed = estimators._to_frame(x)
+        assert framed.shape == shape
+        dense = np.einsum("mn,tskn->tskm", q.conj().T, x)
+        assert_allclose(framed, dense, rtol=0, atol=1e-15)
+        assert_allclose(np.einsum("mn,tskn->tskm", q, framed), x, rtol=0, atol=1e-15)
 
 
 class TestClosedFormRealFactor:
-    """The real-frame basis of an exponential prior against the complex path."""
+    """The real frame of an exponential prior against the complex path.
+
+    The name predates the basis that needs no factor of R.
+    """
 
     # Two trials of three users, at phases that span the circle.
     PHASES = np.array([[0.0, 0.3, 2.9], [4.1, 5.5, 6.2]])
@@ -620,7 +683,9 @@ class TestClosedFormRealFactor:
         prior = exponential_correlation(n_antennas, magnitude, self.PHASES)
         dense = SpatialCorrelation(matrix=np.array(prior.matrix), sqrt_factor=None)
         model = build_per_user_model(dft_pilots(3, 3).with_rho(1.0), prior)
-        real, other = build_eigenbasis(prior, model), build_eigenbasis(dense, model)
+        real_frame, other_frame = frame_inputs(prior, model), frame_inputs(dense, model)
+        real = build_eigenbasis(*real_frame["matrices"])
+        other = build_eigenbasis(*other_frame["matrices"])
         assert real.G.dtype == real.H.dtype == np.float64
         assert other.G.dtype == other.H.dtype == np.complex128
         assert_close_norm(real.lam, other.lam)
@@ -632,12 +697,15 @@ class TestClosedFormRealFactor:
         rng = np.random.default_rng(n_antennas)
         shape = (2, 4, 3, n_antennas)
         bins = one_bit_quantize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        # The real basis takes Q^H r and gives Q^H h_hat; the complex one takes r as it is.
+        into = real_frame["into"]
         # H G r = R D C_n_eff^{-1} r does not depend on the eigenvectors.
-        mapped = [b.estimates(b.measure(bins), np.empty_like(bins)) for b in (real, other)]
-        assert_close_norm(*mapped)
+        mapped = [b.estimates(b.measure(x), np.empty_like(x)) for b, x in
+                  ((real, into(bins)), (other, bins))]
+        assert_close_norm(mapped[0], into(mapped[1]))
         eta = np.array([0.9, 0.5, 0.0])
         trackers = [PerUserKalman(b, eta) for b in (real, other)]
-        assert_close_norm(*[t.estimate(bins) for t in trackers])
+        assert_close_norm(trackers[0].estimate(into(bins)), into(trackers[1].estimate(bins)))
         assert_close_norm(*[t.error_trace for t in trackers])
 
 
@@ -696,9 +764,7 @@ class TestTpeScaleBound:
         clamped = excess > 1.0
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            tracker = PerUserTpe(
-                scene["prior"], scene["per_user"], scene["stats"].eta, TpeGain(order, alpha)
-            )
+            tracker = PerUserTpe(*scene["matrices"], scene["stats"].eta, TpeGain(order, alpha))
         assert [w.category for w in caught] == [RuntimeWarning] * clamped
         assert all(f"tpe.alpha = {alpha} " in str(w.message) for w in caught)
         reference = TpeGain(order, 0.75 * limit / lam_max if clamped else alpha)
@@ -707,7 +773,7 @@ class TestTpeScaleBound:
         h_hat = tracker.estimate(bins)
         for i, obs in enumerate(observations):
             state = kfb_step(state, obs, reference)
-            assert_close_norm(h_hat[i], state.h_hat)
+            assert_close_norm(h_hat[i], into_frame(scene, state.h_hat))
 
     def test_clamp_warns_once_per_run(self):
         """Every trial clamps, with one warning text, so the default filter shows it once."""
@@ -730,19 +796,21 @@ class TestTpeScaleBound:
         theta = rng.uniform(0.0, 2.0 * np.pi, cfg.K)
         prior = stack_correlation([exponential_correlation(cfg.M, cfg.r_spatial, t) for t in theta])
         pilots = dft_pilots(cfg.tau, cfg.K).with_rho(10.0 ** (cfg.snr_db[0] / 10.0))
-        model = build_per_user_model(pilots, prior)
+        frame = frame_inputs(prior, build_per_user_model(pilots, prior))
         eta = jakes_coefficient(cfg.user_speeds_kmh[0], cfg.f_c, cfg.t_slot)
         stats = TemporalStats(np.full(cfg.K, eta))
         with pytest.warns(RuntimeWarning, match="tpe.alpha"):
-            tracker = PerUserTpe(prior, model, stats.eta, TpeGain(order, cfg.tpe_alpha))
+            tracker = PerUserTpe(*frame["matrices"], stats.eta, TpeGain(order, cfg.tpe_alpha))
+        corr = frame["matrices"][0]
         chan = init_channel(prior, rng)
         for _ in range(cfg.slots):
             chan = evolve_channel(chan, stats, prior, rng)
             r = one_bit_quantize(received_pilot_signal(chan, pilots, rng))
             # One slot per call: each continues from the last.
-            tracker.estimate(pilots.bins(r)[None])
+            tracker.estimate(frame["into"](pilots.bins(r))[None])
+            # M_filt and R in the real frame: Q is unitary, so their eigenvalues are R's.
             assert np.linalg.eigvalsh(tracker.M_filt).min() >= -1e-10
-            assert np.linalg.eigvalsh(prior.matrix - tracker.M_filt).min() >= -1e-10
+            assert np.linalg.eigvalsh(corr - tracker.M_filt).min() >= -1e-10
 
 
 def test_blmmse_single_shot_error_floor():

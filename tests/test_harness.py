@@ -42,6 +42,7 @@ from onebit_mimo import (
     run_theory,
     stream_rng,
     trial_streams,
+    user_frame,
     write_csv,
 )
 from onebit_mimo import harness, linalg, reference
@@ -138,9 +139,9 @@ class TestNmseExperiment:
         """
         covered = []
 
-        def counting(prior, model):
-            covered.append(prior.matrix.shape[0])
-            return build_eigenbasis(prior, model)
+        def counting(corr, gain, noise):
+            covered.append(corr.shape[0])
+            return build_eigenbasis(corr, gain, noise)
 
         monkeypatch.setattr(harness, "build_eigenbasis", counting)
         run_nmse_experiment(tiny_nmse_config(estimators=estimators))
@@ -325,6 +326,31 @@ class TestNmseExperiment:
             assert_allclose([v for _, v in rows], expected.mean(axis=0), rtol=1e-12)
 
 
+@pytest.mark.parametrize("n_antennas", [4, 5])
+def test_metrics_read_the_same_values_in_the_real_frame(n_antennas):
+    """_nmse and _sum_rates of a pair taken into the real frame equal its antenna-frame values.
+
+    The frame's Q is unitary on the antenna axis, so ||h_hat - h||^2 and
+    the zero-forcing rates do not depend on it, within 1e-12, also for a
+    rank-deficient estimate: user 1 of one member is -j times user 0.
+    """
+    cfg = tiny_config(M=n_antennas, K=2, tau=2, slots=3, estimators="[ls, blmmse, kfb, tpe]")
+    rng = np.random.default_rng(n_antennas)
+    shape = (3, len(cfg.estimators), cfg.slots, cfg.K, cfg.M)
+    h_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    h_hat[0, 2, 1, 1] = -1j * h_hat[0, 2, 1, 0]
+    assert np.linalg.matrix_rank(h_hat[0, 2, 1]) == 1
+    truth = shape[:1] + shape[2:]
+    h_true = rng.standard_normal(truth) + 1j * rng.standard_normal(truth)
+    kfb_trace = rng.uniform(size=truth[:2])
+    _, into = user_frame(exponential_correlation(cfg.M, cfg.r_spatial, np.zeros(cfg.K)))
+    for metric in (harness._nmse, harness._sum_rates):
+        antenna = metric(cfg, 10.0, h_hat, h_true, kfb_trace)
+        framed = metric(cfg, 10.0, into(h_hat), into(h_true), kfb_trace)
+        assert np.all(np.isfinite(antenna))
+        assert_allclose(framed, antenna, rtol=1e-12, atol=0)
+
+
 def chunk_trials(monkeypatch, cfg, size):
     """Make the engine run size trials per chunk for cfg."""
     monkeypatch.setattr(harness, "_CHUNK_BYTES", size * 16 * cfg.K * cfg.M**2)
@@ -354,7 +380,7 @@ class TestChunkedEngine:
         correlation_knowledge="true", **{"tpe.alpha": 0.45},
     )
     # Known correlation so near 1 that the real form Q^H R Q has no Cholesky
-    # factor: the eigenbasis takes the closed-form real factor.
+    # factor: the eigenbasis runs on it all the same, since it factors only C_n_eff.
     NEAR_SINGULAR = dict(
         M=32, K=2, tau=2, slots=3, trials=16, estimators="[blmmse, kfb]",
         correlation_knowledge="true", r_spatial=0.999999999999999,
@@ -446,13 +472,13 @@ class TestChunkedEngine:
             return draw_chunk(cfg, points, stats, trials)
 
         def injected(cfg, pilots, *draws):
-            h_hat, kfb_trace = estimate_chunk(cfg, pilots, *draws)
+            h_hat, h_true, kfb_trace = estimate_chunk(cfg, pilots, *draws)
             snr_db = round(10.0 * np.log10(pilots.rho))
             for t in range(len(h_hat)):
                 if (snr_db, first[-1] + t) in at:
                     slot, value = at[snr_db, first[-1] + t]
                     h_hat[t, 0, slot - 1 :] = value
-            return h_hat, kfb_trace
+            return h_hat, h_true, kfb_trace
 
         monkeypatch.setattr(harness, "_draw_chunk", drawn)
         monkeypatch.setattr(harness, "_estimate_chunk", injected)
