@@ -29,11 +29,11 @@ from .config import (
 from .estimators import (
     ExactGain,
     PerUserEigenbasis,
-    PerUserKalman,
-    PerUserLs,
-    PerUserTpe,
     TpeGain,
     build_eigenbasis,
+    kalman_estimates,
+    ls_estimates,
+    tpe_estimates,
     tpe_inverse,
     user_frame,
 )

@@ -7,16 +7,17 @@ batched M x M problems, with any per-user temporal coefficients. Least
 squares and Bussgang LMMSE treat every slot independently; the Kalman
 trackers follow the Gauss-Markov evolution across slots, with either the
 exact innovation-covariance inverse or a truncated polynomial expansion of
-it in the gain. They share one protocol: estimate(bins) maps the user bins
-of S consecutive slots, (S, K, M), to their (S, K, M) estimates, and a
-tracker's next call continues from its last slot. PerUserKalman's
-error_trace holds the trace of its filtered error covariance at each slot
-of its last call.
+it in the gain. Each is a function of one trial's slots: ls_estimates,
+kalman_estimates and tpe_estimates map the user bins of its S slots,
+(S, K, M), to their (S, K, M) estimates, the trackers starting from the
+prior at the first slot, and keep nothing between calls. kalman_estimates
+returns the trace of its filtered error covariance at each slot, and
+tpe_estimates the filtered covariance after the last.
 
 The exact-gain tracker for a memoryless channel (eta = 0) is the Bussgang
-LMMSE estimator, so both run as PerUserKalman on one PerUserEigenbasis, the
-per-trial eigendecomposition of the whitened prior W R W^H, which does not
-depend on eta.
+LMMSE estimator, so both run as kalman_estimates on one PerUserEigenbasis,
+the per-trial eigendecomposition of the whitened prior W R W^H, which does
+not depend on eta, and on its one measurement of the slots.
 
 A trial picks its frame once, by its prior's type (user_frame), and every
 estimator takes its matrices and bins in that frame. The exponential
@@ -60,7 +61,7 @@ class TpeGain:
     (1 - (1 - alpha s)^(L + 1)) / s. It lies in [0, 1/s], so that the update
     neither raises the error covariance nor takes it below the exact
     posterior, exactly when alpha s <= 2 for odd L and alpha s <= 1 for
-    even L. PerUserTpe holds alpha to that limit once per trial.
+    even L. tpe_estimates holds alpha to that limit once per trial.
     """
 
     order: int = 1
@@ -99,20 +100,15 @@ def _adjoint(stack):
     return np.swapaxes(stack, -1, -2).conj()
 
 
-class PerUserLs:
-    """Least squares on the user bins: r_k / sqrt(tau rho), pinv(Phi_bar) r for DFT pilots.
+def ls_estimates(pilots, bins, out=None):
+    """Least squares on the user bins (..., S, K, M), into out if given.
 
-    It depends on the pilots alone (pinv(phi) = phi^H / tau), so the
-    learned-correlation probes take it too. It is elementwise, so it takes
-    bins of any shape, in either frame (user_frame).
+    r_k / sqrt(tau rho), which is pinv(Phi_bar) r for DFT pilots. It depends
+    on the pilots alone (pinv(phi) = phi^H / tau), so the learned-correlation
+    probes take it too. It is elementwise, so it takes bins of any shape, in
+    either frame (user_frame).
     """
-
-    def __init__(self, pilots):
-        self._scale = 1.0 / pilots.gain
-
-    def estimate(self, bins, out=None):
-        """The estimates of the bins (..., S, K, M), into out if given."""
-        return np.multiply(bins, self._scale, out=out)
+    return np.multiply(bins, 1.0 / pilots.gain, out=out)
 
 
 def user_frame(prior):
@@ -145,23 +141,23 @@ class PerUserEigenbasis:
 
     Per user, with the scalar D = gain, C_n_eff = L L^H, W = D L^{-1} and the
     whitened prior W R W^H = V diag(lam) V^H: lam (K, M), the
-    measurement map G = V^H L^{-1}, the estimate map H = (W R)^H V and the
-    squared column norms of H (K, M), and trace, the sum of the users'
-    tr R_k. None of it depends on eta, so one basis serves every exact-gain
-    tracker of a trial: measure takes G r for all the slots of a call in
-    one product, which the trackers share, and estimates forms a tracker's
-    H z for all of them in one more. A basis of T trials at once has a
-    leading trial axis on all of them.
+    measurement map G = V^H L^{-1}, the estimate map H = (W R)^H V, and the
+    error-trace weights ||H e_j||^2 / lam_j (K, M), by which the trace of a
+    tracker's error covariance is a sum of positive terms
+    (kalman_estimates). None of it depends on eta, so one basis serves every
+    exact-gain tracker of a trial: measure takes G r for all the slots of a
+    trial in one product, which the trackers share, and estimates forms a
+    tracker's H z for all of them in one more. A basis of T trials at once
+    has a leading trial axis on all of them.
 
     Built from real forms (user_frame), G and H are real and take the
     complex bins and eigen-coordinates as the real columns of their parts
-    (_apply); lam, the norms and the trace are those of the antenna frame,
-    Q being unitary.
+    (_apply); lam and the weights are those of the antenna frame, Q being
+    unitary.
     """
 
     lam: np.ndarray
-    norms: np.ndarray
-    trace: np.ndarray
+    weights: np.ndarray
     G: np.ndarray
     H: np.ndarray
 
@@ -262,7 +258,6 @@ def build_eigenbasis(corr, gain, noise):
     whiten = np.multiply(inv_chol, gain, out=chol)
     # conj(W R), whose transpose is (W R)^H = R W^H.
     adjoint = _conjugate(whiten @ corr)
-    trace = np.sum(np.real(np.trace(corr, axis1=-2, axis2=-1)), axis=-1)
     del corr
     info = whiten @ np.swapaxes(adjoint, -1, -2)
     lam, v = np.linalg.eigh(info)
@@ -273,7 +268,11 @@ def build_eigenbasis(corr, gain, noise):
     # entry's parts sit side by side, summed down the rows and then in pairs.
     power = np.square(H.view(float), out=inv_chol.view(float)).sum(axis=-2)
     norms = power.reshape(H.shape[:-1] + (-1,)).sum(axis=-1)
-    return PerUserEigenbasis(lam=lam, norms=norms, trace=trace, G=G, H=H)
+    # ||H e_j||^2 / lam_j = lam_j ||W^{-1} v_j||^2, as H e_j = lam_j W^{-1} v_j, so a
+    # direction whose lam is rounding residue weighs 0 rather than 0 / 0.
+    kept = lam > 1e-12 * lam.max(axis=-1, keepdims=True)
+    weights = np.divide(norms, lam, out=np.zeros_like(norms), where=kept)
+    return PerUserEigenbasis(lam=lam, weights=weights, G=G, H=H)
 
 
 def _conjugate(stack):
@@ -281,80 +280,60 @@ def _conjugate(stack):
     return np.conjugate(stack, out=stack) if np.iscomplexobj(stack) else stack
 
 
-class PerUserKalman:
-    """Exact-gain Kalman tracker on the user bins, on a PerUserEigenbasis in their frame.
+def kalman_estimates(basis, eta, measured, out):
+    """The exact-gain tracker's h_hat of one trial's slots, into out (..., S, K, M).
 
-    For per-user coefficients eta (K,). With eta = 0 it is the Bussgang
-    LMMSE estimator R_k D C_r,k^{-1} r_k.
+    For per-user coefficients eta (K,) on a PerUserEigenbasis in the bins'
+    frame, with measured = basis.measure(bins). With eta = 0 it is the
+    Bussgang LMMSE estimator R_k D C_r,k^{-1} r_k. Returns the trace of the
+    filtered error covariance at each slot, (..., S).
 
     In the basis's terms every predicted and filtered covariance equals
-    R - H diag(q) H^H, with q = (1 - p) / lam for the p of the whitened
-    prior's directions. The recursion therefore runs on the vectors p and
-    q, from p = 1 and q = 0 (M = R): predict p <- eta^2 p + 1 - eta^2 and
-    q <- eta^2 q + p, correct both by 1 / (1 + lam p). The estimate is
-    h_hat = H z, with z <- eta z + p (G r - lam eta z). Neither R^{-1} nor
-    1 / lam is needed, so a singular (learned) correlation works too. A call
-    measures all its slots in one product (PerUserEigenbasis.measure), runs
-    the recursions elementwise, slot by slot, and forms all its estimates in
-    one more (PerUserEigenbasis.estimates). Trackers on one basis can share
-    the measurement: estimate takes it as measured.
+    R - H diag((1 - p) / lam) H^H for the p of the whitened prior's
+    directions, so the recursion runs on the vector p, from p = 1 (M = R):
+    predict p <- eta^2 p + 1 - eta^2, correct by 1 / (1 + lam p). Its trace
+    is sum_j p_j ||H e_j||^2 / lam_j, the basis's weights (tr R at p = 1),
+    a sum of positive terms. The estimate is h_hat = H z, with
+    z <- eta z + p (G r - lam eta z). Neither R^{-1} nor 1 / lam is needed,
+    so a singular (learned) correlation works too. The recursions run
+    elementwise, slot by slot, between the basis's one measurement of all
+    the slots and its one product for all their estimates
+    (PerUserEigenbasis.estimates).
     """
-
-    def __init__(self, basis, eta):
-        self._basis = basis
-        self._eta = np.asarray(eta, dtype=float)[:, None]
-        self._z = np.zeros(basis.lam.shape, dtype=complex)
-        self._p = np.ones(basis.lam.shape)
-        self._q = np.zeros(basis.lam.shape)
-        self.error_trace = None
-
-    def estimate(self, bins, out=None, measured=None):
-        """h_hat (..., S, K, M) for the bins (..., S, K, M), into out if given.
-
-        measured, when given, is the basis's measure(bins). Afterwards
-        error_trace holds the trace of the filtered error covariance at each
-        slot, tr R - sum_k,j q_kj ||H_k e_j||^2, (..., S).
-        """
-        if measured is None:
-            measured = self._basis.measure(bins)
-        lam, eta = self._basis.lam, self._eta
-        eta2 = eta**2
-        rest = 1.0 - eta2
-        # The q of every slot, (..., S, K, M), and its z in the columns estimates takes.
-        q_all = np.empty(lam.shape[:-2] + measured.shape[-1:] + lam.shape[-2:])
-        z_all = np.empty(measured.shape, dtype=complex)
-        p, q, z = self._p, self._q, self._z
-        for i in range(measured.shape[-1]):
-            p = eta2 * p
-            p += rest
-            q = np.multiply(eta2, q, out=q_all[..., i, :, :])
-            q += p
-            scale = 1.0 + lam * p
-            p /= scale
-            q /= scale
-            z = np.multiply(eta, z, out=z_all[..., i])
-            z += p * (measured[..., i] - lam * z)
-        self._p, self._q, self._z = p, q.copy(), z.copy()
-        q_all *= self._basis.norms[..., None, :, :]
-        self.error_trace = self._basis.trace[..., None] - np.sum(q_all, axis=(-2, -1))
-        if out is None:
-            out = np.empty(bins.shape, dtype=complex)
-        return self._basis.estimates(z_all, out)
+    lam = basis.lam
+    eta = np.asarray(eta, dtype=float)[:, None]
+    eta2 = eta**2
+    rest = 1.0 - eta2
+    # The p of every slot, (..., S, K, M), and its z in the columns estimates takes.
+    p_all = np.empty(lam.shape[:-2] + measured.shape[-1:] + lam.shape[-2:])
+    z_all = np.empty(measured.shape, dtype=complex)
+    p, z = np.ones(lam.shape), np.zeros(lam.shape, dtype=complex)
+    for i in range(measured.shape[-1]):
+        p = np.multiply(eta2, p, out=p_all[..., i, :, :])
+        p += rest
+        p /= 1.0 + lam * p
+        z = np.multiply(eta, z, out=z_all[..., i])
+        z += p * (measured[..., i] - lam * z)
+    basis.estimates(z_all, out)
+    p_all *= basis.weights[..., None, :, :]
+    return np.sum(p_all, axis=(-2, -1))
 
 
-class PerUserTpe:
-    """Kalman tracker with a TpeGain on the user bins.
+def tpe_estimates(corr, gain, noise, eta, expansion, bins, out):
+    """The TPE tracker's h_hat of one trial's slots, into out (..., S, K, M).
 
-    The Kalman recursion with a truncated polynomial expansion of each
-    user's innovation covariance inverse, for correlations R (..., K, M, M),
-    the scalar gain D, C_n_eff (..., K, M, M) and per-user coefficients eta
-    (K,). The polynomial of the block-diagonal innovation covariance in the
-    DFT domain is the polynomial of each block. estimate steps through its
-    slots one at a time. The matrices and the bins are in the trial's frame
-    (user_frame), so on real forms every matrix of the recursion stays real:
-    sums and products of centro-Hermitian matrices stay centro-Hermitian.
+    The Kalman recursion with a TpeGain expansion of each user's innovation
+    covariance inverse, for correlations R (..., K, M, M), the scalar gain
+    D, C_n_eff (..., K, M, M) and per-user coefficients eta (K,), from the
+    prior (M = R) at the first of the bins (..., S, K, M). The polynomial of
+    the block-diagonal innovation covariance in the DFT domain is the
+    polynomial of each block. The matrices and the bins are in the trial's
+    frame (user_frame), so on real forms every matrix of the recursion
+    stays real: sums and products of centro-Hermitian matrices stay
+    centro-Hermitian. Returns M_filt (..., K, M, M), the filtered error
+    covariance after the last slot, in that frame.
 
-    The scale is bounded once per trial. While 0 <= M <= R, user k's
+    The scale is bounded once per call. While 0 <= M <= R, user k's
     innovation covariance C_n_eff,k + D M_pred D is at most
     C_r,k = C_n_eff,k + D R_k D, so lambda_max, the largest eigenvalue of
     the C_r,k over the users, bounds every slot. If alpha lambda_max is
@@ -362,54 +341,40 @@ class PerUserTpe:
     expansion stays in [0, S^{-1}] and the filtered covariance between 0 and
     R at every slot. Above it the trial runs with
     alpha = 0.75 limit / lambda_max and raises a RuntimeWarning whose text
-    does not depend on the trial, so that the default filter shows it once.
-    Over T trials at once each trial has its own lambda_max and alpha, and
-    each clamped trial raises the warning. M_filt (..., K, M, M) is the
-    filtered error covariance after the last slot, in the trial's frame.
+    does not depend on the trial, at the caller's line, so that the default
+    filter shows it once. Over T trials at once each trial has its own
+    lambda_max and alpha, and each clamped trial raises the warning.
     """
-
-    def __init__(self, corr, gain, noise, eta, expansion):
-        self._corr, self._d, self._noise = corr, gain, noise
-        lam_max = np.linalg.eigvalsh(noise + gain**2 * corr).max(axis=(-2, -1))
-        limit = 2.0 if expansion.order % 2 else 1.0
-        clamped = expansion.alpha * lam_max > limit
-        alpha = np.where(clamped, 0.75 * limit / lam_max, expansion.alpha)
-        self._alpha, self._order = alpha[..., None, None, None], expansion.order
-        for _ in range(np.count_nonzero(clamped)):
-            warnings.warn(
-                f"tpe.alpha = {expansion.alpha} is above {limit:g} / lambda_max(C_r) for order"
-                f" {expansion.order}; such trials use alpha = {0.75 * limit:g} / lambda_max(C_r)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        eta = np.asarray(eta, dtype=float)[:, None]
-        self._eta = eta
-        self._eta2 = eta[..., None] ** 2
-        self._h = np.zeros(corr.shape[:-1], dtype=complex)
-        self.M_filt = corr
-
-    def estimate(self, bins, out=None):
-        """h_hat (..., S, K, M) for the bins (..., S, K, M), into out if given."""
-        if out is None:
-            out = np.empty(bins.shape, dtype=complex)
-        for i in range(bins.shape[-3]):
-            out[..., i, :, :] = self._step(bins[..., i, :, :])
-        return out
-
-    def _step(self, r):
-        """Predict and correct with one slot's user bins r (..., K, M); returns h_hat."""
-        d = self._d
-        h_pred = self._eta * self._h
-        m_pred = self._eta2 * self.M_filt + (1.0 - self._eta2) * self._corr
+    lam_max = np.linalg.eigvalsh(noise + gain**2 * corr).max(axis=(-2, -1))
+    limit = 2.0 if expansion.order % 2 else 1.0
+    clamped = expansion.alpha * lam_max > limit
+    alpha = np.where(clamped, 0.75 * limit / lam_max, expansion.alpha)[..., None, None, None]
+    for _ in range(np.count_nonzero(clamped)):
+        warnings.warn(
+            f"tpe.alpha = {expansion.alpha} is above {limit:g} / lambda_max(C_r) for order"
+            f" {expansion.order}; such trials use alpha = {0.75 * limit:g} / lambda_max(C_r)",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    eta = np.asarray(eta, dtype=float)[:, None]
+    eta2 = eta[..., None] ** 2
+    h, m_filt = np.zeros(corr.shape[:-1], dtype=complex), corr
+    for i in range(bins.shape[-3]):
+        h_pred = eta * h
+        m_pred = eta2 * m_filt + (1.0 - eta2) * corr
         # D M_pred and M_pred D for the scalar D.
-        cross = d * m_pred
-        innov_cov = self._noise + d * cross
+        cross = gain * m_pred
+        innov_cov = noise + gain * cross
         innov_cov = 0.5 * (innov_cov + _adjoint(innov_cov))
-        gain_mat = cross @ tpe_inverse(innov_cov, self._alpha, self._order)
-        h_new = h_pred + _apply(gain_mat, (r - d * h_pred)[..., None])[..., 0]
-        m_new = m_pred - gain_mat @ cross
-        self._h, self.M_filt = h_new, 0.5 * (m_new + _adjoint(m_new))
-        return h_new
+        gain_mat = cross @ tpe_inverse(innov_cov, alpha, expansion.order)
+        h = h_pred + _apply(gain_mat, (bins[..., i, :, :] - gain * h_pred)[..., None])[..., 0]
+        out[..., i, :, :] = h
+        m_filt = m_pred - gain_mat @ cross
+        m_filt = 0.5 * (m_filt + _adjoint(m_filt))
+        # Only h and m_filt go on to the next slot, so its products do not stack
+        # on this slot's: TPE's steps set a small_sweep_rate run's traced peak.
+        del h_pred, m_pred, cross, innov_cov, gain_mat
+    return m_filt
 
 
 def tpe_inverse(matrix, alpha, order):
@@ -420,7 +385,7 @@ def tpe_inverse(matrix, alpha, order):
     Horner form with order+1 terms. At an eigenvalue s of
     X the result is (1 - (1 - alpha s)^(order+1)) / s, which tends to 1/s
     for 0 < alpha s < 2; TpeGain gives the limits that keep it in [0, 1/s].
-    alpha is taken as given: PerUserTpe bounds it once per trial.
+    alpha is taken as given: tpe_estimates bounds it once per trial.
     """
     if order < 0:
         raise ValueError("expansion order must be non-negative")

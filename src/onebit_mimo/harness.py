@@ -20,11 +20,13 @@ The pilots are always dft_pilots and the channel correlation is
 block-diagonal over the users, so the whole trial works on per-user M x M
 blocks and builds no n x n array: the channel is a (K, M) stack, and every
 estimator runs on the exact per-user model of
-quantization.build_per_user_model. BLMMSE is the exact-gain tracker with
-eta = 0, so blmmse and kfb share one per-trial estimators.PerUserEigenbasis
-and its one measurement of all the slots. The slots and the learned-
-correlation probes take one front end (_user_bins) and one LS
-(estimators.PerUserLs).
+quantization.build_per_user_model. Every estimator is a function of one
+trial's slots (estimators.ls_estimates, kalman_estimates, tpe_estimates),
+and _estimate_chunk calls each configured one by name, once, with all the
+slots. BLMMSE is the exact-gain tracker with eta = 0, so blmmse and kfb
+share one per-trial estimators.PerUserEigenbasis and its one measurement
+of all the slots. The slots and the learned-correlation probes take one
+front end (_user_bins) and one LS.
 
 The engine runs the trials in chunks of T, sized so that a (T, K, M, M)
 complex stack stays within _CHUNK_BYTES, and walks the chunks once. A
@@ -38,14 +40,13 @@ factor; no complex M x M stack of them is formed. With known correlation
 the per-user models run on those lag vectors too, and the estimators in
 the real frame that their type selects. Its estimate stage runs
 once per SNR point over the (T, ...) stacks: one call each builds the
-learned correlations, the per-user models, the eigenbasis and the
-estimators, one pass receives, quantizes and takes into the user bins
-every slot, the bins and the true channels enter the frame once, and each
-estimator maps the (T, S, K, M) bins of all slots to their estimates in
-one call. Each trial's numbers come from elementwise
-arithmetic, per-matrix LAPACK calls and per-block products of the same
-shapes at any T, so the CSV does not depend on the chunk size, byte for
-byte.
+learned correlations, the per-user models and the eigenbasis, one pass
+receives, quantizes and takes into the user bins every slot, the bins and
+the true channels enter the frame once, and each estimator maps the
+(T, S, K, M) bins of all slots to their estimates in one call. Each
+trial's numbers come from elementwise arithmetic, per-matrix LAPACK calls
+and per-block products of the same shapes at any T, so the CSV does not
+depend on the chunk size, byte for byte.
 """
 
 import sys
@@ -65,13 +66,13 @@ from .channel import (
     stack_correlation,
 )
 from .estimators import (
-    PerUserKalman,
-    PerUserLs,
-    PerUserTpe,
     TpeGain,
     build_eigenbasis,
     gram_correlation,
+    kalman_estimates,
+    ls_estimates,
     sample_gram,
+    tpe_estimates,
     user_frame,
 )
 from .quantization import (
@@ -164,29 +165,17 @@ def _correlation_grams(cfg, points, corr_true, streams):
 def _correlation_probes(cfg, pilots, channels, noise):
     """One-bit LS probes of stationary channels (n, count) at one SNR point, (K, M, count).
 
-    The front end and LS of the slots (_user_bins, PerUserLs) on the
+    The front end and LS of the slots (_user_bins, ls_estimates) on the
     channels with their noise (tau M, count). Both are flattened, so all
     count columns take one pilot product and one bin product.
     """
     bins = _user_bins(pilots, channels, noise.reshape(-1))
-    probes = PerUserLs(pilots).estimate(bins)
-    return probes.reshape(cfg.K, cfg.M, -1)
+    return ls_estimates(pilots, bins).reshape(cfg.K, cfg.M, -1)
 
 
 def _user_bins(pilots, h, noise):
     """The one-bit front end: the user bins of channels h in any layout pilot_signal takes."""
     return pilots.bins(one_bit_quantize(pilot_signal(h, pilots, noise)))
-
-
-def _estimator(name, cfg, stats, pilots, form, prior, model, basis):
-    if name == "ls":
-        return PerUserLs(pilots)
-    if name == "blmmse":
-        return PerUserKalman(basis, np.zeros_like(stats.eta))
-    if name == "kfb":
-        return PerUserKalman(basis, stats.eta)
-    tpe = TpeGain(cfg.tpe_order, cfg.tpe_alpha)
-    return PerUserTpe(form(prior.matrix), model.gain, form(model.C_n_eff), stats.eta, tpe)
 
 
 def _draw_chunk(cfg, points, stats, trials):
@@ -221,16 +210,17 @@ def _draw_chunk(cfg, points, stats, trials):
 
 
 def _estimate_chunk(cfg, pilots, stats, prior, h_true, noise):
-    """One SNR point's h_hat (T, E, S, K, M), h_true and kfb_trace (T, S), in the trial's frame.
+    """One SNR point's h_hat (T, E, S, K, M), h_true and kfb_trace, in the trial's frame.
 
-    Takes the frame of prior (T, K, M, M) once (estimators.user_frame),
-    builds the per-user model, the eigenbasis if blmmse or kfb runs, and
-    one estimator per configured name, all in that frame. The slots are
-    received, quantized and taken into their user bins in one pass over
-    (T, S, ...), and into the frame once; each estimator then maps those
-    bins to its estimates in one call, the exact-gain trackers on one
-    measurement of the basis. The true channels h_true are taken into the
-    frame too and returned with the estimates: the metrics read both there.
+    Takes the frame of prior (T, K, M, M) once (estimators.user_frame) and
+    builds the per-user model, and the eigenbasis if blmmse or kfb runs, in
+    that frame. The slots are received, quantized and taken into their user
+    bins in one pass over (T, S, ...), and into the frame once; each
+    configured estimator then maps those bins to its estimates in one call,
+    written into its row of h_hat, blmmse (eta = 0) and kfb on one
+    measurement of the basis. kfb's call returns kfb_trace (T, S); without
+    kfb it is None. The true channels h_true are taken into the frame too
+    and returned with the estimates: the metrics read both there.
     """
     form, into = user_frame(prior)
     model = build_per_user_model(pilots, prior)
@@ -238,27 +228,28 @@ def _estimate_chunk(cfg, pilots, stats, prior, h_true, noise):
     if "blmmse" in cfg.estimators or "kfb" in cfg.estimators:
         # The forms are passed on unnamed, so each goes once used.
         basis = build_eigenbasis(form(prior.matrix), model.gain, form(model.C_n_eff))
-    estimators = [
-        _estimator(e, cfg, stats, pilots, form, prior, model, basis) for e in cfg.estimators
-    ]
 
     # (T, S, K, M) user bins, each trial's slots in order.
     bins = into(_user_bins(pilots, h_true, noise))
     shape = h_true.shape
-    h_hat = np.empty((shape[0], len(estimators)) + shape[1:], dtype=complex)
-    trackers = {e: x for e, x in enumerate(estimators) if isinstance(x, PerUserKalman)}
-    for e, estimator in enumerate(estimators):
-        if e not in trackers:
-            estimator.estimate(bins, h_hat[:, e])
-    if trackers:
-        # One measurement for every tracker on the basis. The trackers run last,
-        # so it and their all-slot stacks are not held through TPE's steps.
+    h_hat = np.empty((shape[0], len(cfg.estimators)) + shape[1:], dtype=complex)
+    out = {name: h_hat[:, e] for e, name in enumerate(cfg.estimators)}
+    if "ls" in out:
+        ls_estimates(pilots, bins, out["ls"])
+    if "tpe" in out:
+        tpe_estimates(
+            form(prior.matrix), model.gain, form(model.C_n_eff), stats.eta,
+            TpeGain(cfg.tpe_order, cfg.tpe_alpha), bins, out["tpe"],
+        )
+    kfb_trace = None
+    if basis is not None:
+        # The trackers run last, so their measurement and all-slot stacks are
+        # not held through TPE's steps.
         measured = basis.measure(bins)
-        for e, tracker in trackers.items():
-            tracker.estimate(bins, h_hat[:, e], measured)
-    kfb_trace = np.zeros(shape[:2])
-    if "kfb" in cfg.estimators:
-        kfb_trace = estimators[cfg.estimators.index("kfb")].error_trace
+        if "blmmse" in out:
+            kalman_estimates(basis, np.zeros_like(stats.eta), measured, out["blmmse"])
+        if "kfb" in out:
+            kfb_trace = kalman_estimates(basis, stats.eta, measured, out["kfb"])
     # The truth enters the frame last, so it is not held through the trackers' stacks.
     return h_hat, into(h_true), kfb_trace
 

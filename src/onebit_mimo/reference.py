@@ -237,7 +237,7 @@ def ls_estimate(obs, pilots):
     obs.r is one stacked observation (tau M,) or a block of them, one per
     column (tau M, count); the estimates come back in the same layout. Works
     on the quantized observation directly, so the scale is biased by the
-    quantizer. estimators.PerUserLs takes the same LS on the user bins.
+    quantizer. estimators.ls_estimates takes the same LS on the user bins.
     """
     sv = np.linalg.svd(pilots.phi, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:

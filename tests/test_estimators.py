@@ -7,9 +7,6 @@ from numpy.testing import assert_allclose
 
 from onebit_mimo import (
     ExactGain,
-    PerUserKalman,
-    PerUserLs,
-    PerUserTpe,
     QuantizedObservation,
     SpatialCorrelation,
     TemporalStats,
@@ -27,9 +24,11 @@ from onebit_mimo import (
     exponential_correlation,
     init_channel,
     jakes_coefficient,
+    kalman_estimates,
     kfb_init,
     kfb_step,
     ls_estimate,
+    ls_estimates,
     nmse_recursion,
     one_bit_quantize,
     parse_config,
@@ -39,6 +38,7 @@ from onebit_mimo import (
     run_nmse_experiment,
     sample_correlation,
     stack_correlation,
+    tpe_estimates,
     tpe_inverse,
     user_frame,
 )
@@ -387,6 +387,18 @@ def kalman_reference_obs(scene, obs):
     return replace(obs, phi_tilde=scene["model"].a_diag[:, None] * phi_bar)
 
 
+def run_kalman(basis, eta, bins):
+    """kalman_estimates on the bins (..., S, K, M) and the basis's measurement: (h_hat, trace)."""
+    h_hat = np.empty_like(bins)
+    return h_hat, kalman_estimates(basis, eta, basis.measure(bins), h_hat)
+
+
+def run_tpe(matrices, eta, expansion, bins):
+    """tpe_estimates on R, D and C_n_eff in the bins' frame: (h_hat, the last M_filt)."""
+    h_hat = np.empty_like(bins)
+    return h_hat, tpe_estimates(*matrices, eta, expansion, bins, h_hat)
+
+
 def assert_close_norm(estimate, reference):
     """Within 1e-12 of the reference, norm-relative."""
     gap = np.linalg.norm(np.ravel(estimate) - np.ravel(reference))
@@ -394,9 +406,9 @@ def assert_close_norm(estimate, reference):
 
 
 class TestEigenbasisKalman:
-    """PerUserKalman on its eigenbasis reproduces a kfb_step loop slot by slot.
+    """kalman_estimates on its eigenbasis reproduces a kfb_step loop slot by slot.
 
-    Both trackers take the trial's frame (user_frame), and PerUserTpe's
+    Both trackers take the trial's frame (user_frame), and tpe_estimates's
     arithmetic follows it.
     """
 
@@ -406,41 +418,41 @@ class TestEigenbasisKalman:
         scene = per_user_scene(case)
         corr_est = scene["corr_est"]
         basis = build_eigenbasis(*scene["matrices"])
-        tracker = PerUserKalman(basis, scene["stats"].eta)
         state = kfb_init(corr_est, scene["stats"])
-        # Before any slot q = 0, and the error trace is trace(R).
+        # At p = 1, before any slot, the error trace is trace(R).
         prior_trace = np.real(np.trace(corr_est.matrix))
-        assert basis.trace == pytest.approx(prior_trace, rel=1e-12)
+        assert np.sum(basis.weights) == pytest.approx(prior_trace, rel=1e-12)
         observations, bins = per_user_slots(scene)
-        h_hat = tracker.estimate(bins)
-        assert h_hat.shape == bins.shape and tracker.error_trace.shape == (len(bins),)
+        h_hat, trace = run_kalman(basis, scene["stats"].eta, bins)
+        assert h_hat.shape == bins.shape and trace.shape == (len(bins),)
         for i, obs in enumerate(observations):
             state = kfb_step(state, kalman_reference_obs(scene, obs), ExactGain())
             assert_close_norm(h_hat[i], into_frame(scene, state.h_hat))
-            assert_close_norm(tracker.error_trace[i], np.real(np.trace(state.M_filt)))
+            assert_close_norm(trace[i], np.real(np.trace(state.M_filt)))
             if np.all(scene["stats"].eta == 0.0):
                 assert_close_norm(h_hat[i], into_frame(scene, blmmse_estimate(obs, corr_est)))
 
-    @pytest.mark.parametrize("case", ["tau_above_users", "rank_deficient_factor"])
-    def test_calls_continue_from_the_last_slot(self, case):
-        """Four slots and then six give the estimates and traces of ten in one call."""
-        scene = per_user_scene(case)
-        matrices, eta = scene["matrices"], scene["stats"].eta
-        _, bins = per_user_slots(scene)
-        whole = PerUserKalman(build_eigenbasis(*matrices), eta)
-        split = PerUserKalman(build_eigenbasis(*matrices), eta)
-        h_hat = whole.estimate(bins)
-        first = split.estimate(bins[:4])
-        traces = [split.error_trace]
-        rest = split.estimate(bins[4:])
-        traces.append(split.error_trace)
-        assert_close_norm(np.concatenate((first, rest)), h_hat)
-        assert_close_norm(np.concatenate(traces), whole.error_trace)
-        tpe = [PerUserTpe(*matrices, eta, TpeGain(1, 0.5)) for _ in range(2)]
-        assert_close_norm(
-            np.concatenate((tpe[1].estimate(bins[:4]), tpe[1].estimate(bins[4:]))),
-            tpe[0].estimate(bins),
-        )
+    def test_static_track_error_trace_is_the_information_form(self):
+        """A static channel over 1000 slots at 30 dB: the trace within 1e-13 of the exact one.
+
+        With eta = 1 the filtered covariance after s slots is
+        (R_k^{-1} + s D^2 C_n_eff,k^{-1})^{-1} per user. Its trace is a
+        small fraction of tr R there, which a difference tr R - ... would
+        carry at tr R's rounding.
+        """
+        prior = exponential_correlation(8, 0.7, np.array([0.4, 2.1]))
+        model = build_per_user_model(dft_pilots(2, 2).with_rho(1000.0), prior)
+        slots = 1000
+        matrices = frame_inputs(prior, model)["matrices"]
+        rng = np.random.default_rng(4)
+        shape = (slots, 2, 8)
+        bins = one_bit_quantize(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        _, trace = run_kalman(build_eigenbasis(*matrices), np.ones(2), bins)
+        corr, d, noise = prior.matrix, model.gain, np.asarray(model.C_n_eff)
+        for s in (1, 10, slots):
+            info = np.linalg.inv(corr) + s * d * d * np.linalg.inv(noise)
+            exact = np.sum(np.real(np.trace(np.linalg.inv(info), axis1=-2, axis2=-1)))
+            assert abs(trace[s - 1] - exact) <= 1e-13 * exact
 
     @pytest.mark.parametrize(
         "case,dtype",
@@ -472,7 +484,7 @@ class TestEigenbasisKalman:
          ("rank_deficient_factor", np.complex128), ("centro_hermitian_learned", np.complex128)],
     )
     def test_tpe_arithmetic_follows_the_frame(self, monkeypatch, case, dtype):
-        """PerUserTpe runs its bound and its covariance products in the frame's dtype.
+        """tpe_estimates runs its bound and its covariance products in the frame's dtype.
 
         On an exponential prior the eigvalsh of its bound, the innovation
         covariance and polynomial of every slot, the gain of its mat-vec
@@ -497,12 +509,11 @@ class TestEigenbasisKalman:
         monkeypatch.setattr(np.linalg, "eigvalsh", spying("eigvalsh", eigvalsh))
         monkeypatch.setattr(estimators, "tpe_inverse", spying("tpe_inverse", expand))
         monkeypatch.setattr(estimators, "_apply", spying("_apply", apply))
-        tracker = PerUserTpe(*scene["matrices"], scene["stats"].eta, TpeGain(1, 0.5))
-        h_hat = tracker.estimate(bins)
+        h_hat, m_filt = run_tpe(scene["matrices"], scene["stats"].eta, TpeGain(1, 0.5), bins)
         assert seen["eigvalsh"] == [(dtype, np.float64)]
         assert seen["tpe_inverse"] == [(dtype, dtype)] * 3
         assert seen["_apply"] == [(dtype, np.complex128)] * 3
-        assert tracker.M_filt.dtype == dtype and h_hat.dtype == np.complex128
+        assert m_filt.dtype == dtype and h_hat.dtype == np.complex128
 
     @pytest.mark.parametrize("kind", ["exponential", "learned"])
     def test_stacked_trials_equal_each_trial(self, kind):
@@ -531,18 +542,16 @@ class TestEigenbasisKalman:
         bins = frame["into"](bins)
         whole = build_eigenbasis(*frame["matrices"])
         assert np.iscomplexobj(whole.G) == (kind == "learned")
-        tracker = PerUserKalman(whole, eta)
-        h_hat, measured = tracker.estimate(bins), whole.measure(bins)
+        (h_hat, trace), measured = run_kalman(whole, eta, bins), whole.measure(bins)
         for t, prior in enumerate(trials):
             alone = build_eigenbasis(
                 *frame_inputs(prior, build_per_user_model(pilots, prior))["matrices"]
             )
             assert np.array_equal(whole.lam[t], alone.lam)
-            assert np.array_equal(whole.norms[t], alone.norms)
-            assert np.array_equal(whole.trace[t], alone.trace)
-            single = PerUserKalman(alone, eta)
-            assert np.array_equal(h_hat[t], single.estimate(bins[t]))
-            assert np.array_equal(tracker.error_trace[t], single.error_trace)
+            assert np.array_equal(whole.weights[t], alone.weights)
+            single, single_trace = run_kalman(alone, eta, bins[t])
+            assert np.array_equal(h_hat[t], single)
+            assert np.array_equal(trace[t], single_trace)
             assert np.array_equal(measured[t], alone.measure(bins[t]))
 
     def test_non_positive_definite_noise_rejected(self):
@@ -577,9 +586,9 @@ class TestPerUserEstimators:
         scene = per_user_scene(case)
         # BLMMSE is the exact-gain tracker of a memoryless channel.
         eta = np.zeros_like(scene["stats"].eta)
-        blmmse = PerUserKalman(build_eigenbasis(*scene["matrices"]), eta)
         observations, bins = per_user_slots(scene)
-        ls_hat, blmmse_hat = PerUserLs(scene["pilots"]).estimate(bins), blmmse.estimate(bins)
+        ls_hat = ls_estimates(scene["pilots"], bins)
+        blmmse_hat, _ = run_kalman(build_eigenbasis(*scene["matrices"]), eta, bins)
         for i, obs in enumerate(observations):
             assert_close_norm(ls_hat[i], into_frame(scene, ls_estimate(obs, scene["pilots"])))
             dense = blmmse_estimate(obs, scene["corr_est"])
@@ -590,10 +599,9 @@ class TestPerUserEstimators:
     def test_tpe_matches_kalman_steps(self, case):
         scene = per_user_scene(case)
         gain = TpeGain(1, 0.5)
-        tracker = PerUserTpe(*scene["matrices"], scene["stats"].eta, gain)
         state = kfb_init(scene["corr_est"], scene["stats"])
         observations, bins = per_user_slots(scene)
-        h_hat = tracker.estimate(bins)
+        h_hat, _ = run_tpe(scene["matrices"], scene["stats"].eta, gain, bins)
         for i, obs in enumerate(observations):
             state = kfb_step(state, kalman_reference_obs(scene, obs), gain)
             assert_close_norm(h_hat[i], into_frame(scene, state.h_hat))
@@ -675,9 +683,9 @@ class TestClosedFormRealFactor:
     def test_basis_matches_the_complex_path(self, n_antennas, magnitude):
         """The real-frame basis against the same matrices held as a dense SpatialCorrelation.
 
-        lam, the error-trace terms (the squared column norms of H and
-        trace), H G r (measure, then estimates) and the tracker's estimates
-        and error traces, within 1e-12 norm-relative. At r = 1 - 1e-15 the
+        lam, the error-trace weights, H G r (measure, then estimates) and
+        the tracker's estimates and error traces, within 1e-12
+        norm-relative. At r = 1 - 1e-15 the
         real form of R has no Cholesky factor.
         """
         prior = exponential_correlation(n_antennas, magnitude, self.PHASES)
@@ -689,8 +697,7 @@ class TestClosedFormRealFactor:
         assert real.G.dtype == real.H.dtype == np.float64
         assert other.G.dtype == other.H.dtype == np.complex128
         assert_close_norm(real.lam, other.lam)
-        assert_close_norm(real.norms, other.norms)
-        assert_close_norm(real.trace, other.trace)
+        assert_close_norm(real.weights, other.weights)
         if magnitude > 0.9 and n_antennas >= 16:
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.cholesky(estimators._real_form(prior.matrix))
@@ -704,9 +711,11 @@ class TestClosedFormRealFactor:
                   ((real, into(bins)), (other, bins))]
         assert_close_norm(mapped[0], into(mapped[1]))
         eta = np.array([0.9, 0.5, 0.0])
-        trackers = [PerUserKalman(b, eta) for b in (real, other)]
-        assert_close_norm(trackers[0].estimate(into(bins)), into(trackers[1].estimate(bins)))
-        assert_close_norm(*[t.error_trace for t in trackers])
+        (real_hat, real_trace), (other_hat, other_trace) = [
+            run_kalman(b, eta, x) for b, x in ((real, into(bins)), (other, bins))
+        ]
+        assert_close_norm(real_hat, into(other_hat))
+        assert_close_norm(real_trace, other_trace)
 
 
 class TestTpeInverse:
@@ -752,7 +761,7 @@ def c_r_lambda_max(scene):
 
 
 class TestTpeScaleBound:
-    """PerUserTpe holds alpha within TpeGain's limit, once per trial."""
+    """tpe_estimates holds alpha within TpeGain's limit, once per trial."""
 
     @pytest.mark.parametrize("excess", [0.99, 1.01])
     @pytest.mark.parametrize("order,limit", [(1, 2.0), (2, 1.0)])
@@ -762,15 +771,14 @@ class TestTpeScaleBound:
         lam_max = c_r_lambda_max(scene)
         alpha = excess * limit / lam_max
         clamped = excess > 1.0
+        observations, bins = per_user_slots(scene)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            tracker = PerUserTpe(*scene["matrices"], scene["stats"].eta, TpeGain(order, alpha))
+            h_hat, _ = run_tpe(scene["matrices"], scene["stats"].eta, TpeGain(order, alpha), bins)
         assert [w.category for w in caught] == [RuntimeWarning] * clamped
         assert all(f"tpe.alpha = {alpha} " in str(w.message) for w in caught)
         reference = TpeGain(order, 0.75 * limit / lam_max if clamped else alpha)
         state = kfb_init(scene["corr_est"], scene["stats"])
-        observations, bins = per_user_slots(scene)
-        h_hat = tracker.estimate(bins)
         for i, obs in enumerate(observations):
             state = kfb_step(state, obs, reference)
             assert_close_norm(h_hat[i], into_frame(scene, state.h_hat))
@@ -790,7 +798,10 @@ class TestTpeScaleBound:
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_filtered_covariance_stays_between_zero_and_prior(self, order):
-        """Fast-profile scene (M = 32, K = 8, r = 0.8, -5 dB, alpha = 0.5): 0 <= M <= R."""
+        """Fast-profile scene (M = 32, K = 8, r = 0.8, -5 dB, alpha = 0.5): 0 <= M <= R.
+
+        Slots 1..i in one call give M_filt after slot i, for every i.
+        """
         cfg = default_config()
         rng = np.random.default_rng(order)
         theta = rng.uniform(0.0, 2.0 * np.pi, cfg.K)
@@ -799,18 +810,21 @@ class TestTpeScaleBound:
         frame = frame_inputs(prior, build_per_user_model(pilots, prior))
         eta = jakes_coefficient(cfg.user_speeds_kmh[0], cfg.f_c, cfg.t_slot)
         stats = TemporalStats(np.full(cfg.K, eta))
-        with pytest.warns(RuntimeWarning, match="tpe.alpha"):
-            tracker = PerUserTpe(*frame["matrices"], stats.eta, TpeGain(order, cfg.tpe_alpha))
         corr = frame["matrices"][0]
         chan = init_channel(prior, rng)
+        bins = []
         for _ in range(cfg.slots):
             chan = evolve_channel(chan, stats, prior, rng)
             r = one_bit_quantize(received_pilot_signal(chan, pilots, rng))
-            # One slot per call: each continues from the last.
-            tracker.estimate(frame["into"](pilots.bins(r))[None])
+            bins.append(frame["into"](pilots.bins(r)))
+        for i in range(1, cfg.slots + 1):
+            with pytest.warns(RuntimeWarning, match="tpe.alpha"):
+                _, m_filt = run_tpe(
+                    frame["matrices"], stats.eta, TpeGain(order, cfg.tpe_alpha), np.stack(bins[:i])
+                )
             # M_filt and R in the real frame: Q is unitary, so their eigenvalues are R's.
-            assert np.linalg.eigvalsh(tracker.M_filt).min() >= -1e-10
-            assert np.linalg.eigvalsh(corr - tracker.M_filt).min() >= -1e-10
+            assert np.linalg.eigvalsh(m_filt).min() >= -1e-10
+            assert np.linalg.eigvalsh(corr - m_filt).min() >= -1e-10
 
 
 def test_blmmse_single_shot_error_floor():

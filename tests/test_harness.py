@@ -17,8 +17,6 @@ from onebit_mimo import (
     CSV_HEADER,
     KFB_THEORY,
     PerUserEigenbasis,
-    PerUserLs,
-    PerUserTpe,
     QuantizedObservation,
     TemporalStats,
     aggregate_correlation,
@@ -34,6 +32,7 @@ from onebit_mimo import (
     kfb_init,
     kfb_step,
     ls_estimate,
+    ls_estimates,
     nmse_csv_rows,
     parse_config,
     quantize_pilot_slot,
@@ -261,7 +260,7 @@ class TestNmseExperiment:
         assert_allclose(probes, dense.reshape(probes.shape), rtol=0, atol=1e-12)
 
     def test_correlation_probes_equal_slot_ls(self):
-        """A probe column is, byte for byte, PerUserLs.step on the slot path's bins.
+        """A probe column is, byte for byte, ls_estimates on the slot path's bins.
 
         The probes take all their columns in one pilot product; the slots
         take a (K, M) channel per product. Same channels and noise, same bits.
@@ -277,7 +276,7 @@ class TestNmseExperiment:
         # The 30 columns as one trial's 30 slots, (T, S, K, M) with noise (T, S, tau M).
         h = np.swapaxes(channels, 0, 1).reshape(1, 30, 4, 16)
         bins = harness._user_bins(pilots, h, np.swapaxes(noise, 0, 1).reshape(1, 30, 64))
-        slots = PerUserLs(pilots).estimate(bins[0])
+        slots = ls_estimates(pilots, bins[0])
         assert np.array_equal(np.moveaxis(probes, -1, 0), slots)
 
     def test_learned_correlation_runs(self):
@@ -434,6 +433,21 @@ class TestChunkedEngine:
             rows = [line for line in lines[1:] if line.split(",")[3] == repr(snr_db)]
             assert len(single) > 1 and rows == single[1:]
 
+    @pytest.mark.filterwarnings("ignore:tpe.alpha:RuntimeWarning")
+    @pytest.mark.parametrize("knowledge", ["true", "sampled(40)"])
+    def test_rows_do_not_depend_on_the_estimators_order(self, tmp_path, knowledge):
+        """Each estimator's rows, kfb_theory's too, are the same bits in either order.
+
+        The harness runs each estimator by its name, not its position in
+        estimators.
+        """
+        rows = []
+        for order in ("[tpe, kfb, ls, blmmse]", "[ls, blmmse, kfb, tpe]"):
+            shape = dict(self.NMSE, correlation_knowledge=knowledge, estimators=order)
+            cfg = tiny_config(**dict(shape, snr_db=self.POINTS))
+            rows.append(sorted(self.csv_text(cfg, tmp_path / "out.csv").splitlines()[1:]))
+        assert rows[0] == rows[1]
+
     @pytest.mark.parametrize("mode", ["nmse", "rate"])
     @pytest.mark.parametrize("knowledge", ["true", "sampled(40)"])
     def test_trials_are_drawn_once_per_run(self, monkeypatch, mode, knowledge):
@@ -496,17 +510,21 @@ class TestChunkedEngine:
         ):
             run(cfg)
 
-    def inject(self, monkeypatch, cls, value, first_slot):
-        """cls's estimates at trial t of the chunk become value from slot first_slot[t]."""
-        estimate = cls.estimate
+    def inject(self, monkeypatch, name, value, first_slot):
+        """harness.name's estimates at trial t of the chunk become value from slot first_slot[t].
 
-        def injected(self, bins, out=None):
-            h_hat = estimate(self, bins, out)
+        name is an estimator function, which the harness calls with out,
+        the estimates, as its last argument.
+        """
+        estimates = getattr(harness, name)
+
+        def injected(*args):
+            result = estimates(*args)
             for trial, slot in first_slot.items():
-                h_hat[trial, slot - 1 :] = value
-            return h_hat
+                args[-1][trial, slot - 1 :] = value
+            return result
 
-        monkeypatch.setattr(cls, "estimate", injected)
+        monkeypatch.setattr(harness, name, injected)
 
     @pytest.mark.parametrize(
         "first_slot,where", [({5: 2}, "slot 2, trial 5"), ({5: 3, 6: 1}, "slot 3, trial 5")]
@@ -515,7 +533,7 @@ class TestChunkedEngine:
         """Trial 5 of a 7-trial chunk; with two, the lower trial, as a one-trial loop."""
         cfg = tiny_config(M=4, K=2, tau=2, slots=3, trials=7, estimators="[blmmse, kfb, tpe]")
         chunk_trials(monkeypatch, cfg, 7)
-        self.inject(monkeypatch, PerUserTpe, np.nan, first_slot)
+        self.inject(monkeypatch, "tpe_estimates", np.nan, first_slot)
         with pytest.raises(FloatingPointError, match=f"tpe estimate is not finite at {where},"):
             run_nmse_experiment(cfg)
 
@@ -752,14 +770,14 @@ class TestCli:
 
     def test_diverged_estimate_exits_with_error(self, tmp_path, capsys, monkeypatch):
         """A run whose tpe estimate turns nan from slot 3: exit 1, no CSV, and where."""
-        estimate = PerUserTpe.estimate
+        estimates = harness.tpe_estimates
 
-        def diverged_from_slot_3(self, bins, out=None):
-            h_hat = estimate(self, bins, out)
-            h_hat[..., 2:, :, :] = np.nan
-            return h_hat
+        def diverged_from_slot_3(*args):
+            m_filt = estimates(*args)
+            args[-1][..., 2:, :, :] = np.nan
+            return m_filt
 
-        monkeypatch.setattr(PerUserTpe, "estimate", diverged_from_slot_3)
+        monkeypatch.setattr(harness, "tpe_estimates", diverged_from_slot_3)
         cfg = tmp_path / "tpe.cfg"
         # alpha = 0.4 is within the fast profile's bound, so no clamp warning.
         cfg.write_text("estimators = [blmmse, kfb, tpe]\ntpe.alpha = 0.4\n", encoding="utf-8")
@@ -799,14 +817,14 @@ class TestCli:
 
     def test_rank_deficient_estimate_is_rated(self, tmp_path, monkeypatch):
         """A rate run whose ls estimate collapses to rank 1 at slot 2: exit 0, a finite CSV."""
-        estimate = PerUserLs.estimate
+        estimates = harness.ls_estimates
 
-        def collapsed_at_slot_2(self, bins, out=None):
-            h_hat = estimate(self, bins, out)
+        def collapsed_at_slot_2(pilots, bins, out=None):
+            h_hat = estimates(pilots, bins, out)
             h_hat[..., 1, :, :] = 1.0
             return h_hat
 
-        monkeypatch.setattr(PerUserLs, "estimate", collapsed_at_slot_2)
+        monkeypatch.setattr(harness, "ls_estimates", collapsed_at_slot_2)
         cfg = tmp_path / "rate.cfg"
         cfg.write_text(
             "M = 8\nK = 2\ntau = 2\nslots = 3\nestimators = [blmmse, ls]\nsnr_db = [0, 10]\n",
