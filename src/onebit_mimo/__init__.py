@@ -12,7 +12,6 @@ from .channel import (
     ExponentialCorrelation,
     SpatialCorrelation,
     TemporalStats,
-    evolve_channel,
     exponential_correlation,
     init_channel,
     jakes_coefficient,
@@ -66,6 +65,7 @@ from .reference import (
     arcsin_covariance,
     blmmse_estimate,
     build_bussgang_model,
+    evolve_channel,
     kfb_init,
     kfb_step,
     ls_estimate,

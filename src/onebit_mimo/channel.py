@@ -287,17 +287,6 @@ def init_channel(corr, rng):
     return ChannelState(slot=0, h=apply_sqrt_factor(corr, complex_normal(rng, n)))
 
 
-def evolve_channel(state, stats, corr, rng):
-    """Advance the channel by one slot, drawing its unit normals from rng.
-
-    The one-slot case of channel_trajectory; the result has the shape
-    init_channel gives for corr.
-    """
-    g = complex_normal(rng, state.h.size)
-    h = channel_trajectory(state.h, stats, corr, g)
-    return ChannelState(slot=state.slot + 1, h=h.reshape(state.h.shape))
-
-
 def channel_trajectory(h, stats, corr, g):
     """The channels of the S slots after channel h under the Gauss-Markov model.
 

@@ -103,10 +103,8 @@ def _adjoint(stack):
 def ls_estimates(pilots, bins, out=None):
     """Least squares on the user bins (..., S, K, M), into out if given.
 
-    r_k / sqrt(tau rho), which is pinv(Phi_bar) r for DFT pilots. It depends
-    on the pilots alone (pinv(phi) = phi^H / tau), so the learned-correlation
-    probes take it too. It is elementwise, so it takes bins of any shape, in
-    either frame (user_frame).
+    r_k / sqrt(tau rho), which is pinv(Phi_bar) r for DFT pilots. It is
+    elementwise, so it takes bins of any shape, in either frame (user_frame).
     """
     return np.multiply(bins, 1.0 / pilots.gain, out=out)
 
@@ -359,9 +357,11 @@ def tpe_estimates(corr, gain, noise, eta, expansion, bins, out):
     eta = np.asarray(eta, dtype=float)[:, None]
     eta2 = eta[..., None] ** 2
     h, m_filt = np.zeros(corr.shape[:-1], dtype=complex), corr
+    # (1 - eta^2) R, the process noise covariance that every slot's M_pred adds.
+    process = (1.0 - eta2) * corr
     for i in range(bins.shape[-3]):
         h_pred = eta * h
-        m_pred = eta2 * m_filt + (1.0 - eta2) * corr
+        m_pred = eta2 * m_filt + process
         # D M_pred and M_pred D for the scalar D.
         cross = gain * m_pred
         innov_cov = noise + gain * cross

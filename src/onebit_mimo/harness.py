@@ -26,7 +26,7 @@ and _estimate_chunk calls each configured one by name, once, with all the
 slots. BLMMSE is the exact-gain tracker with eta = 0, so blmmse and kfb
 share one per-trial estimators.PerUserEigenbasis and its one measurement
 of all the slots. The slots and the learned-correlation probes take one
-front end (_user_bins) and one LS.
+front end (_user_bins).
 
 The engine runs the trials in chunks of T, sized so that a (T, K, M, M)
 complex stack stays within _CHUNK_BYTES, and walks the chunks once. A
@@ -81,14 +81,14 @@ from .quantization import (
     one_bit_quantize,
     pilot_signal,
 )
-# The trial loop calls none of these: evolve_channel and the dense references
-# of the reference module stay bound here only because perfbench/tracing.py
-# wraps them by their names in this module.
-from .channel import evolve_channel  # noqa: F401
+# The trial loop calls none of these: the dense references of the reference
+# module stay bound here only because perfbench/tracing.py wraps them by
+# their names in this module.
 from .reference import (  # noqa: F401
     aggregate_correlation,
     blmmse_estimate,
     build_bussgang_model,
+    evolve_channel,
     kfb_step,
     ls_estimate,
     quantize_pilot_slot,
@@ -144,33 +144,25 @@ def _correlation_grams(cfg, points, corr_true, streams):
 
     Draws the probe channels from the true per-user stack corr_true, and
     their pilot noise, once. At each point's pilots they run through the
-    quantized front end (_correlation_probes), and only the sample Gram of
-    each user's probes is kept (estimators.sample_gram): the learned
-    correlation of a point is its gram_correlation. The true correlation
-    stays with the channel generator only.
+    slots' front end (_user_bins), and only the sample Gram of each user's
+    bins is kept (estimators.sample_gram): the learned correlation of a
+    point is its gram_correlation, whose unit diagonal cancels the bins'
+    scale. The true correlation stays with the channel generator only.
     """
     count = cfg.sample_count
     g = complex_normal(streams.channel, (cfg.M * cfg.K, count))
     channels = apply_sqrt_factor(corr_true, g).reshape(g.shape)
-    noise = complex_normal(streams.pilot_noise, (cfg.M * cfg.tau, count))
-    # (K, count, M): each user's samples in rows, as sample_gram takes them.
+    noise = complex_normal(streams.pilot_noise, (cfg.M * cfg.tau, count)).reshape(-1)
+    # All count columns take one pilot product and one bin product; each
+    # user's (M, count) bins, transposed, are its samples in rows.
     return _stack(
         [
-            sample_gram(np.swapaxes(_correlation_probes(cfg, pilots, channels, noise), -1, -2))
+            sample_gram(
+                np.swapaxes(_user_bins(pilots, channels, noise).reshape(cfg.K, cfg.M, -1), -1, -2)
+            )
             for pilots in points
         ]
     )
-
-
-def _correlation_probes(cfg, pilots, channels, noise):
-    """One-bit LS probes of stationary channels (n, count) at one SNR point, (K, M, count).
-
-    The front end and LS of the slots (_user_bins, ls_estimates) on the
-    channels with their noise (tau M, count). Both are flattened, so all
-    count columns take one pilot product and one bin product.
-    """
-    bins = _user_bins(pilots, channels, noise.reshape(-1))
-    return ls_estimates(pilots, bins).reshape(cfg.K, cfg.M, -1)
 
 
 def _user_bins(pilots, h, noise):

@@ -50,16 +50,22 @@ class PilotMatrix:
             raise ValueError("pilot power must be positive")
         return replace(self, rho=float(rho))
 
-    def scaled_phi(self):
-        """sqrt(rho) phi; raises ValueError while the pilot power is unset."""
+    def _power(self):
         if self.rho is None:
             raise ValueError("pilot power not set, call with_rho first")
-        return np.sqrt(self.rho) * self.phi
+        return self.rho
+
+    def scaled_phi(self):
+        """sqrt(rho) phi; raises ValueError while the pilot power is unset."""
+        return np.sqrt(self._power()) * self.phi
 
     @property
     def gain(self):
-        """sqrt(tau rho), the gain of each user's own bin (bins) for DFT pilots."""
-        return float(np.sqrt(self.tau * self.rho))
+        """sqrt(tau rho), the gain of each user's own bin (bins) for DFT pilots.
+
+        Raises ValueError while the pilot power is unset.
+        """
+        return float(np.sqrt(self.tau * self._power()))
 
     def bins(self, r):
         """The user bins (..., K, L) of observations (..., tau L): phi^H / sqrt(tau) on (tau, L)."""
@@ -128,14 +134,14 @@ def pilot_signal(h, pilots, noise):
     return (pilots.scaled_phi() @ h).reshape(noise.shape) + noise
 
 
-def _arcsine_law(c_y, scale, out=None):
+def _arcsine_law(c_y, scale):
     """(2/pi)(arcsin X + j arcsin Y) for c_y, or a stack of blocks, normalized by scale.
 
     scale is the common diagonal entry of C_y. Each part is normalized,
-    clamped and mapped in place in out (a new array by default), so a stack
-    of blocks takes no temporaries of its size.
+    clamped and mapped in place in the result, so a stack of blocks takes
+    no temporaries of its size.
     """
-    out = np.empty(np.shape(c_y), dtype=complex) if out is None else out
+    out = np.empty(np.shape(c_y), dtype=complex)
     for part, source in ((out.real, np.real(c_y)), (out.imag, np.imag(c_y))):
         np.divide(source, scale, out=part)
         np.clip(part, -1.0, 1.0, out=part)
@@ -168,21 +174,17 @@ def build_per_user_model(pilots, prior):
     prior is a SpatialCorrelation whose matrix stacks R_1 .. R_K, or the
     stacks of T trials, (T, K, M, M), for a model of each. Only lag blocks
     of the analog covariance are formed, B_l = rho sum_k phi[l, k] R_k, the
-    block (l, 0) of C_y = B_l + delta_l0 I, then their arcsine and
-    effective-noise blocks X_l, and from those the user bins
-    sum_l conj(phi[l, k]) X_l. For DFT pilots phi[tau - l, k] = conj(phi[l, k]),
-    so with Hermitian R_k, B_{tau-l} = B_l^H. The arcsine law is odd and
-    its normalization symmetric, so X_{tau-l} = X_l^H too: the blocks are
-    formed for lags 0 .. tau // 2 and the rest are their adjoints. No
-    n x n matrix is built. Raises ValueError for pilots other than
-    dft_pilots, where the model does not decouple, and for an R_k whose
-    diagonal is not exactly 1, where A is not a I.
+    block (l, 0) of C_y = B_l + delta_l0 I, for all tau lags in one (tau, K)
+    weight product, then their arcsine and effective-noise blocks X_l, and
+    from those the user bins sum_l conj(phi[l, k]) X_l. No n x n matrix is
+    built. Raises ValueError for pilots other than dft_pilots, where the
+    model does not decouple, and for an R_k whose diagonal is not exactly
+    1, where A is not a I.
 
     Every block is Hermitian Toeplitz when the R_k are: an
     ExponentialCorrelation runs the same elementwise arithmetic on its
-    (tau // 2 + 1)(2M - 1) lag entries instead of (tau // 2 + 1) M^2 block
-    entries, takes each adjoint as its reversed, conjugated lag vector, and
-    returns C_n_eff as the read-only Toeplitz view of its bins' lag vectors.
+    tau (2M - 1) lag entries instead of tau M^2 block entries, and returns
+    C_n_eff as the read-only Toeplitz view of its bins' lag vectors.
     """
     tau, n_users = pilots.phi.shape
     if not np.allclose(pilots.phi, dft_pilots(tau, n_users).phi, rtol=0.0, atol=1e-12):
@@ -198,28 +200,16 @@ def build_per_user_model(pilots, prior):
         diagonal = np.arange(n_antennas) * (n_antennas + 1)
     if np.any(entries[..., diagonal] != 1.0):
         raise ValueError("the per-user model needs correlations of unit diagonal")
-    lead = entries.shape[:-2]
-    half = tau // 2 + 1
-    # B_l = rho sum_k phi[l, k] conj(phi[0, k]) R_k: one (half, K) weight matrix.
-    weights = scaled[:half] * scaled[0].conj()
-    b = weights @ entries
+    # B_l = rho sum_k phi[l, k] conj(phi[0, k]) R_k: one (tau, K) weight matrix.
+    b = (scaled * scaled[0].conj()) @ entries
     a = bussgang_gain(n_users, pilots.rho)
-    lags = np.empty(lead + (tau, b.shape[-1]), dtype=complex)
     # The C_r lag blocks, then C_n_eff's in their place: C_r - a^2 B_l, since
     # the I of C_y and the a^2 I of C_n_eff at lag 0 cancel. diag(C_r) is 1.
-    c_n_eff = _arcsine_law(b, n_users * pilots.rho + 1.0, out=lags[..., :half, :])
-    c_n_eff[..., 0, diagonal] = 1.0
+    lags = _arcsine_law(b, n_users * pilots.rho + 1.0)
+    lags[..., 0, diagonal] = 1.0
     b *= a * a
-    c_n_eff -= b
-    # Lags tau // 2 + 1 .. tau - 1 are the adjoints of lags (tau - 1) // 2 .. 1.
-    later = slice((tau - 1) // 2, 0, -1)
-    if toeplitz:
-        mirrored, target = c_n_eff[..., later, ::-1], lags[..., half:, :]
-    else:
-        blocks = lags.reshape(lead + (tau, n_antennas, n_antennas))
-        mirrored, target = np.swapaxes(blocks[..., later, :, :], -1, -2), blocks[..., half:, :, :]
-    np.conjugate(mirrored, out=target)
+    lags -= b
     bins = pilots.phi.conj().T @ lags
-    shape = lead + (n_users, n_antennas, n_antennas)
+    shape = entries.shape[:-2] + (n_users, n_antennas, n_antennas)
     c_n_eff = toeplitz_view(bins) if toeplitz else bins.reshape(shape)
     return PerUserModel(gain=pilots.gain * a, C_n_eff=c_n_eff)

@@ -1,19 +1,21 @@
 """The dense reference layer: the paper's formulas on the stacked channel and observation.
 
-A block-diagonal n x n correlation, one Bussgang model over all tau M
-observed entries, and LS, Bussgang LMMSE and the Kalman step on it, for any
-pilots. No run calls them: with DFT pilots the model decouples, and the
-program runs its exact per-user form. They are the references the tests
-compare against: tests/test_acceptance.py checks the paper's claims on
-them, and test_estimators, test_quantization, test_channel and test_harness
-check the per-user path against them. The package re-exports every name.
+A block-diagonal n x n correlation, the channel's one-slot step
+(evolve_channel), one Bussgang model over all tau M observed entries, and
+LS, Bussgang LMMSE and the Kalman step on it, for any pilots. No run calls
+them: a run draws all its slots in one channel_trajectory, and with DFT
+pilots the model decouples, so the program runs its exact per-user form.
+They are the references the tests compare against:
+tests/test_acceptance.py checks the paper's claims on them, and
+test_estimators, test_quantization, test_channel and test_harness check the
+per-user path against them. The package re-exports every name.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SpatialCorrelation
+from .channel import ChannelState, SpatialCorrelation, channel_trajectory
 from .estimators import ExactGain, TpeGain, gram_correlation, sample_gram, tpe_inverse
 from .quantization import _arcsine_law, one_bit_quantize, pilot_signal
 from .rng import complex_normal
@@ -90,6 +92,17 @@ def aggregate_correlation(users):
         matrix=_block_diag([u.matrix for u in users]),
         sqrt_factor=None if any(f is None for f in factors) else _block_diag(factors),
     )
+
+
+def evolve_channel(state, stats, corr, rng):
+    """Advance the channel by one slot, drawing its unit normals from rng.
+
+    The one-slot case of channel_trajectory; the result has the shape
+    init_channel gives for corr.
+    """
+    g = complex_normal(rng, state.h.size)
+    h = channel_trajectory(state.h, stats, corr, g)
+    return ChannelState(slot=state.slot + 1, h=h.reshape(state.h.shape))
 
 
 def kron_apply(mat, x):

@@ -125,6 +125,9 @@ class TestSampleCorrelation:
         samples = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         est = sample_correlation(samples)
         assert est.matrix.shape == (2, 3, 6, 6) and est.sqrt_factor is None
+        # The unit diagonal cancels a scale of the Gram, such as LS's 1 / sqrt(tau rho).
+        scaled = estimators.gram_correlation(estimators.sample_gram(samples) / np.sqrt(4 * 10.0**0.5))
+        assert_allclose(scaled.matrix, est.matrix, rtol=0, atol=1e-15)
         for t, k in np.ndindex(2, 3):
             matrix = est.matrix[t, k]
             assert_allclose(matrix, sample_correlation(samples[t, k]).matrix, rtol=0, atol=1e-12)

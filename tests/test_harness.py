@@ -186,7 +186,7 @@ class TestNmseExperiment:
         assert counts[0] == counts[1] == {"measure": 3, "estimates": 6}
 
     # Bound in harness only for perfbench/tracing.py; a run calls none of them.
-    TRACER_ONLY = ("evolve_channel", *sorted(REFERENCE_NAMES & set(vars(harness))))
+    TRACER_ONLY = tuple(sorted(REFERENCE_NAMES & set(vars(harness))))
 
     def test_trial_loop_builds_no_dense_correlation(self, monkeypatch):
         """Known and learned correlation both run on per-user stacks alone.
@@ -239,14 +239,16 @@ class TestNmseExperiment:
         run_nmse_experiment(cfg)
         assert len(calls) == 3 * len(cfg.snr_db)
 
-    def test_correlation_probes_equal_dense_ls(self, monkeypatch):
-        """The user-bin probes are ls_estimate of the same quantized block."""
+    def test_learned_prior_is_the_correlation_of_dense_ls_probes(self, monkeypatch):
+        """gram_correlation of a trial's Grams is sample_correlation of ls_estimate's probes.
+
+        The probes take the slots' front end and keep their raw user bins:
+        the unit diagonal cancels LS's scale. Their quantized block is that
+        of the dense pilot product on the channels and noise, drawn in order.
+        """
         cfg = tiny_config(M=4, K=3, tau=5, correlation_knowledge="sampled(30)")
         pilots = dft_pilots(cfg.tau, cfg.K).with_rho(10.0 ** 0.7)
         corr = exponential_correlation(cfg.M, 0.6, np.array([0.2, 1.9, 4.0]))
-        streams = trial_streams(0, 0)
-        channels = apply_sqrt_factor(corr, complex_normal(streams.channel, (12, 30)))
-        noise = complex_normal(streams.pilot_noise, (20, 30))
         quantize, quantized = harness.one_bit_quantize, []
 
         def recording(y):
@@ -254,30 +256,20 @@ class TestNmseExperiment:
             return quantized[-1]
 
         monkeypatch.setattr(harness, "one_bit_quantize", recording)
-        probes = harness._correlation_probes(cfg, pilots, channels.reshape(12, 30), noise)
-        assert probes.shape == (3, 4, 30)
-        dense = ls_estimate(QuantizedObservation(slot=0, r=quantized[0].reshape(20, 30)), pilots)
-        assert_allclose(probes, dense.reshape(probes.shape), rtol=0, atol=1e-12)
-
-    def test_correlation_probes_equal_slot_ls(self):
-        """A probe column is, byte for byte, ls_estimates on the slot path's bins.
-
-        The probes take all their columns in one pilot product; the slots
-        take a (K, M) channel per product. Same channels and noise, same bits.
-        """
-        cfg = tiny_config(M=16, K=4, tau=4, correlation_knowledge="sampled(30)")
-        pilots = dft_pilots(cfg.tau, cfg.K).with_rho(10.0 ** 0.5)
-        corr = exponential_correlation(cfg.M, 0.5, np.array([0.3, 1.2, 2.6, 5.0]))
-        streams = trial_streams(3, 0)
-        channels = apply_sqrt_factor(corr, complex_normal(streams.channel, (64, 30)))
-        channels = channels.reshape(64, 30)
-        noise = complex_normal(streams.pilot_noise, (64, 30))
-        probes = harness._correlation_probes(cfg, pilots, channels, noise)
-        # The 30 columns as one trial's 30 slots, (T, S, K, M) with noise (T, S, tau M).
-        h = np.swapaxes(channels, 0, 1).reshape(1, 30, 4, 16)
-        bins = harness._user_bins(pilots, h, np.swapaxes(noise, 0, 1).reshape(1, 30, 64))
-        slots = ls_estimates(pilots, bins[0])
-        assert np.array_equal(np.moveaxis(probes, -1, 0), slots)
+        grams = harness._correlation_grams(cfg, [pilots], corr, trial_streams(0, 0))
+        assert grams.shape == (1, 3, 4, 4)
+        # The (tau M, count) block, one probe a column, as the dense layer takes it.
+        block = quantized[0].reshape(20, 30)
+        streams = trial_streams(0, 0)
+        channels = apply_sqrt_factor(corr, complex_normal(streams.channel, (12, 30)))
+        noise = complex_normal(streams.pilot_noise, (20, 30))
+        analog = pilots.phi_bar(cfg.M) @ channels.reshape(12, 30) + noise
+        assert np.array_equal(block, quantize(analog))
+        probes = ls_estimate(QuantizedObservation(slot=0, r=block), pilots)
+        # (K, count, M): each user's probes in rows.
+        dense = reference.sample_correlation(np.swapaxes(probes.reshape(3, 4, 30), -1, -2))
+        learned = harness.gram_correlation(grams[0])
+        assert_allclose(learned.matrix, dense.matrix, rtol=0, atol=1e-12)
 
     def test_learned_correlation_runs(self):
         known = run_nmse_experiment(tiny_nmse_config(trials=2))

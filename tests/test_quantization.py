@@ -12,6 +12,7 @@ from onebit_mimo import (
     exponential_correlation,
     init_channel,
     complex_normal,
+    ls_estimates,
     one_bit_quantize,
     quantize_pilot_slot,
     received_pilot_signal,
@@ -69,6 +70,11 @@ class TestPilotOperator:
             pilot_signal(np.ones(2), dft_pilots(2, 2), np.zeros(2))
         with pytest.raises(ValueError):
             dft_pilots(2, 2).with_rho(0.0)
+        # The bin gain, and LS through it, raise scaled_phi's ValueError.
+        with pytest.raises(ValueError, match="pilot power not set"):
+            dft_pilots(4, 4).gain
+        with pytest.raises(ValueError, match="pilot power not set"):
+            ls_estimates(dft_pilots(4, 4), np.ones((4, 2), dtype=complex))
 
     @pytest.mark.parametrize("tau,k,n_antennas", [(6, 4, 1), (6, 4, 3), (4, 4, 5)])
     def test_apply_and_adjoint_match_dense_kron(self, tau, k, n_antennas):
