@@ -239,7 +239,7 @@ class TestNmseExperiment:
         run_nmse_experiment(cfg)
         assert len(calls) == 3 * len(cfg.snr_db)
 
-    def test_learned_prior_is_the_correlation_of_dense_ls_probes(self, monkeypatch):
+    def test_correlation_probes_equal_dense_ls(self, monkeypatch):
         """gram_correlation of a trial's Grams is sample_correlation of ls_estimate's probes.
 
         The probes take the slots' front end and keep their raw user bins:
@@ -270,6 +270,32 @@ class TestNmseExperiment:
         dense = reference.sample_correlation(np.swapaxes(probes.reshape(3, 4, 30), -1, -2))
         learned = harness.gram_correlation(grams[0])
         assert_allclose(learned.matrix, dense.matrix, rtol=0, atol=1e-12)
+
+    def test_correlation_probes_equal_slot_ls(self):
+        """The probes' Grams are those of the slot path's bins; their prior, that of its LS.
+
+        The probes take all their columns in one pilot product; the slots
+        take a (K, M) channel per product. Same channels and noise, same bins.
+        """
+        cfg = tiny_config(M=16, K=4, tau=4, correlation_knowledge="sampled(30)")
+        pilots = dft_pilots(cfg.tau, cfg.K).with_rho(10.0 ** 0.5)
+        corr = exponential_correlation(cfg.M, 0.5, np.array([0.3, 1.2, 2.6, 5.0]))
+        grams = harness._correlation_grams(cfg, [pilots], corr, trial_streams(3, 0))
+        streams = trial_streams(3, 0)
+        channels = apply_sqrt_factor(corr, complex_normal(streams.channel, (64, 30)))
+        noise = complex_normal(streams.pilot_noise, (64, 30))
+        # The 30 columns as one trial's 30 slots, (T, S, K, M) with noise (T, S, tau M).
+        h = np.swapaxes(channels.reshape(64, 30), 0, 1).reshape(1, 30, 4, 16)
+        bins = harness._user_bins(pilots, h, np.swapaxes(noise, 0, 1).reshape(1, 30, 64))
+        # (S, K, M) slots as (K, S, M): each user's samples in rows.
+        assert_allclose(
+            grams[0], harness.sample_gram(np.swapaxes(bins[0], 0, 1)), rtol=0, atol=1e-12
+        )
+        slots = np.swapaxes(ls_estimates(pilots, bins[0]), 0, 1)
+        learned = harness.gram_correlation(grams[0])
+        assert_allclose(
+            learned.matrix, reference.sample_correlation(slots).matrix, rtol=0, atol=1e-12
+        )
 
     def test_learned_correlation_runs(self):
         known = run_nmse_experiment(tiny_nmse_config(trials=2))
