@@ -29,6 +29,7 @@ from .estimators import (
     ExactGain,
     PerUserEigenbasis,
     TpeGain,
+    blmmse_estimates,
     build_eigenbasis,
     kalman_estimates,
     ls_estimates,

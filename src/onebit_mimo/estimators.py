@@ -8,16 +8,17 @@ squares and Bussgang LMMSE treat every slot independently; the Kalman
 trackers follow the Gauss-Markov evolution across slots, with either the
 exact innovation-covariance inverse or a truncated polynomial expansion of
 it in the gain. Each is a function of one trial's slots: ls_estimates,
-kalman_estimates and tpe_estimates map the user bins of its S slots,
-(S, K, M), to their (S, K, M) estimates, the trackers starting from the
-prior at the first slot, and keep nothing between calls. kalman_estimates
-returns the trace of its filtered error covariance at each slot, and
-tpe_estimates the filtered covariance after the last.
+blmmse_estimates, kalman_estimates and tpe_estimates map the user bins of
+its S slots, (S, K, M), to their (S, K, M) estimates, the trackers
+starting from the prior at the first slot, and keep nothing between calls.
+kalman_estimates returns the trace of its filtered error covariance at
+each slot, and tpe_estimates the filtered covariance after the last.
 
 The exact-gain tracker for a memoryless channel (eta = 0) is the Bussgang
-LMMSE estimator, so both run as kalman_estimates on one PerUserEigenbasis,
-the per-trial eigendecomposition of the whitened prior W R W^H, which does
-not depend on eta, and on its one measurement of the slots.
+LMMSE estimator, so both run on one PerUserEigenbasis, the per-trial
+eigendecomposition of the whitened prior W R W^H, which does not depend on
+eta, and on its one measurement of the slots: kalman_estimates slot by
+slot, blmmse_estimates in one elementwise scaling of all of them.
 
 A trial picks its frame once, by its prior's type (user_frame), and every
 estimator takes its matrices and bins in that frame. The exponential
@@ -242,6 +243,10 @@ def build_eigenbasis(corr, gain, noise):
     linalg.inv_lower, which skip the zero upper triangle. Nothing divides
     by lam: a direction with lam = 0 has H e_j = R W^H v_j = 0. Raises
     LinAlgError if C_n_eff is not positive definite.
+
+    A stack of this size is fresh memory to a short run, paid for in page
+    faults, so each goes once used and each result takes the buffer of
+    one the build no longer needs.
     """
     try:
         chol = np.linalg.cholesky(noise)
@@ -251,17 +256,17 @@ def build_eigenbasis(corr, gain, noise):
         ) from exc
     del noise
     inv_chol = inv_lower(chol)
-    # A stack of this size is fresh memory to a short run, paid for in page
-    # faults, so W takes the factor's buffer, and H and G those of W and W R W^H.
+    # W takes the factor's buffer and is dropped before eigh; H and G then
+    # take the buffers of W R W^H and conj(W R).
     whiten = np.multiply(inv_chol, gain, out=chol)
     # conj(W R), whose transpose is (W R)^H = R W^H.
     adjoint = _conjugate(whiten @ corr)
     del corr
     info = whiten @ np.swapaxes(adjoint, -1, -2)
+    del whiten, chol
     lam, v = np.linalg.eigh(info)
-    H = np.matmul(np.swapaxes(adjoint, -1, -2), v, out=whiten)
-    del adjoint
-    G = np.matmul(np.swapaxes(_conjugate(v), -1, -2), inv_chol, out=info)
+    H = np.matmul(np.swapaxes(adjoint, -1, -2), v, out=info)
+    G = np.matmul(np.swapaxes(_conjugate(v), -1, -2), inv_chol, out=adjoint)
     # |H|^2 down each column: the squares of the real view, where a complex
     # entry's parts sit side by side, summed down the rows and then in pairs.
     power = np.square(H.view(float), out=inv_chol.view(float)).sum(axis=-2)
@@ -278,13 +283,26 @@ def _conjugate(stack):
     return np.conjugate(stack, out=stack) if np.iscomplexobj(stack) else stack
 
 
+def blmmse_estimates(basis, measured, out):
+    """The Bussgang LMMSE h_hat of one trial's slots, into out (..., S, K, M).
+
+    kalman_estimates at eta = 0, with measured = basis.measure(bins): every
+    slot starts from the prior, so its p is 1 / (1 + lam) and its z is
+    p G r, one elementwise product for all the slots. p is formed as
+    kalman_estimates forms it, so the estimates are its bits.
+    """
+    p = 1.0 / (1.0 + basis.lam)
+    return basis.estimates(p[..., None] * measured, out)
+
+
 def kalman_estimates(basis, eta, measured, out):
     """The exact-gain tracker's h_hat of one trial's slots, into out (..., S, K, M).
 
     For per-user coefficients eta (K,) on a PerUserEigenbasis in the bins'
     frame, with measured = basis.measure(bins). With eta = 0 it is the
-    Bussgang LMMSE estimator R_k D C_r,k^{-1} r_k. Returns the trace of the
-    filtered error covariance at each slot, (..., S).
+    Bussgang LMMSE estimator R_k D C_r,k^{-1} r_k (blmmse_estimates).
+    Returns the trace of the filtered error covariance at each slot,
+    (..., S).
 
     In the basis's terms every predicted and filtered covariance equals
     R - H diag((1 - p) / lam) H^H for the p of the whitened prior's

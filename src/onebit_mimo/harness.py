@@ -21,12 +21,13 @@ block-diagonal over the users, so the whole trial works on per-user M x M
 blocks and builds no n x n array: the channel is a (K, M) stack, and every
 estimator runs on the exact per-user model of
 quantization.build_per_user_model. Every estimator is a function of one
-trial's slots (estimators.ls_estimates, kalman_estimates, tpe_estimates),
-and _estimate_chunk calls each configured one by name, once, with all the
-slots. BLMMSE is the exact-gain tracker with eta = 0, so blmmse and kfb
-share one per-trial estimators.PerUserEigenbasis and its one measurement
-of all the slots. The slots and the learned-correlation probes take one
-front end (_user_bins).
+trial's slots (estimators.ls_estimates, blmmse_estimates,
+kalman_estimates, tpe_estimates), and _estimate_chunk calls each configured
+one by name, once, with all the slots. BLMMSE is the exact-gain tracker
+with eta = 0, so blmmse and kfb share one per-trial
+estimators.PerUserEigenbasis and its one measurement of all the slots.
+The slots and the learned-correlation probes take one front end
+(_user_bins).
 
 The engine runs the trials in chunks of T, sized so that a (T, K, M, M)
 complex stack stays within _CHUNK_BYTES, and walks the chunks once. A
@@ -67,6 +68,7 @@ from .channel import (
 )
 from .estimators import (
     TpeGain,
+    blmmse_estimates,
     build_eigenbasis,
     gram_correlation,
     kalman_estimates,
@@ -209,10 +211,10 @@ def _estimate_chunk(cfg, pilots, stats, prior, h_true, noise):
     that frame. The slots are received, quantized and taken into their user
     bins in one pass over (T, S, ...), and into the frame once; each
     configured estimator then maps those bins to its estimates in one call,
-    written into its row of h_hat, blmmse (eta = 0) and kfb on one
-    measurement of the basis. kfb's call returns kfb_trace (T, S); without
-    kfb it is None. The true channels h_true are taken into the frame too
-    and returned with the estimates: the metrics read both there.
+    written into its row of h_hat, blmmse and kfb on one measurement of the
+    basis. kfb's call returns kfb_trace (T, S); without kfb it is None.
+    The true channels h_true are taken into the frame too and returned
+    with the estimates: the metrics read both there.
     """
     form, into = user_frame(prior)
     model = build_per_user_model(pilots, prior)
@@ -239,7 +241,7 @@ def _estimate_chunk(cfg, pilots, stats, prior, h_true, noise):
         # not held through TPE's steps.
         measured = basis.measure(bins)
         if "blmmse" in out:
-            kalman_estimates(basis, np.zeros_like(stats.eta), measured, out["blmmse"])
+            blmmse_estimates(basis, measured, out["blmmse"])
         if "kfb" in out:
             kfb_trace = kalman_estimates(basis, stats.eta, measured, out["kfb"])
     # The truth enters the frame last, so it is not held through the trackers' stacks.

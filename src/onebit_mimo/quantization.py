@@ -99,13 +99,16 @@ def one_bit_quantize(y):
     """Signs of real and imaginary parts, scaled to unit power per entry.
 
     Zero is mapped to +1 in each part so the output alphabet is exactly
-    {±1 ± j}/sqrt(2).
+    {±1 ± j}/sqrt(2), as y >= 0 would map it. The output starts as
+    y + 0.0, which turns -0.0 into +0.0, and one in-place copysign pass
+    over its float view gives each part the level with its own sign: one
+    allocation per call, for real or strided input too. A NaN part keeps
+    the sign of its sign bit.
     """
-    y = np.asarray(y)
-    level = 1.0 / np.sqrt(2.0)
-    out = np.empty(y.shape, dtype=complex)
-    out.real = np.where(y.real >= 0, level, -level)
-    out.imag = np.where(y.imag >= 0, level, -level)
+    out = np.empty(np.shape(y), dtype=complex)
+    np.add(y, 0.0, out=out)
+    parts = out.reshape(-1).view(float)
+    np.copysign(1.0 / np.sqrt(2.0), parts, out=parts)
     return out
 
 
@@ -131,7 +134,10 @@ def pilot_signal(h, pilots, noise):
     (tau M, p) flattened to (tau M p,), take a single product.
     """
     h = np.reshape(h, noise.shape[:-1] + (pilots.K, -1))
-    return (pilots.scaled_phi() @ h).reshape(noise.shape) + noise
+    # The noise goes into the product's buffer: one allocation per call.
+    out = (pilots.scaled_phi() @ h).reshape(noise.shape)
+    out += noise
+    return out
 
 
 def _arcsine_law(c_y, scale):

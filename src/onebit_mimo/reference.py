@@ -251,13 +251,15 @@ def ls_estimate(obs, pilots):
     column (tau M, count); the estimates come back in the same layout. Works
     on the quantized observation directly, so the scale is biased by the
     quantizer. estimators.ls_estimates takes the same LS on the user bins.
+    Raises ValueError for rank-deficient pilots and, as scaled_phi does,
+    while the pilot power is unset.
     """
     sv = np.linalg.svd(pilots.phi, compute_uv=False)
     if sv[-1] <= 1e-10 * sv[0]:
         raise ValueError("pilot matrix is rank deficient")
     pinv_phi = np.linalg.pinv(pilots.phi, rcond=1e-10)
     # pinv(Phi (x) sqrt(rho) I) = pinv(Phi) (x) I / sqrt(rho).
-    return kron_apply(pinv_phi, obs.r) / np.sqrt(pilots.rho)
+    return kron_apply(pinv_phi, obs.r) / np.sqrt(pilots._power())
 
 
 def sample_correlation(samples):

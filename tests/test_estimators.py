@@ -14,6 +14,7 @@ from onebit_mimo import (
     TpeGain,
     aggregate_correlation,
     blmmse_estimate,
+    blmmse_estimates,
     blmmse_nmse,
     build_bussgang_model,
     build_eigenbasis,
@@ -587,15 +588,25 @@ class TestPerUserEstimators:
     @pytest.mark.parametrize("case", sorted(PER_USER_CASES))
     def test_single_shot_matches_dense(self, case):
         scene = per_user_scene(case)
-        # BLMMSE is the exact-gain tracker of a memoryless channel.
-        eta = np.zeros_like(scene["stats"].eta)
         observations, bins = per_user_slots(scene)
         ls_hat = ls_estimates(scene["pilots"], bins)
-        blmmse_hat, _ = run_kalman(build_eigenbasis(*scene["matrices"]), eta, bins)
+        basis = build_eigenbasis(*scene["matrices"])
+        blmmse_hat = blmmse_estimates(basis, basis.measure(bins), np.empty_like(bins))
         for i, obs in enumerate(observations):
             assert_close_norm(ls_hat[i], into_frame(scene, ls_estimate(obs, scene["pilots"])))
             dense = blmmse_estimate(obs, scene["corr_est"])
             assert_close_norm(blmmse_hat[i], into_frame(scene, dense))
+
+    @pytest.mark.parametrize("case", sorted(PER_USER_CASES))
+    def test_blmmse_is_the_tracker_at_zero_eta_bit_for_bit(self, case):
+        """BLMMSE is the exact-gain tracker of a memoryless channel, to the last bit."""
+        scene = per_user_scene(case)
+        _, bins = per_user_slots(scene)
+        basis = build_eigenbasis(*scene["matrices"])
+        tracked, _ = run_kalman(basis, np.zeros_like(scene["stats"].eta), bins)
+        single = np.empty_like(bins)
+        assert blmmse_estimates(basis, basis.measure(bins), single) is single
+        assert single.tobytes() == tracked.tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case", sorted(PER_USER_CASES))

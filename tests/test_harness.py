@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,7 +45,7 @@ from onebit_mimo import (
     user_frame,
     write_csv,
 )
-from onebit_mimo import harness, linalg, reference
+from onebit_mimo import cli, harness, linalg, reference
 from onebit_mimo.channel import ExponentialCorrelation, apply_sqrt_factor
 from onebit_mimo.cli import main
 
@@ -607,11 +608,12 @@ class TestChunkedEngine:
         assert peaks[0] - peaks[1] < 1.5e6
 
     # Ceilings on the traced peak, measured with numpy 2.4: small_sweep_rate's
-    # about 19% above its 1.626 MB (set at 1.749 MB), the paper and fast runs'
-    # about 5% above their 5.665 MB and 0.705 MB. Keeping a chunk's arrays
+    # about 19% above its 1.626 MB (set at 1.749 MB), the fast run's about 5%
+    # above its 0.705 MB, and the paper run's 5% above its 4.63 MB (5.665 MB
+    # while build_eigenbasis held W through eigh). Keeping a chunk's arrays
     # through the next draw raised the first to 2.29 MB; a dense copy of the
     # Toeplitz C_n_eff stack raises the others to 7.73 MB and 0.83 MB.
-    PEAK_CEILINGS = {"small_sweep_rate": 1.93e6, "paper": 5.95e6, "fast": 0.74e6}
+    PEAK_CEILINGS = {"small_sweep_rate": 1.93e6, "paper": 4.86e6, "fast": 0.74e6}
 
     @pytest.mark.parametrize("run", sorted(PEAK_CEILINGS))
     def test_engine_peak_memory_stays_under_its_ceiling(self, run):
@@ -781,6 +783,36 @@ class TestCli:
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("libc", ["unloadable", "no mallopt", "mallopt refuses"])
+    def test_runs_the_same_without_the_allocator_policy(self, tmp_path, monkeypatch, libc):
+        """The allocator policy is optional and changes no byte of a run.
+
+        A C library that cannot be loaded, has no mallopt, or refuses the
+        trim threshold leaves the allocator as it is; after a refusal the
+        mmap threshold is not set alone.
+        """
+        args = ["rate", "--config", str(REPO / "perfbench" / "small_sweep_rate.cfg"),
+                "--trials", "2", "--out"]
+        assert main([*args, str(tmp_path / "policy.csv")]) == 0
+        asked = []
+
+        def refusing(param, value):
+            asked.append(param)
+            return 0
+
+        def unloadable(name):
+            raise OSError("no C library")
+
+        fake = {
+            "unloadable": unloadable,
+            "no mallopt": lambda name: SimpleNamespace(),
+            "mallopt refuses": lambda name: SimpleNamespace(mallopt=refusing),
+        }[libc]
+        monkeypatch.setattr(cli.ctypes, "CDLL", fake)
+        assert main([*args, str(tmp_path / "plain.csv")]) == 0
+        assert asked == ([cli._M_TRIM_THRESHOLD] if libc == "mallopt refuses" else [])
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "policy.csv").read_bytes()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["nmse", "--config", str(tmp_path / "absent.cfg")]) == 2

@@ -19,7 +19,7 @@ from onebit_mimo import (
     stack_correlation,
 )
 from onebit_mimo.quantization import pilot_signal
-from onebit_mimo.reference import ScaledPilotOperator
+from onebit_mimo.reference import QuantizedObservation, ScaledPilotOperator, ls_estimate
 
 
 def white_correlation(n_users, n_antennas):
@@ -75,6 +75,10 @@ class TestPilotOperator:
             dft_pilots(4, 4).gain
         with pytest.raises(ValueError, match="pilot power not set"):
             ls_estimates(dft_pilots(4, 4), np.ones((4, 2), dtype=complex))
+        # So does the dense reference LS.
+        obs = QuantizedObservation(slot=0, r=np.ones(8, dtype=complex))
+        with pytest.raises(ValueError, match="pilot power not set"):
+            ls_estimate(obs, dft_pilots(4, 4))
 
     @pytest.mark.parametrize("tau,k,n_antennas", [(6, 4, 1), (6, 4, 3), (4, 4, 5)])
     def test_apply_and_adjoint_match_dense_kron(self, tau, k, n_antennas):
@@ -97,8 +101,64 @@ class TestPilotOperator:
         flat = pilot_signal(x, pilots, y.reshape(-1)).reshape(y.shape)
         assert_allclose(flat, expected, atol=1e-13)
 
+    def test_pilot_signal_adds_the_noise_last(self):
+        """The product plus the noise, bit for bit, and the noise left as it was."""
+        pilots = dft_pilots(4, 3).with_rho(2.5)
+        rng = np.random.default_rng(11)
+        h = rng.standard_normal((5, 3, 6)) + 1j * rng.standard_normal((5, 3, 6))
+        noise = rng.standard_normal((5, 24)) + 1j * rng.standard_normal((5, 24))
+        kept = noise.copy()
+        product = (pilots.scaled_phi() @ h).reshape(noise.shape)
+        np.testing.assert_array_equal(pilot_signal(h, pilots, noise), product + noise)
+        np.testing.assert_array_equal(noise, kept)
+
+
+def where_quantize(y):
+    """The quantizer as the test y >= 0 of each part writes it."""
+    y = np.asarray(y)
+    level = 1.0 / np.sqrt(2.0)
+    out = np.empty(y.shape, dtype=complex)
+    out.real = np.where(y.real >= 0, level, -level)
+    out.imag = np.where(y.imag >= 0, level, -level)
+    return out
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
 
 class TestOneBitQuantize:
+    SIGNED = [0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300, 2.5, -2.5]
+
+    def test_same_bits_as_the_sign_test(self):
+        rng = np.random.default_rng(12)
+        y = rng.standard_normal((3, 7, 64)) + 1j * rng.standard_normal((3, 7, 64))
+        assert_same_bits(one_bit_quantize(y), where_quantize(y))
+
+    def test_signed_zeros_and_infinities_in_each_part(self):
+        parts = np.array(self.SIGNED)
+        y = np.empty((parts.size, parts.size), dtype=complex)
+        y.real, y.imag = parts[:, None], parts[None, :]
+        assert_same_bits(one_bit_quantize(y), where_quantize(y))
+
+    def test_real_input(self):
+        y = np.array(self.SIGNED)
+        assert_same_bits(one_bit_quantize(y), where_quantize(y))
+
+    def test_strided_input_and_scalars(self):
+        rng = np.random.default_rng(13)
+        y = rng.standard_normal((8, 10)) + 1j * rng.standard_normal((8, 10))
+        for view in (y[::2, 1::3], y.T, y.real[:, ::-1]):
+            assert_same_bits(one_bit_quantize(view), where_quantize(view))
+        assert_same_bits(one_bit_quantize(-0.0 - 1j), where_quantize(-0.0 - 1j))
+
+    def test_input_left_as_it_was(self):
+        y = np.array([-1.0 + 2.0j, -0.0 - 0.0j])
+        kept = y.copy()
+        one_bit_quantize(y)
+        assert y.tobytes() == kept.tobytes()
+
     def test_octant_mapping(self):
         y = np.array([1.5 + 0.3j, -2.0 + 1.0j, 0.1 - 9.0j, -0.2 - 0.2j])
         expected = np.array([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j]) / np.sqrt(2.0)
