@@ -285,6 +285,11 @@ def parse_config(text, base=None, overrides=None):
 
     if "tau" in canonical and "K" in canonical and canonical["tau"] < canonical["K"]:
         issues.append((line_of("tau"), "tau", "pilot length must be at least K"))
+    if canonical.get("mode") == "rate" and "M" in canonical and "K" in canonical:
+        if canonical["M"] < canonical["K"]:
+            issues.append(
+                (line_of("M"), "M", "rate mode needs M >= K: zero-forcing needs a tall channel")
+            )
     if "user_speeds_kmh" in canonical and "K" in canonical:
         n = len(canonical["user_speeds_kmh"])
         if n not in (1, canonical["K"]):

@@ -8,9 +8,13 @@ scalar (quantization.bussgang_gain) and the distortion covariance to
 channel and its estimate.
 
 The combiner is the Moore-Penrose inverse of the estimate, which is the
-zero-forcing combiner on every full-rank estimate. One-bit estimates at
-small M can be rank deficient (a user bin vanishes to rounding, or is
-exactly +-j times another user's); they get the minimum-norm combiner and
+zero-forcing combiner (H^H H)^{-1} H^H on every full-rank estimate. It is
+solved through the K x K Gram H^H H, one batched Cholesky factorization
+for a whole stack. The normal equations square the condition number, so
+their error grows as kappa^2 eps; a member whose condition bound reaches
+_CHOLESKY_BOUND takes an SVD instead. One-bit estimates at small M can be
+rank deficient (a user bin vanishes to rounding, or is exactly +-j times
+another user's); they take the SVD too, get the minimum-norm combiner and
 a finite rate, and a user whose combiner row is zero gets rate 0.
 """
 
@@ -18,7 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import inv_lower
 from .quantization import bussgang_gain
+
+# A member whose bound ||L||_F ||L^{-1}||_F on kappa_2(H) reaches this takes
+# the SVD; below it the normal equations' kappa^2 eps error stays near 1e-12.
+_CHOLESKY_BOUND = 1e2
+# A Gram with lambda_min <= _GRAM_FLOOR lambda_max is past the bound anyway;
+# above it the Cholesky factorization cannot fail at any modest K.
+_GRAM_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -37,21 +49,54 @@ class RateBreakdown:
     sum_rate: float | np.ndarray
 
 
-def zf_combiner(h_est):
-    """Zero-forcing rows W^T = V diag(1/s) U^H for an M x K estimate or a stack.
-
-    One SVD H = U diag(s) V^H per member. Singular values s <= 1e-12 s_max
-    are dropped, so a rank-deficient member gets its pseudo-inverse, the
-    minimum-norm combiner, and an all-zero one gets W^T = 0. On a full-rank
-    member this is (H^H H)^{-1} H^H without squaring the condition number.
-    """
-    h_est = np.asarray(h_est)
-    if h_est.ndim < 2 or h_est.shape[-2] < h_est.shape[-1]:
-        raise ValueError("need a tall M x K channel matrix")
+def _pinv_svd(h_est):
+    """W^T = V diag(1/s) U^H, one SVD per member; s <= 1e-12 s_max is dropped."""
     u, s, vh = np.linalg.svd(h_est, full_matrices=False)
     inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-12 * s[..., :1])
     v_scaled = np.swapaxes(vh, -1, -2).conj() * inv_s[..., None, :]
     return v_scaled @ np.swapaxes(u, -1, -2).conj()
+
+
+def zf_combiner(h_est):
+    """Zero-forcing rows W^T = (H^H H)^{-1} H^H for an M x K estimate or a stack.
+
+    The Grams H^H H = L L^H of the stack are factored together, and
+    W^T = L^{-H} (L^{-1} H^H). Since ||L||_F = ||H||_F, the product
+    ||L||_F ||L^{-1}||_F bounds kappa_2(H) from above; a member whose bound
+    reaches _CHOLESKY_BOUND, or whose Gram is not positive definite or not
+    finite, gets the pseudo-inverse from its SVD instead. There singular values
+    s <= 1e-12 s_max are dropped, so a rank-deficient member gets the
+    minimum-norm combiner, and an all-zero one gets W^T = 0. A member's
+    combiner does not depend on the rest of its stack.
+    """
+    h_est = np.asarray(h_est)
+    if h_est.ndim < 2 or h_est.shape[-2] < h_est.shape[-1]:
+        raise ValueError("need a tall M x K channel matrix")
+    h_adj = np.swapaxes(h_est, -1, -2).conj()
+    # Over- and underflow at extreme scales show up as a non-finite bound,
+    # which routes the member to the SVD, so they need no warning here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = h_adj @ h_est
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            # The members far past the bound, which include every one that
+            # failed, stand in as identities here and take the SVD below.
+            eig = np.linalg.eigvalsh(gram)
+            factorable = eig[..., 0] > _GRAM_FLOOR * eig[..., -1]
+            gram[~factorable] = np.eye(gram.shape[-1])
+            chol = np.linalg.cholesky(gram)
+        else:
+            factorable = True
+        chol_inv = inv_lower(chol)
+        w = np.swapaxes(chol_inv, -1, -2).conj() @ (chol_inv @ h_adj)
+        # ||L||_F^2 = trace(H^H H) and ||L^{-1}||_F^2, member by member.
+        norm_sq = np.trace(gram, axis1=-2, axis2=-1).real
+        bound_sq = norm_sq * np.sum(np.abs(chol_inv) ** 2, axis=(-2, -1))
+    to_svd = ~(factorable & (bound_sq < _CHOLESKY_BOUND**2))
+    if to_svd.any():
+        w[to_svd] = _pinv_svd(h_est[to_svd])
+    return w
 
 
 def achievable_rates(h_true, h_est, rho_d):

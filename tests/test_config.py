@@ -98,6 +98,17 @@ class TestValidationErrors:
         assert issue_lines(excinfo, "tau") == [1]
         assert "at least K" in str(excinfo.value)
 
+    def test_rate_mode_needs_a_tall_channel(self):
+        """Zero-forcing needs M >= K; the nmse experiment runs with fewer antennas too."""
+        text = "mode = rate\nM = 2\nK = 4\ntau = 4\n"
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(text, base=default_config())
+        assert issue_lines(excinfo, "M") == [2]
+        assert "M >= K" in str(excinfo.value)
+        cfg = parse_config(text.replace("rate", "nmse"), base=default_config())
+        assert (cfg.mode, cfg.M, cfg.K) == ("nmse", 2, 4)
+        assert parse_config(text.replace("2", "4"), base=default_config()).M == 4
+
     def test_speed_count_cross_check(self):
         with pytest.raises(ConfigError):
             parse_config("user_speeds_kmh = [3, 5]\n", base=default_config())

@@ -750,6 +750,17 @@ class TestCli:
         assert '"error": "config"' in err
         assert '"line": 1' in err
 
+    @pytest.mark.parametrize("command", ["validate-config", "rate"])
+    def test_wide_rate_config_fails_validation(self, tmp_path, capsys, command):
+        """mode = rate with M < K exits 2 at validation, before any trial runs."""
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("mode = rate\nM = 2\nK = 4\ntau = 4\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        issues = json.loads(capsys.readouterr().err)["issues"]
+        assert [(i["line"], i["key"]) for i in issues] == [(2, "M")]
+        assert not out.exists()
+
     @pytest.mark.parametrize("speed,code", [(40, 2), (96, 0), (1e6, 0), (1e12, 0), (1e300, 2)])
     def test_validate_config_speed_verdict(self, tmp_path, capsys, speed, code):
         """Past J0's first zero and far out: a coefficient outside [0, 1] is rejected.
@@ -884,6 +895,36 @@ class TestCli:
         code = main(["rate", "--config", str(cfg), "--trials", "2", "--out", str(out)])
         assert code == 0
         self.finite_rate_rows(out, 2 * 3 * 2)
+
+    # A small-M rate config whose one-bit estimates include rank-deficient ones.
+    SMALL_M_RATE = (
+        "M = 4\nK = 2\ntau = 2\nslots = 3\nsnr_db = [0, 10]\nestimators = [ls, blmmse, kfb]\n"
+    )
+
+    @pytest.mark.parametrize(
+        "text,trials,routed",
+        [
+            ((REPO / "perfbench" / "small_sweep_rate.cfg").read_text(encoding="utf-8"), 2, False),
+            (SMALL_M_RATE, 20, True),
+        ],
+        ids=["small_sweep_rate", "small_m"],
+    )
+    def test_svd_only_where_conditioning_needs_it(self, monkeypatch, text, trials, routed):
+        """small_sweep_rate's estimates all take the Cholesky path; small M needs the SVD.
+
+        Two small_sweep_rate trials make no SVD call; the small-M config at
+        20 trials routes at least one member to it.
+        """
+        cfg = parse_config(text, base=default_config(mode="rate"), overrides={"trials": trials})
+        svd, calls = np.linalg.svd, []
+
+        def counting(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        run_rate_experiment(cfg)
+        assert bool(calls) == routed
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_small_m_one_bit_estimates_are_rated(self, tmp_path, seed):

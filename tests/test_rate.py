@@ -21,6 +21,26 @@ def random_channel(rng, n_antennas, n_users, stack=()):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def svd_combiner(h):
+    """The SVD combiner V diag(1/s) U^H with the 1e-12 cutoff, one SVD per member."""
+    u, s, vh = np.linalg.svd(h, full_matrices=False)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-12 * s[..., :1])
+    v_scaled = np.swapaxes(vh, -1, -2).conj() * inv_s[..., None, :]
+    return v_scaled @ np.swapaxes(u, -1, -2).conj()
+
+
+def spy_on_svd(monkeypatch):
+    """Records the stack shape of every np.linalg.svd call."""
+    svd, shapes = np.linalg.svd, []
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return shapes
+
+
 class TestDataGain:
     def test_reference_value(self):
         # sqrt((2/pi) / (K rho_d + 1)) at K = 4, rho_d = 1
@@ -49,6 +69,63 @@ class TestZfCombiner:
         column = random_channel(rng, 4, 1)
         for h in (np.ones((4, 2), dtype=complex), np.hstack([column, 1j * column])):
             assert_allclose(zf_combiner(h), np.linalg.pinv(h, rcond=1e-12), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 4, 10, 16, 4), (2, 10, 32, 8), (2, 10, 128, 8)])
+    def test_full_rank_stack_takes_no_svd(self, monkeypatch, shape):
+        """Well-conditioned stacks are solved through the Gram's Cholesky factor alone."""
+        rng = np.random.default_rng(sum(shape))
+        h = random_channel(rng, *shape[-2:], stack=shape[:-2])
+        expected = np.linalg.pinv(h, rcond=1e-12)
+        shapes = spy_on_svd(monkeypatch)
+        w = zf_combiner(h)
+        assert shapes == []
+        error = np.linalg.norm(w - expected, axis=(-2, -1))
+        assert np.max(error / np.linalg.norm(expected, axis=(-2, -1))) < 1e-12
+
+    def test_each_member_is_routed_on_its_own(self, monkeypatch):
+        """Only ill-conditioned and deficient members take the SVD, each as if alone.
+
+        Member 0 is well conditioned, member 1 has two columns 1e-7 apart,
+        member 2 an exactly zero column and member 3 a column j times
+        another. The zero column makes the stack's Cholesky factorization
+        fail, which must move no other member.
+        """
+        rng = np.random.default_rng(11)
+        h = random_channel(rng, 8, 3, stack=(4,))
+        h[1, :, 1] = h[1, :, 0] + 1e-7 * random_channel(rng, 8, 1)[:, 0]
+        h[2, :, 2] = 0.0
+        h[3, :, 1] = 1j * h[3, :, 0]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.swapaxes(h, -1, -2).conj() @ h)
+        shapes = spy_on_svd(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = zf_combiner(h)
+        assert sum(shape[0] for shape in shapes) == 3
+        for index in range(4):
+            assert np.array_equal(w[index], zf_combiner(h[index]))
+        for index in (1, 2, 3):
+            assert np.array_equal(w[index], svd_combiner(h[index]))
+        assert_allclose(w[0] @ h[0], np.eye(3), atol=1e-12)
+        assert np.all(w[2, 2] == 0.0)
+
+    @pytest.mark.parametrize("scale", [1e-155, 1e-170, 1e160])
+    def test_extreme_scales_take_the_svd_without_warnings(self, scale):
+        """A Gram that over- or underflows routes its member to the SVD, as the SVD alone did.
+
+        Member 1 has one column at the scale (its Gram's pivot is subnormal
+        or its inverse overflows), member 2 is wholly at it.
+        """
+        rng = np.random.default_rng(5)
+        h = random_channel(rng, 8, 3, stack=(3,))
+        h[1, :, 2] *= scale
+        h[2] *= scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = zf_combiner(h)
+        for index in (1, 2):
+            assert np.array_equal(w[index], svd_combiner(h[index]))
+        assert_allclose(w[0] @ h[0], np.eye(3), atol=1e-12)
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
